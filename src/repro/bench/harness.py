@@ -48,6 +48,8 @@ class Measurement:
     note: str = ""
     stats: Optional[ExecutionStats] = None
     workers: int = 1
+    #: Wall time of every timed repetition; ``seconds`` is their minimum.
+    samples: List[float] = field(default_factory=list)
 
     @property
     def throughput(self) -> float:
@@ -95,12 +97,12 @@ def measure(
             query, database, tau=tau, algorithm=algorithm, **kwargs, **extra
         )
 
-    best = float("inf")
+    samples: List[float] = []
     result: Optional[JoinResultSet] = None
     for _ in range(max(1, repeat)):
         start = time.perf_counter()
         result = run()
-        best = min(best, time.perf_counter() - start)
+        samples.append(time.perf_counter() - start)
     if result is None:
         raise InvariantError(
             "measure() ran zero repetitions; repeat is clamped to >= 1, "
@@ -123,13 +125,14 @@ def measure(
 
     return Measurement(
         algorithm=algorithm,
-        seconds=best,
+        seconds=min(samples),
         peak_bytes=peak,
         result_count=len(result),
         input_size=n,
         tau=tau,
         stats=stats,
         workers=workers,
+        samples=samples,
     )
 
 

@@ -9,6 +9,14 @@ comparable within one machine. The JSON carries everything needed to
 read a trend: workload shape, per-cell wall times, and the speedup of
 each worker count over the serial anchor.
 
+Process-mode workers are resident: the first ``workers > 1`` call in a
+process spawns them and later calls reuse them. So each sharded cell
+times its first call on its own (``cold_seconds``, with
+``cold_pool_started`` saying whether that call spawned workers) before
+the warm repetitions (``seconds`` is their best, ``warm_median_seconds``
+their median). The one-time spawn stays visible without hiding the
+steady-state speed.
+
 Usage::
 
     python -m repro.bench.smoke --out BENCH_parallel.json
@@ -20,10 +28,13 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import time
 from typing import List, Optional, Sequence
 
+from ..algorithms.registry import temporal_join
 from ..core.query import JoinQuery
+from ..obs import ExecutionStats
 from ..workloads.synthetic import SyntheticConfig, generate
 from .harness import Measurement, measure_scaling
 from .reporting import render_scaling_table
@@ -49,6 +60,11 @@ def run_smoke(
     cells: List[dict] = []
     tables = {}
     for algorithm in algorithms:
+        cold = {
+            w: _first_call(query, database, tau, algorithm, w, parallel_mode)
+            for w in workers_list
+            if w > 1 and parallel_mode == "process"
+        }
         ms = measure_scaling(
             algorithm, query, database, tau=tau,
             workers_list=workers_list, repeat=repeat,
@@ -72,7 +88,10 @@ def run_smoke(
                 "throughput": m.throughput,
                 "ok": m.ok,
                 "speedup_vs_serial": speedup,
+                "warm_median_seconds": statistics.median(m.samples),
             }
+            if m.workers in cold:
+                cell["cold_seconds"], cell["cold_pool_started"] = cold[m.workers]
             if m.stats is not None and m.workers > 1:
                 # Hardware-independent decomposition quality: the critical
                 # path (slowest shard) bounds the achievable wall-clock on
@@ -118,6 +137,17 @@ def run_smoke(
             "Parallel smoke (line3 synthetic)", tables
         ),
     }
+
+
+def _first_call(query, database, tau, algorithm, workers, parallel_mode):
+    """Time one call before the warm repetitions; report if it spawned."""
+    stats = ExecutionStats()
+    start = time.perf_counter()
+    temporal_join(
+        query, database, tau=tau, algorithm=algorithm, workers=workers,
+        parallel_mode=parallel_mode, stats=stats,
+    )
+    return time.perf_counter() - start, stats.get("parallel.pool_started")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -52,3 +52,14 @@ class InvariantError(ReproError):
     still catch :class:`ReproError` at API boundaries. Seeing this
     exception always indicates a bug in the library, never bad input.
     """
+
+
+class WorkerError(ReproError):
+    """A parallel worker process died or could not return its reply.
+
+    Raised by the resident worker pool (:mod:`repro.parallel.pool`) when
+    a worker exits mid-task, when its pipe breaks, or when a task's
+    result or exception cannot cross the process boundary by pickle. The
+    pool discards a set with a dead worker, so the next call starts
+    fresh workers and succeeds.
+    """

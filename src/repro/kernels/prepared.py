@@ -483,7 +483,7 @@ def _run_kernel_batch_parallel(
         for shard, rids in enumerate(assignments)
     ]
     n_procs = min(workers, len(tasks))
-    outcomes = run_batch_tasks(tasks, n_procs, mode)
+    outcomes = run_batch_tasks(tasks, n_procs, mode, stats=stats)
     outcomes = sorted(outcomes, key=lambda outcome: outcome.shard)
     for position, evaluation in enumerate(kernel_evals):
         rows = [

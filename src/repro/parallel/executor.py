@@ -14,18 +14,23 @@
 
 Execution modes
 ---------------
-``"process"`` (default) uses a ``multiprocessing`` pool with the
-``spawn`` start method — safe under every interpreter configuration, at
-the cost of one interpreter start per worker; each shard task is pickled
-exactly once. ``"inline"`` runs the identical shard tasks sequentially
-in the calling process: same partitioning, same ownership filter, same
-merge, no processes — the debugging and testing mode. ``workers=1``
-always runs inline (a single shard needs no pool).
+``"process"`` (default) dispatches the shard tasks to the resident
+``spawn`` workers of :mod:`repro.parallel.pool` — safe under every
+interpreter configuration; each shard task is pickled exactly once. The
+workers start on the first process-mode call and are reused by every
+later one, so the interpreter start (about 1 s) is paid once per
+process, not once per call (``parallel.pool_started`` says which call
+paid it). A worker that dies mid-shard raises
+:class:`~repro.core.errors.WorkerError` instead of hanging, and the next
+call starts fresh workers; interpreter exit terminates them.
+``"inline"`` runs the identical shard tasks sequentially in the calling
+process: same partitioning, same ownership filter, same merge, no
+processes — the debugging and testing mode. ``workers=1`` always runs
+inline (a single shard needs no pool).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Mapping, Optional, Sequence
 
 from ..core.errors import QueryError
@@ -41,6 +46,7 @@ from .partition import (
     replication_factor,
     shard_databases,
 )
+from .pool import resident_pool
 from .worker import (
     BatchShardOutcome,
     BatchShardTask,
@@ -152,7 +158,7 @@ def parallel_temporal_join(
 
     n_procs = min(workers, len(tasks))
     if mode == "process" and n_procs > 1:
-        outcomes = _run_pool(tasks, n_procs)
+        outcomes = _run_pool(tasks, n_procs, stats)
     else:
         outcomes = [run_shard(task) for task in tasks]
 
@@ -218,32 +224,44 @@ def _kernel_shard_tasks(
     return tasks, replicated
 
 
-def _run_pool(tasks: Sequence[ShardTask], n_procs: int) -> Sequence[ShardOutcome]:
-    """Fan shard tasks out to a spawn-based process pool.
+def _run_pool(
+    tasks: Sequence[ShardTask], n_procs: int, stats: Optional[ExecutionStats]
+) -> Sequence[ShardOutcome]:
+    """Fan shard tasks out to ``n_procs`` resident spawn workers.
 
     ``spawn`` starts each worker from a fresh interpreter, so
     :func:`run_shard` must stay importable as
     ``repro.parallel.worker.run_shard`` — the test suite's process-mode
     smoke test guards that. Worker exceptions re-raise here unchanged.
     """
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=n_procs) as pool:
-        return pool.map(run_shard, tasks, chunksize=1)
+    with resident_pool(n_procs) as pool:
+        outcomes = pool.map(run_shard, tasks)
+    _count_pool_start(pool.started, stats)
+    return outcomes
 
 
 def run_batch_tasks(
-    tasks: Sequence[BatchShardTask], n_procs: int, mode: str
+    tasks: Sequence[BatchShardTask],
+    n_procs: int,
+    mode: str,
+    stats: Optional[ExecutionStats] = None,
 ) -> Sequence[BatchShardOutcome]:
     """Execute a prepared batch's shard tasks (pool or inline).
 
     The batch counterpart of the fan-out inside
-    :func:`parallel_temporal_join`: same spawn-based pool, same inline
+    :func:`parallel_temporal_join`: same resident workers, same inline
     debugging mode, one task per shard — but each task carries the whole
     query fleet, so the shard columns cross the process boundary once
     per *batch*. Called by :func:`repro.kernels.prepared.run_batch`.
     """
     if mode == "process" and n_procs > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=n_procs) as pool:
-            return pool.map(run_batch_shard, tasks, chunksize=1)
+        with resident_pool(n_procs) as pool:
+            outcomes = pool.map(run_batch_shard, tasks)
+        _count_pool_start(pool.started, stats)
+        return outcomes
     return [run_batch_shard(task) for task in tasks]
+
+
+def _count_pool_start(started: int, stats: Optional[ExecutionStats]) -> None:
+    if stats is not None:
+        stats.incr("parallel.pool_started", int(started > 0))

@@ -11,14 +11,20 @@ sub-database, then applies the ownership filter: only results whose
 intersection interval ends inside the shard's owned range survive (see
 :mod:`repro.parallel.partition`). Everything else is a boundary
 duplicate that some neighbouring shard owns.
+
+:func:`serve_pipe` is the loop a resident worker process runs: it
+receives ``(fn, task)`` pairs from :mod:`repro.parallel.pool` over one
+pipe and answers each with ``(ok, value)``.
 """
 
 from __future__ import annotations
 
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.errors import WorkerError
 from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
@@ -201,3 +207,37 @@ def _run_kernel_shard(task: ShardTask, stats: Optional[ExecutionStats]):
     result = kernel_sweep(task.query, columns, state, stats=stats)
     result = deintern_results(columns.domains, result)
     return result.expand_intervals(task.tau / 2 if task.tau else 0)
+
+
+def serve_pipe(conn) -> None:
+    """Resident worker loop: answer each ``(fn, task)`` with ``(ok, value)``.
+
+    Runs in a spawn-started process until the parent closes its end of
+    ``conn`` or terminates the process. ``ok`` is false when ``fn``
+    raised, and ``value`` is then the exception. A task, result or
+    exception that does not survive pickling is answered with a
+    :class:`~repro.core.errors.WorkerError` instead, and the loop goes
+    on. Interrupts are left to the parent, which stops its workers.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            fn, task = conn.recv()
+        except (EOFError, OSError):
+            return  # the parent closed its end or exited
+        except Exception as exc:
+            conn.send((False, WorkerError(f"task could not be unpickled: {exc!r}")))
+            continue
+        try:
+            reply = (True, fn(task))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        except Exception as exc:
+            what = "result" if reply[0] else type(reply[1]).__name__
+            name = getattr(fn, "__name__", repr(fn))
+            message = f"{name}: its {what} could not be pickled: {exc!r}"
+            conn.send((False, WorkerError(message)))

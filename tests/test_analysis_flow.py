@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.analysis.engine import lint_project
+from repro.analysis.engine import SourceFile, lint_project
 from repro.analysis.flow_rules import (
     CounterGlossaryDrift,
     OwnershipBeforeConcat,
@@ -15,6 +15,7 @@ from repro.analysis.flow_rules import (
     flow_rules,
     parse_glossary,
 )
+from repro.analysis.project import summarize_file
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -240,6 +241,19 @@ class TestSpawnShipsModuleLevel:
             "src/repro/parallel/worker.py": _read("src/repro/parallel/worker.py"),
         })
         assert findings == []
+
+    def test_both_executor_dispatch_sites_are_harvested(self):
+        """The resident-pool dispatches stay visible to the spawn rules."""
+        path = "src/repro/parallel/executor.py"
+        summary = summarize_file(SourceFile(_read(path), path))
+        payloads = sorted(
+            (submit["method"], submit["payload"]["kind"], submit["payload"]["name"])
+            for submit in summary.pool_submits
+        )
+        assert payloads == [
+            ("map", "import", "run_batch_shard"),
+            ("map", "import", "run_shard"),
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the bench-smoke entry point (inline mode: no process spawns)."""
+"""Tests for the bench-smoke entry point (inline mode unless a test says so)."""
 
 import json
 
@@ -32,6 +32,27 @@ class TestRunSmoke:
         assert sharded["skew_pct"] >= 100
         assert sharded["max_shard_seconds"] > 0
         assert sharded["critical_path_speedup"] > 0
+
+    def test_process_cells_time_the_first_call_apart(self):
+        doc = run_smoke(
+            algorithms=("timefirst",), workers_list=(1, 2),
+            n_dangling=20, n_results=5, repeat=2, parallel_mode="process",
+        )
+        by_workers = {c["workers"]: c for c in doc["cells"]}
+        assert all(c["ok"] for c in doc["cells"])
+        assert "cold_seconds" not in by_workers[1]
+        sharded = by_workers[2]
+        assert sharded["cold_seconds"] > 0
+        assert sharded["cold_pool_started"] in (0, 1)
+        assert sharded["warm_median_seconds"] >= sharded["seconds"] > 0
+
+    def test_inline_cells_have_no_cold_fields(self):
+        doc = run_smoke(
+            algorithms=("timefirst",), workers_list=(1, 2),
+            n_dangling=20, n_results=5, repeat=1, parallel_mode="inline",
+        )
+        assert all("cold_seconds" not in c for c in doc["cells"])
+        assert all(c["warm_median_seconds"] > 0 for c in doc["cells"])
 
     def test_serial_cells_have_no_shard_counters(self):
         doc = run_smoke(
