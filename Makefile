@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint analyze analyze-fast bench bench-smoke bench-kernels bench-kernels-check bench-prepared bench-prepared-check bench-service bench-service-check bench-allen bench-allen-check bench-planner bench-planner-check examples figures clean
+.PHONY: install test lint analyze analyze-fast bench bench-smoke perfbench-smoke bench-kernels bench-kernels-check bench-prepared bench-prepared-check bench-service bench-service-check bench-allen bench-allen-check bench-planner bench-planner-check examples figures clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -44,6 +44,21 @@ bench:
 # trajectory of the parallel engine as BENCH_parallel.json per commit.
 bench-smoke:
 	PYTHONPATH=src python -m repro.bench.smoke --out BENCH_parallel.json
+
+# The end-to-end benchmark (perfbench/) as a correctness run: every
+# workload, untraced and traced. Each operation is checked against an
+# independent reference route, and the traced run also rebuilds every
+# route layer by layer; any mismatch or exception exits non-zero.
+PERFBENCH_WORKLOADS = fig8-mix fig9-fleet fig9-stream sharded
+
+perfbench-smoke:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		for trace in 0 1; do \
+			echo "perfbench: $$workload --trace $$trace"; \
+			python3 perfbench/run.py --workload $$workload --seed 1 \
+				--seconds 3 --trace $$trace > /dev/null || exit 1; \
+		done; \
+	done
 
 # Object-vs-kernel engine speedups per workload family and size;
 # refreshes the committed BENCH_kernels.json baseline.

@@ -23,6 +23,7 @@ model by transforming valid intervals up front:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import QueryError
@@ -40,6 +41,8 @@ def shrink_database(database: Database, tau: Number) -> Dict[str, TemporalRelati
     unchanged. With ``tau == 0`` the database is returned as-is (well,
     shallow-copied) because the shrink is the identity.
     """
+    if math.isnan(tau):
+        raise QueryError(f"durability threshold must not be NaN, got {tau}")
     if tau < 0:
         raise QueryError(f"durability threshold must be >= 0, got {tau}")
     if tau == 0:

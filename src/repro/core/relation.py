@@ -15,6 +15,7 @@ relational engine; multi-way joins live in :mod:`repro.algorithms` and
 
 from __future__ import annotations
 
+import math
 from typing import (
     Callable,
     Dict,
@@ -27,7 +28,7 @@ from typing import (
     Tuple,
 )
 
-from .errors import SchemaError
+from .errors import IntervalError, SchemaError
 from .interval import Interval, IntervalLike, Number
 
 Values = Tuple[object, ...]
@@ -204,13 +205,32 @@ class TemporalRelation:
         This is the per-relation step of the τ-durable reduction: with
         ``amount = τ/2`` the temporal join of the shrunk instance equals
         the τ-durable join of the original (paper §2.1 remarks).
+
+        Same arithmetic as :meth:`Interval.shrink` (infinite endpoints
+        are fixed points), but ``amount`` is checked once instead of
+        every shrunk interval being re-validated: a non-NaN amount keeps
+        endpoints non-NaN, and survivors satisfy ``lo <= hi`` by the
+        drop test. Rows stay distinct and of the right arity, so the
+        result skips the constructor's checks too.
         """
+        if math.isnan(amount):
+            raise IntervalError(f"shrink amount must not be NaN, got {amount}")
+        isinf = math.isinf
+        fast = Interval._fast
         kept = []
+        append = kept.append
         for values, interval in self._rows:
-            shrunk = interval.shrink(amount)
-            if shrunk is not None:
-                kept.append((values, shrunk))
-        return TemporalRelation(name or self.name, self.attrs, kept)
+            lo = interval.lo
+            hi = interval.hi
+            if not isinf(lo):
+                lo = lo + amount
+            if not isinf(hi):
+                hi = hi - amount
+            if lo <= hi:
+                append((values, fast(lo, hi)))
+        out = TemporalRelation(name or self.name, self.attrs, check_distinct=False)
+        out._rows = kept
+        return out
 
     def map_intervals(
         self,

@@ -9,9 +9,15 @@ bundle once per ``temporal_join`` call — or once per *database* via
 * **Value interning** — every attribute value is mapped to a dense int
   per attribute domain, in deterministic first-appearance order
   (database iteration order, the same order that fixes event ``seq``
-  ties). The inverse tables live in :attr:`KernelColumns.domains` and
-  restore the original objects at result emission, so kernel output is
-  indistinguishable from the object path.
+  ties). Interning runs column-wise: per relation the value tuples are
+  transposed, each column's new values come from ``dict.fromkeys`` and
+  its codes from one ``map`` over the domain table, and the code
+  columns are zipped back into row tuples. Each domain still sees its
+  values in (relation, row) order, so the codes are those of a
+  row-by-row loop. The inverse tables live in
+  :attr:`KernelColumns.domains` and restore the original objects at
+  result emission, so kernel output is indistinguishable from the
+  object path.
 * **Rank-space endpoints** — interval endpoints are rank-compressed
   into ``array('q')`` int arrays. Ranking is order-preserving, so
   intersection (max of los, min of his) and emptiness checks are exact
@@ -20,24 +26,31 @@ bundle once per ``temporal_join`` call — or once per *database* via
 * **Pre-sorted event codes** — the Algorithm 1 event list is flattened
   into one sorted list of ints, ``(rank * 2 + kind) * n_rows + row``,
   whose integer order equals the object path's ``(time, kind, seq)``
-  order. Sorting happens once per ingest (``kernel.sort_calls``);
-  derived columns — shard subsets (:meth:`KernelColumns.subset`) and
-  relation restrictions (:meth:`KernelColumns.restrict`) — *filter* the
-  parent's sorted stream under a monotone rank/row remap instead of
-  re-sorting, so the sort count stays at one however many queries sweep
-  the same prepared columns.
+  order. The codes are built and sorted as one int64 numpy array, which
+  bounds them by ``(2 * max_rank + 2) * n_rows < 2**63`` (checked).
+  Sorting happens once per ingest (``kernel.sort_calls``); derived
+  columns — shard subsets (:meth:`KernelColumns.subset`) and relation
+  restrictions (:meth:`KernelColumns.restrict`) — *filter* the parent's
+  sorted stream under a monotone rank/row remap instead of re-sorting,
+  so the sort count stays at one however many queries sweep the same
+  prepared columns.
 
-Emission intervals are **not** stored: :meth:`KernelColumns.intervals`
-reconstructs them from ``rank_times`` on demand and the reconstruction
-cache is excluded from pickling, so shard columns ship to spawn-based
-worker processes without a single object row.
+Emission intervals are **not** pickled: :func:`build_columns` seeds the
+per-process cache behind :meth:`KernelColumns.intervals` with the ingest
+rows' own intervals, derived or unpickled columns rebuild theirs from
+``rank_times`` on demand, and the cache is excluded from pickling, so
+shard columns ship to spawn-based worker processes without a single
+object row.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.errors import InvariantError
 from ..core.interval import Interval, Number
@@ -122,8 +135,10 @@ class KernelColumns:
 
     # ------------------------------------------------------------------
     def intervals(self) -> List[Interval]:
-        """Per-row emission intervals, reconstructed from rank space.
+        """Per-row emission intervals.
 
+        Columns from :func:`build_columns` hold the ingest rows' own
+        intervals; others reconstruct them from rank space on first use.
         ``rank_times`` round-trips endpoints exactly (it stores the
         original values), so the reconstructed intervals are
         value-identical to the source rows'. The list is cached per
@@ -131,9 +146,12 @@ class KernelColumns:
         """
         cached = self._interval_cache
         if cached is None:
+            # Endpoints of validated intervals with lo rank <= hi rank:
+            # the checked constructor could only re-confirm that.
             rank_times = self.rank_times
+            fast = Interval._fast
             cached = [
-                Interval(rank_times[lo], rank_times[hi])
+                fast(rank_times[lo], rank_times[hi])
                 for lo, hi in zip(self.row_lo, self.row_hi)
             ]
             self._interval_cache = cached
@@ -249,20 +267,34 @@ class KernelColumns:
         )
 
 
-def _sorted_event_codes(row_lo: Sequence[int], row_hi: Sequence[int]) -> List[int]:
+#: Largest value an int64 event code may take.
+_INT64_MAX = (1 << 63) - 1
+
+
+def _sorted_event_codes(row_lo: array, row_hi: array) -> List[int]:
     """Encode + sort the event stream as single ints.
 
     ``code = (rank * 2 + kind) * n + row`` with INSERT=0 < EXPIRE=1, so
     plain integer order is the object path's ``(time, kind, seq)`` order.
+    The codes are built and sorted as one int64 numpy array; every code
+    is below ``(2 * max_rank + 2) * n``, and an input where that bound
+    leaves int64 raises instead of wrapping into a wrong order.
     """
     n = len(row_lo)
-    codes = []
-    append = codes.append
-    for rid in range(n):
-        append(row_lo[rid] * 2 * n + rid)
-        append((row_hi[rid] * 2 + 1) * n + rid)
+    if n == 0:
+        return []
+    lo = np.frombuffer(row_lo, dtype=np.int64)
+    hi = np.frombuffer(row_hi, dtype=np.int64)
+    max_rank = max(int(lo.max()), int(hi.max()))
+    if (2 * max_rank + 2) * n > _INT64_MAX:
+        raise InvariantError(
+            f"event codes for {n} rows with ranks up to {max_rank} "
+            "overflow int64"
+        )
+    rows = np.arange(n, dtype=np.int64)
+    codes = np.concatenate((lo * (2 * n) + rows, (hi * 2 + 1) * n + rows))
     codes.sort()
-    return codes
+    return codes.tolist()
 
 
 def build_columns(
@@ -284,57 +316,67 @@ def build_columns(
         return _build(database, stats)
 
 
-def _intern_rows(database, interners, domains, row_relation, row_values, row_intervals):
+def _intern_columns(database, domains, row_relation, row_values, row_intervals):
+    """Intern ``database`` one attribute column at a time.
+
+    Each domain sees its values in (relation, row) order, exactly as a
+    row-by-row loop would, so codes and first-appearance order match it;
+    values that compare equal (``1``, ``1.0``, ``True``) share the slot of
+    the first one seen. Empty relations still register their domains.
+    """
+    interners: Dict[str, Dict[object, int]] = {}
     for name in database:
         relation = database[name]
-        rel_interners = [interners.setdefault(a, {}) for a in relation.attrs]
+        tables = [interners.setdefault(a, {}) for a in relation.attrs]
         rel_domains = [domains.setdefault(a, []) for a in relation.attrs]
-        for values, interval in relation:
-            interned = []
-            for table, domain, value in zip(rel_interners, rel_domains, values):
-                code = table.get(value)
-                if code is None:
-                    code = table[value] = len(domain)
-                    domain.append(value)
-                interned.append(code)
-            row_values.append(tuple(interned))
-            row_intervals.append(interval)
-            row_relation.append(name)
+        rows = relation.rows
+        if not rows:
+            continue
+        # Transpose with itemgetter rather than ``zip(*rows)``, which
+        # allocates one iterator per row and wakes the cyclic GC.
+        value_tuples = list(map(itemgetter(0), rows))
+        code_columns = []
+        for position, (table, domain) in enumerate(zip(tables, rel_domains)):
+            column = list(map(itemgetter(position), value_tuples))
+            fresh = [v for v in dict.fromkeys(column) if v not in table]
+            table.update(zip(fresh, range(len(domain), len(domain) + len(fresh))))
+            domain.extend(fresh)
+            code_columns.append(map(table.__getitem__, column))
+        row_values.extend(zip(*code_columns))
+        row_intervals.extend(map(itemgetter(1), rows))
+        row_relation.extend([name] * len(rows))
 
 
 def _rank_endpoints(row_intervals):
-    endpoints = set()
-    for interval in row_intervals:
-        endpoints.add(interval.lo)
-        endpoints.add(interval.hi)
-    rank_times = sorted(endpoints)
-    rank_of = {t: rank for rank, t in enumerate(rank_times)}
-    row_lo = array("q", (rank_of[iv.lo] for iv in row_intervals))
-    row_hi = array("q", (rank_of[iv.hi] for iv in row_intervals))
-    return rank_times, row_lo, row_hi
+    los = [iv.lo for iv in row_intervals]
+    his = [iv.hi for iv in row_intervals]
+    # Interleaved so equal endpoints of different types (``5``/``5.0``)
+    # keep the first-seen representative, row by row.
+    endpoints = [None] * (2 * len(los))
+    endpoints[::2] = los
+    endpoints[1::2] = his
+    rank_times = sorted(set(endpoints))
+    rank_of = {t: rank for rank, t in enumerate(rank_times)}.__getitem__
+    return rank_times, array("q", map(rank_of, los)), array("q", map(rank_of, his))
 
 
 def _build(
     database: Mapping[str, TemporalRelation],
     stats: Optional[ExecutionStats],
 ) -> KernelColumns:
-    interners: Dict[str, Dict[object, int]] = {}
     domains: Domains = {}
     row_relation: List[str] = []
     row_values: List[Tuple[int, ...]] = []
     row_intervals: List[Interval] = []
 
     if stats is None:
-        _intern_rows(
-            database, interners, domains, row_relation, row_values, row_intervals
-        )
+        _intern_columns(database, domains, row_relation, row_values, row_intervals)
         rank_times, row_lo, row_hi = _rank_endpoints(row_intervals)
         event_codes = _sorted_event_codes(row_lo, row_hi)
     else:
         with stats.timer("phase.kernel.intern"):
-            _intern_rows(
-                database, interners, domains, row_relation, row_values,
-                row_intervals,
+            _intern_columns(
+                database, domains, row_relation, row_values, row_intervals
             )
         with stats.timer("phase.kernel.rank"):
             rank_times, row_lo, row_hi = _rank_endpoints(row_intervals)
@@ -346,7 +388,7 @@ def _build(
         stats.incr("kernel.distinct_endpoints", len(rank_times))
         stats.incr("kernel.sort_calls")
 
-    return KernelColumns(
+    columns = KernelColumns(
         relations=tuple(database),
         row_relation=row_relation,
         row_values=row_values,
@@ -356,6 +398,10 @@ def _build(
         event_codes=event_codes,
         domains=domains,
     )
+    # The ingest rows' own intervals are the emission intervals: seed
+    # this process's cache with them instead of rebuilding from ranks.
+    columns._interval_cache = row_intervals
+    return columns
 
 
 def shrink_columns(

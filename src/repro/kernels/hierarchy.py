@@ -21,6 +21,8 @@ De-interning happens once at the end of the sweep
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from ..algorithms.hierarchical import HierarchicalState
@@ -72,16 +74,26 @@ class KernelHierarchicalState(HierarchicalState):
         row_path: List[Tuple[str, ...]] = []
         row_names = columns.row_relation
         row_values = columns.row_values
-        for rid in range(columns.n_rows):
-            leaf, parent, perm, plen, chain, path = prep[row_names[rid]]
-            values = row_values[rid]
-            pv = tuple(values[i] for i in perm)
-            row_pv.append(pv)
-            row_gkey.append(pv[:plen])
-            row_leaf.append(leaf)
-            row_leaf_parent.append(parent)
-            row_chain.append(chain)
-            row_path.append(path)
+        # Rows of one relation are contiguous (ingest order), so the
+        # per-relation constants are looked up once per block.
+        start = 0
+        for name, block in groupby(row_names):
+            count = sum(1 for _ in block)
+            leaf, parent, perm, plen, chain, path = prep[name]
+            values = row_values[start:start + count]
+            start += count
+            if perm == tuple(range(len(values[0]))):
+                pvs = values
+            else:
+                # A non-identity permutation has >= 2 positions, so
+                # itemgetter returns tuples.
+                pvs = list(map(itemgetter(*perm), values))
+            row_pv.extend(pvs)
+            row_gkey.extend([pv[:plen] for pv in pvs])
+            row_leaf.extend([leaf] * count)
+            row_leaf_parent.extend([parent] * count)
+            row_chain.extend([chain] * count)
+            row_path.extend([path] * count)
         self._row_pv = row_pv
         self._row_gkey = row_gkey
         self._row_leaf = row_leaf

@@ -33,6 +33,16 @@ class TestShrinkDatabase:
         with pytest.raises(QueryError):
             shrink_database({}, -1)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [((1,), Interval.always())], [((1,), (0, 10))]],
+        ids=["empty", "all-always", "bounded"],
+    )
+    def test_nan_tau_rejected(self, rows):
+        db = {"R": TemporalRelation("R", ("a",), rows)}
+        with pytest.raises(QueryError, match="NaN"):
+            shrink_database(db, float("nan"))
+
     def test_shrinks_both_sides(self):
         rel = TemporalRelation("R", ("a",), [((1,), (0, 10))])
         out = shrink_database({"R": rel}, 4)

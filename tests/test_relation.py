@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import SchemaError
+from repro.core.errors import IntervalError, SchemaError
 from repro.core.interval import Interval
 from repro.core.relation import TemporalRelation, relation_from_pairs
 
@@ -122,6 +122,34 @@ class TestRelationalOps:
     def test_shrink_drops_vanished(self):
         out = small_rel().shrink(6)
         assert (1, "x") not in {v for v, _ in out}  # duration 10 < 12
+
+    @pytest.mark.parametrize("amount", [-3, 0, 2.5, 4, 6, float("inf")])
+    def test_shrink_matches_per_interval_shrink(self, amount):
+        inf = float("inf")
+        rel = TemporalRelation(
+            "R",
+            ("a",),
+            [((0,), (0, 10)), ((1,), (-inf, 3)), ((2,), (7, inf)),
+             ((3,), Interval.always()), ((4,), (5, 5)), ((5,), (2, 9))],
+        )
+        out = rel.shrink(amount)
+        expected = [
+            (values, iv.shrink(amount)) for values, iv in rel
+            if iv.shrink(amount) is not None
+        ]
+        assert out.rows == expected
+        assert out.name == rel.name and out.attrs == rel.attrs
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [((1,), Interval.always()), ((2,), Interval.always())],
+         [((1,), (0, 10)), ((2,), (float("-inf"), 4))]],
+        ids=["empty", "all-always", "bounded"],
+    )
+    def test_shrink_nan_amount_rejected(self, rows):
+        rel = TemporalRelation("R", ("a",), rows)
+        with pytest.raises(IntervalError, match="NaN"):
+            rel.shrink(float("nan"))
 
     def test_map_intervals(self):
         out = small_rel().map_intervals(lambda iv: iv.shift(100))
