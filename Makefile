@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint analyze analyze-fast bench bench-smoke perfbench-smoke bench-kernels bench-kernels-check bench-prepared bench-prepared-check bench-service bench-service-check bench-allen bench-allen-check bench-planner bench-planner-check examples figures clean
+.PHONY: install test lint analyze analyze-fast bench bench-baseline bench-check perfbench-smoke examples figures clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -40,10 +40,16 @@ analyze-fast:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Small serial-vs-2-worker timing snapshot; accumulates the perf
-# trajectory of the parallel engine as BENCH_parallel.json per commit.
-bench-smoke:
-	PYTHONPATH=src python -m repro.bench.smoke --out BENCH_parallel.json
+# Ratio-gated benchmarks (src/repro/bench/gates.py): kernel/object,
+# prepared/cold, lazy-sweep/classic, warm/cold plan cache, plus the
+# serial-vs-sharded record. bench-baseline re-measures every cell and
+# rewrites the committed BENCH_gates.json; bench-check re-measures the
+# check cells into BENCH_gates_check.json and fails on a broken rule.
+bench-baseline:
+	PYTHONPATH=src python -m repro.bench.gates
+
+bench-check:
+	PYTHONPATH=src python -m repro.bench.gates --check
 
 # The end-to-end benchmark (perfbench/) as a correctness run: every
 # workload, untraced and traced. Each operation is checked against an
@@ -59,66 +65,6 @@ perfbench-smoke:
 				--seconds 3 --trace $$trace > /dev/null || exit 1; \
 		done; \
 	done
-
-# Object-vs-kernel engine speedups per workload family and size;
-# refreshes the committed BENCH_kernels.json baseline.
-bench-kernels:
-	PYTHONPATH=src python -m repro.bench.kernels --out BENCH_kernels.json
-
-# Regression gate against the committed baseline: re-measures the smoke
-# size and fails if the kernel speedup ratio regressed >15%.
-bench-kernels-check:
-	PYTHONPATH=src python -m repro.bench.kernels --check \
-		--baseline BENCH_kernels.json --out BENCH_kernels_check.json
-
-# Cold-fleet vs prepared-batch amortization over the 10-template
-# standing-query fleet; refreshes the committed BENCH_prepared.json.
-bench-prepared:
-	PYTHONPATH=src python -m repro.bench.prepared --out BENCH_prepared.json
-
-# Regression gate against the committed baseline: re-measures the smoke
-# size and fails if the amortized speedup regressed >15% (or fell
-# below break-even, or the batch re-sorted the event stream).
-bench-prepared-check:
-	PYTHONPATH=src python -m repro.bench.prepared --check \
-		--baseline BENCH_prepared.json --out BENCH_prepared_check.json
-
-# Standing-query service over the Figure-9 workloads (TPC-E star τ=170,
-# LDBC line τ=11): one shared ingest pass feeding a 3-query fleet;
-# refreshes the committed BENCH_service.json.
-bench-service:
-	PYTHONPATH=src python -m repro.bench.service --out BENCH_service.json
-
-# Smoke gate: re-measures the smoke size and fails if any standing
-# query's snapshot differs from the offline temporal_join, if the fleet
-# consumed more than one ingest pass, or if template dedup broke.
-bench-service-check:
-	PYTHONPATH=src python -m repro.bench.service --check \
-		--baseline BENCH_service.json --out BENCH_service_check.json
-
-# Lazy-sweep vs forward-scan (overlaps) and vs the naive predicate
-# scan (Allen atoms); refreshes the committed BENCH_allen.json.
-bench-allen:
-	PYTHONPATH=src python -m repro.bench.allen --out BENCH_allen.json
-
-# Regression gate against the committed baseline: re-measures the
-# check cells and fails if a speedup ratio regressed >15% or the
-# implementations disagreed on results.
-bench-allen-check:
-	PYTHONPATH=src python -m repro.bench.allen --check \
-		--baseline BENCH_allen.json --out BENCH_allen_check.json
-
-# Cold exact decomposition search vs warm persistent plan cache over
-# the Table 1 fleet; refreshes the committed BENCH_planner.json.
-bench-planner:
-	PYTHONPATH=src python -m repro.bench.planner --out BENCH_planner.json
-
-# Regression gate against the committed baseline: fails if the warm
-# arm did any search work, missed the cache, fell below the 2x
-# amortization floor, or regressed >15% vs the baseline ratio.
-bench-planner-check:
-	PYTHONPATH=src python -m repro.bench.planner --check \
-		--baseline BENCH_planner.json --out BENCH_planner_check.json
 
 figures: bench
 	@cat benchmarks/results/*.txt

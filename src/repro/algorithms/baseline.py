@@ -153,8 +153,8 @@ def baseline_join(
     are about. ``binary_strategy`` picks the per-key interval-join family
     used by every binary join (the paper's BASELINE used the forward
     scan, "experimentally verified as the most efficient"; the default
-    is now the lazy sweep, which beat it on the ratio-gated
-    ``BENCH_allen.json`` workloads — the ablation bench measures the
+    is now the lazy sweep, which beat it on the ratio-gated ``allen``
+    workloads of ``BENCH_gates.json`` — the ablation bench measures the
     other families).
 
     ``stats`` opts into telemetry: ``bin.joins`` and the

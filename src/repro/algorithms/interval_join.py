@@ -161,8 +161,8 @@ PREDICATE_STRATEGIES = frozenset({"lazy-sweep"})
 
 #: The repo-wide default binary strategy (BASELINE, HYBRID residuals,
 #: binary_temporal_join). Flipped from "forward-scan" to the lazy sweep
-#: after BENCH_allen.json proved the ≥1.3x win on the N=10k overlaps
-#: workload; the output pair multiset is identical.
+#: after the ``allen`` suite of BENCH_gates.json proved the ≥1.3x win on
+#: the N=10k overlaps workload; the output pair multiset is identical.
 DEFAULT_STRATEGY = "lazy-sweep"
 
 

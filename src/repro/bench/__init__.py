@@ -1,4 +1,9 @@
-"""Benchmark harness: measurements, comparisons, figure-style reporting."""
+"""Benchmark harness: measurements, comparisons, figure-style reporting.
+
+``harness`` and ``reporting`` serve the per-figure runners in
+``benchmarks/``; ``gates`` (``python -m repro.bench.gates``) is the one
+ratio-gated runner behind ``make bench-check`` and ``BENCH_gates.json``.
+"""
 
 from .harness import (
     Measurement,

@@ -42,7 +42,8 @@ from .relation import TemporalRelation
 # pays more per event than a binary join pays per emitted row.
 # ``timefirst_event_kernel`` is the same sweep on the columnar kernel
 # engine (repro.kernels) — interning and the flat event loop cut the
-# per-event constant by the measured BENCH_kernels.json speedup (~2.2×).
+# per-event constant by the measured kernel speedup (~2.2×, the
+# ``kernels`` suite of BENCH_gates.json).
 _COST = {
     "baseline_row": 1.0,
     "timefirst_event": 8.0,
