@@ -610,17 +610,32 @@ def lazy_sweep_join(
         rs4 = [(payload, ivl.lo, ivl.hi, ivl) for payload, ivl in right]
         ls4.sort(key=_BY_LO_HI)
         rs4.sort(key=_BY_LO_HI)
-        out: List[Pair] = []
-        _overlap_sweep(ls4, rs4, out, stats=stats)
-        if stats is not None:
-            stats.incr("allen.pairs", len(out))
-            stats.incr("allen.atoms")
-        return out
+        return overlap_pairs_sorted(ls4, rs4, stats=stats)
     fast = Interval._fast
     raw = _event_sweep(_unpack(left), _unpack(right), atoms, stats=stats)
     if stats is not None:
         stats.incr("allen.pairs", len(raw))
     return [(a, b, fast(lo, hi)) for a, b, lo, hi in raw]
+
+
+def overlap_pairs_sorted(
+    left: List[Tuple[object, Number, Number, Interval]],
+    right: List[Tuple[object, Number, Number, Interval]],
+    stats: Optional[ExecutionStats] = None,
+) -> List[Pair]:
+    """The ``overlaps`` path of :func:`lazy_sweep_join`, on sorted input.
+
+    ``left``/``right`` are ``(payload, lo, hi, interval)`` 4-tuples
+    already sorted by ``(lo, hi)`` (``_BY_LO_HI``), so a caller that keeps
+    its rows in that shape (HYBRID-INTERVAL's residual groups) joins
+    without re-sorting or re-unpacking per call.
+    """
+    out: List[Pair] = []
+    _overlap_sweep(left, right, out, stats=stats)
+    if stats is not None:
+        stats.incr("allen.pairs", len(out))
+        stats.incr("allen.atoms")
+    return out
 
 
 def lazy_sweep_pairs_ranked(

@@ -18,26 +18,48 @@ This module implements all three residual strategies:
   is hierarchical, so this is the §3.2 machinery specialized to disjoint
   unary groups);
 * anything else → a recursive TIMEFIRST call on the residual query.
+
+**Filter, then clip.** Residual groups are built once per call as
+``(values, lo, hi, interval)`` rows sorted by ``(lo, hi)``. Per core tuple
+with core interval ``[clo, chi]``, a row is kept iff it meets the core
+(``lo <= chi`` and ``hi >= clo``) and goes to the strategy *unclipped*;
+only emitted intervals are clipped to the core. Exact by Helly's theorem
+in 1-D: closed intervals that intersect pairwise share a point, so rows
+that each meet the core and meet each other meet inside it. The emitted
+combinations are those of clipping every row first, at the same intervals.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.durability import shrink_database
 from ..core.errors import PlanError
 from ..core.hypergraph import Hypergraph
-from ..core.interval import Interval, Number, intersect_all
+from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GuardedPartition, find_guarded_partition
 from ..obs import ExecutionStats
-from .allen import lazy_sweep_join
+from .allen import _BY_LO_HI, overlap_pairs_sorted
 
 Values = Tuple[object, ...]
+#: A residual row with its endpoints hoisted: ``(values, lo, hi, interval)``.
+Row = Tuple[Values, Number, Number, Interval]
+#: ``(name, i_attrs, probe, groups)``; a group is ``(rows, los)``.
+Plan = Tuple[str, Tuple[str, ...], Callable, Dict[Values, Tuple[List[Row], List[Number]]]]
+Emit = Callable[[Values, Number, Number, List[List[Row]]], None]
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+_NO_GROUP: Tuple[Sequence[Row], Sequence[Number]] = ((), ())
+_BY_TIME_KIND = itemgetter(0, 1)
+_fast = Interval._fast
 
 
 def hybrid_interval_join(
@@ -74,14 +96,10 @@ def hybrid_interval_join(
     if partition is None:
         partition = find_guarded_partition(hg)
     if partition is None:
-        raise PlanError(
-            f"{query!r} admits no guarded partition; use hybrid_join instead"
-        )
+        raise PlanError(f"{query!r} admits no guarded partition; use hybrid_join instead")
     db = shrink_database(database, tau)
 
     j_set = set(partition.J)
-    i_attrs = list(partition.I)
-
     # ------------------------------------------------------------------
     # Line 2: L <- GenericJoin(Q_J, {π_J R_e | e ∈ E_J})
     # ------------------------------------------------------------------
@@ -93,110 +111,71 @@ def hybrid_interval_join(
         if not restricted:
             continue
         qj_edges[name] = restricted
-        rel = db[name]
-        pos = rel.positions(restricted)
-        rows = {}
-        for v, _ in rel:
-            rows[tuple(v[p] for p in pos)] = Interval.always()
+        key = _tuple_getter(db[name].positions(restricted))
         sub = TemporalRelation(name, restricted, check_distinct=False)
-        sub._rows = list(rows.items())
+        sub._rows = [(k, Interval.always()) for k in dict.fromkeys(key(v) for v, _ in db[name])]
         qj_db[name] = sub
     if stats is None:
         core_tuples, j_order = generic_join_with_order(Hypergraph(qj_edges), qj_db)
     else:
         with stats.timer("phase.core_join"):
-            core_tuples, j_order = generic_join_with_order(
-                Hypergraph(qj_edges), qj_db
-            )
+            core_tuples, j_order = generic_join_with_order(Hypergraph(qj_edges), qj_db)
         stats.incr("hi.core_tuples", len(core_tuples))
     j_pos = {a: i for i, a in enumerate(j_order)}
 
     # Interval lookup for core edges (fully inside J): line 4.
-    core_lookups: List[Tuple[Tuple[int, ...], Dict[Values, Interval]]] = []
+    core_lookups = []
     for name in partition.core_edges:
         eattrs = hg.edge(name)
-        rel = db[name]
-        pos = rel.positions(eattrs)
-        index = {tuple(v[p] for p in pos): ivl for v, ivl in rel}
-        core_lookups.append((tuple(j_pos[a] for a in eattrs), index))
+        key = _tuple_getter(db[name].positions(eattrs))
+        index = {key(v): (ivl.lo, ivl.hi) for v, ivl in db[name]}
+        core_lookups.append((_tuple_getter([j_pos[a] for a in eattrs]), index))
 
-    # Residual relations grouped by their J-part: lines 5-6, done once.
-    residual_plans = []
+    # Residual relations grouped by their J-part, sorted: lines 5-6, once.
+    plans: List[Plan] = []
     for name in partition.residual_edges:
         eattrs = hg.edge(name)
         rel = db[name]
         j_part = [a for a in eattrs if a in j_set]
-        i_part = [a for a in eattrs if a not in j_set]
-        groups_raw = rel.group_by(j_part)
-        i_positions = rel.positions(i_part)
-        groups: Dict[Values, List[Tuple[Values, Interval]]] = {}
-        for key, rows in groups_raw.items():
-            groups[key] = [
-                (tuple(v[p] for p in i_positions), ivl) for v, ivl in rows
-            ]
-        probe = tuple(j_pos[a] for a in j_part)
-        residual_plans.append((name, tuple(i_part), probe, groups))
+        i_part = tuple(a for a in eattrs if a not in j_set)
+        key = _tuple_getter(rel.positions(j_part))
+        project = _tuple_getter(rel.positions(i_part))
+        raw: Dict[Values, List[Row]] = {}  # grouping keeps the (lo, hi) order
+        for v, lo, hi, ivl in sorted(((v, i.lo, i.hi, i) for v, i in rel), key=_BY_LO_HI):
+            raw.setdefault(key(v), []).append((project(v), lo, hi, ivl))
+        groups = {k: (rows, [row[1] for row in rows]) for k, rows in raw.items()}
+        plans.append((name, i_part, _tuple_getter([j_pos[a] for a in j_part]), groups))
 
-    # Residual attribute layout for output assembly.
-    out_attrs = query.attrs
-    out = JoinResultSet(out_attrs)
-    product = partition.residual_product
+    out = JoinResultSet(query.attrs)
+    if residual_strategy == "sweep" or not partition.residual_product:
+        strategy = _residual_timefirst
+    else:
+        strategy = _interval_join if len(plans) == 2 else _product_sweep
+    emit = strategy(query, j_order, plans, out, stats)
 
     # ------------------------------------------------------------------
     # Lines 3-8: per core tuple, solve the residual join.
     # ------------------------------------------------------------------
     residuals_start = time.perf_counter()
     for a in core_tuples:
-        core_interval = Interval.always()
-        dead = False
-        for pos, index in core_lookups:
-            ivl = index[tuple(a[p] for p in pos)]
-            core_interval = core_interval.intersect(ivl)
-            if core_interval is None:
-                dead = True
-                break
-        if not dead:
-            groups_for_a: List[Tuple[str, Tuple[str, ...], List[Tuple[Values, Interval]]]] = []
-            for name, i_part, probe, groups in residual_plans:
-                rows = groups.get(tuple(a[p] for p in probe))
-                if not rows:
-                    dead = True
+        clo, chi = _NEG_INF, _POS_INF
+        for key, index in core_lookups:
+            lo, hi = index[key(a)]
+            clo, chi = (lo if lo > clo else clo), (hi if hi < chi else chi)
+        kept_groups: List[List[Row]] = []
+        if clo <= chi:
+            for _, _, probe, groups in plans:
+                # Keep the rows that meet [clo, chi], unclipped (Helly).
+                rows, los = groups.get(probe(a), _NO_GROUP)
+                kept = [row for row in rows[: bisect_right(los, chi)] if row[2] >= clo]
+                if not kept:
                     break
-                # Clip to the core interval, pruning rows that cannot join.
-                clipped = []
-                for values, ivl in rows:
-                    joint = ivl.intersect(core_interval)
-                    if joint is not None:
-                        clipped.append((values, joint))
-                if not clipped:
-                    dead = True
-                    break
-                groups_for_a.append((name, i_part, clipped))
-        if dead:
+                kept_groups.append(kept)
+        if clo > chi or len(kept_groups) < len(plans):
             if stats is not None:
                 stats.incr("hi.core_pruned")
             continue
-
-        if residual_strategy == "sweep":
-            if stats is not None:
-                stats.incr("hi.recursions")
-            _emit_residual_timefirst(
-                query, hg, j_order, a, groups_for_a, i_attrs, out
-            )
-        elif product and len(groups_for_a) == 2:
-            if stats is not None:
-                stats.incr("hi.interval_joins")
-            _emit_interval_join(query, j_order, a, groups_for_a, out, stats=stats)
-        elif product:
-            if stats is not None:
-                stats.incr("hi.product_sweeps")
-            _emit_product_sweep(query, j_order, a, groups_for_a, out)
-        else:
-            if stats is not None:
-                stats.incr("hi.recursions")
-            _emit_residual_timefirst(
-                query, hg, j_order, a, groups_for_a, i_attrs, out
-            )
+        emit(a, clo, chi, kept_groups)
 
     if stats is not None:
         stats.add_time("phase.residuals", time.perf_counter() - residuals_start)
@@ -204,48 +183,56 @@ def hybrid_interval_join(
     return out.expand_intervals(tau / 2 if tau else 0)
 
 
-# ----------------------------------------------------------------------
-# Residual strategies
-# ----------------------------------------------------------------------
-def _assemble_row(
-    query: JoinQuery,
-    j_order: Sequence[str],
-    core: Values,
-    residual_binding: Mapping[str, object],
-) -> Values:
-    core_map = dict(zip(j_order, core))
-    return tuple(
-        core_map[a] if a in core_map else residual_binding[a] for a in query.attrs
-    )
+def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], Values]:
+    """``itemgetter`` that always returns a tuple (also for 0 or 1 index)."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda values: (values[p],)
+    return itemgetter(*positions) if positions else (lambda values: ())
 
 
-def _emit_interval_join(
-    query: JoinQuery,
-    j_order: Sequence[str],
-    core: Values,
-    groups: List[Tuple[str, Tuple[str, ...], List[Tuple[Values, Interval]]]],
-    out: JoinResultSet,
-    stats: Optional[ExecutionStats] = None,
-) -> None:
+def _layout(query: JoinQuery, concat: Sequence[str]) -> Callable[[Sequence], Values]:
+    """Getter reordering a ``concat``-ordered tuple into ``query.attrs``."""
+    return _tuple_getter([list(concat).index(a) for a in query.attrs])
+
+
+def _clip(iv: Interval, clo: Number, chi: Number) -> Interval:
+    """``iv ∩ [clo, chi]``; nonempty for every emitted result (Helly)."""
+    lo, hi = iv.lo, iv.hi
+    if lo < clo or hi > chi:
+        return _fast(lo if lo > clo else clo, hi if hi < chi else chi)
+    return iv
+
+
+# ----------------------------------------------------------------------
+# Residual strategies: each builds its per-call state once and returns
+# ``emit(core, clo, chi, kept_groups)``.
+# ----------------------------------------------------------------------
+def _interval_join(
+    query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
+    stats: Optional[ExecutionStats],
+) -> Emit:
     """Two disjoint residual groups: a single lazy-sweep interval join."""
-    (_, left_attrs, left_rows), (_, right_attrs, right_rows) = groups
-    pairs = lazy_sweep_join(left_rows, right_rows)
-    if stats is not None:
-        stats.observe("ij.scan", len(left_rows) + len(right_rows))
-        stats.observe("ij.pairs", len(pairs))
-    for lvalues, rvalues, interval in pairs:
-        binding = dict(zip(left_attrs, lvalues))
-        binding.update(zip(right_attrs, rvalues))
-        out.append(_assemble_row(query, j_order, core, binding), interval)
+    layout = _layout(query, (*j_order, *plans[0][1], *plans[1][1]))
+    append = out.rows.append
+
+    def emit(core: Values, clo: Number, chi: Number, groups: List[List[Row]]) -> None:
+        left, right = groups
+        pairs = overlap_pairs_sorted(left, right)
+        if stats is not None:
+            stats.incr("hi.interval_joins")
+            stats.observe("ij.scan", len(left) + len(right))
+            stats.observe("ij.pairs", len(pairs))
+        for lvalues, rvalues, iv in pairs:
+            append((layout(core + lvalues + rvalues), _clip(iv, clo, chi)))
+
+    return emit
 
 
-def _emit_product_sweep(
-    query: JoinQuery,
-    j_order: Sequence[str],
-    core: Values,
-    groups: List[Tuple[str, Tuple[str, ...], List[Tuple[Values, Interval]]]],
-    out: JoinResultSet,
-) -> None:
+def _product_sweep(
+    query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
+    stats: Optional[ExecutionStats],
+) -> Emit:
     """k ≥ 3 disjoint residual groups: sweep enumerating live combinations.
 
     Events over all group rows' endpoints; at each row's right endpoint,
@@ -253,62 +240,74 @@ def _emit_product_sweep(
     that row — the §3.2 algorithm specialized to a star-free product, kept
     output-sensitive by the per-group liveness check.
     """
-    events = []
-    for gi, (_, attrs, rows) in enumerate(groups):
-        for values, ivl in rows:
-            events.append((ivl.lo, 0, gi, values, ivl))
-            events.append((ivl.hi, 1, gi, values, ivl))
-    events.sort(key=lambda e: (e[0], e[1]))
-    live: List[Dict[Values, Interval]] = [dict() for _ in groups]
-    for _, kind, gi, values, ivl in events:
-        if kind == 0:
-            live[gi][values] = ivl
-            continue
-        # Expiring row: enumerate combinations across the other groups.
-        if all(live[k] for k in range(len(groups))):
-            partial: List[Tuple[Dict[str, object], Interval]] = [
-                (dict(zip(groups[gi][1], values)), ivl)
-            ]
-            for k, (_, attrs, _rows) in enumerate(groups):
-                if k == gi:
-                    continue
+    k = len(plans)
+    others = [[o for o in range(k) if o != gi] for gi in range(k)]
+    layouts = [
+        _layout(query, [*j_order, *(a for o in [gi, *others[gi]] for a in plans[o][1])])
+        for gi in range(k)
+    ]
+    append = out.rows.append
+
+    def emit(core: Values, clo: Number, chi: Number, groups: List[List[Row]]) -> None:
+        if stats is not None:
+            stats.incr("hi.product_sweeps")
+        events = []
+        for gi, rows in enumerate(groups):
+            for values, lo, hi, _ in rows:
+                events.append((lo, 0, gi, values, hi))
+                events.append((hi, 1, gi, values, lo))
+        events.sort(key=_BY_TIME_KIND)
+        live: List[Dict[Values, Tuple[Number, Number]]] = [{} for _ in groups]
+        for t, kind, gi, values, other in events:
+            if kind == 0:
+                live[gi][values] = (t, other)
+                continue
+            # Expiring row: enumerate combinations across the other groups.
+            del live[gi][values]
+            if not all(live[o] for o in others[gi]):
+                continue
+            partial = [(values, other, t)]
+            for o in others[gi]:
                 new = []
-                for binding, interval in partial:
-                    for ovalues, oivl in live[k].items():
-                        joint = interval.intersect(oivl)
-                        if joint is None:
-                            continue
-                        merged = dict(binding)
-                        merged.update(zip(attrs, ovalues))
-                        new.append((merged, joint))
+                for pvalues, plo, phi in partial:
+                    for ovalues, (olo, ohi) in live[o].items():
+                        lo = plo if plo > olo else olo
+                        hi = phi if phi < ohi else ohi
+                        if lo <= hi:
+                            new.append((pvalues + ovalues, lo, hi))
                 partial = new
                 if not partial:
                     break
-            for binding, interval in partial:
-                out.append(_assemble_row(query, j_order, core, binding), interval)
-        del live[gi][values]
+            for pvalues, lo, hi in partial:
+                lo, hi = (lo if lo > clo else clo), (hi if hi < chi else chi)
+                append((layouts[gi](core + pvalues), _fast(lo, hi)))
+
+    return emit
 
 
-def _emit_residual_timefirst(
-    query: JoinQuery,
-    hg: Hypergraph,
-    j_order: Sequence[str],
-    core: Values,
-    groups: List[Tuple[str, Tuple[str, ...], List[Tuple[Values, Interval]]]],
-    i_attrs: List[str],
-    out: JoinResultSet,
-) -> None:
-    """General residual: recursive TIMEFIRST on Q_I (Algorithm 6, line 7)."""
+def _residual_timefirst(
+    query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
+    stats: Optional[ExecutionStats],
+) -> Emit:
+    """General residual: recursive TIMEFIRST on Q_I (Algorithm 6, line 7).
+
+    The residual query and its relation shells are built once per call;
+    each core tuple only refills the shells' rows.
+    """
     from .timefirst import timefirst_join
 
-    residual_edges = {name: attrs for name, attrs, _ in groups}
-    residual_query = JoinQuery(residual_edges)
-    residual_db = {}
-    for name, attrs, rows in groups:
-        rel = TemporalRelation(name, attrs, check_distinct=False)
-        rel._rows = list(rows)
-        residual_db[name] = rel
-    sub = timefirst_join(residual_query, residual_db)
-    for values, interval in sub:
-        binding = dict(zip(residual_query.attrs, values))
-        out.append(_assemble_row(query, j_order, core, binding), interval)
+    residual_query = JoinQuery({name: attrs for name, attrs, _, _ in plans})
+    shells = [TemporalRelation(n, a, check_distinct=False) for n, a, _, _ in plans]
+    residual_db = {shell.name: shell for shell in shells}
+    layout = _layout(query, (*j_order, *residual_query.attrs))
+    append = out.rows.append
+
+    def emit(core: Values, clo: Number, chi: Number, groups: List[List[Row]]) -> None:
+        if stats is not None:
+            stats.incr("hi.recursions")
+        for shell, rows in zip(shells, groups):
+            shell._rows = [(values, ivl) for values, _, _, ivl in rows]
+        for values, iv in timefirst_join(residual_query, residual_db):
+            append((layout(core + values), _clip(iv, clo, chi)))
+
+    return emit

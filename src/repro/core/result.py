@@ -18,6 +18,9 @@ from .interval import Interval, Number
 
 ResultRow = Tuple[Tuple[object, ...], Interval]
 
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+
 
 class JoinResultSet:
     """Ordered temporal join results with their valid intervals."""
@@ -85,13 +88,34 @@ class JoinResultSet:
         Algorithms evaluate τ-durable joins on the shrunk instance; the
         result intervals there are the shrunk intersections, so expanding
         them by τ/2 recovers the original valid intervals.
+
+        Same arithmetic as :meth:`Interval.expand` (infinite endpoints are
+        fixed points), but a finite, positive ``amount`` is checked
+        once instead of every expanded interval being re-validated: it
+        keeps endpoints non-NaN and ``lo <= hi``. Any other amount takes
+        the checked per-row path (``-inf + inf`` would be NaN there).
         """
         if amount == 0:
             return self
-        return JoinResultSet(
-            self.attrs,
-            ((v, iv.expand(amount)) for v, iv in self._rows),
-        )
+        if not 0 < amount < _POS_INF:
+            return JoinResultSet(
+                self.attrs,
+                ((v, iv.expand(amount)) for v, iv in self._rows),
+            )
+        fast = Interval._fast
+        rows = []
+        append = rows.append
+        for values, iv in self._rows:
+            lo = iv.lo
+            hi = iv.hi
+            if lo > _NEG_INF:
+                lo = lo - amount
+            if hi < _POS_INF:
+                hi = hi + amount
+            append((values, fast(lo, hi)))
+        out = JoinResultSet(self.attrs)
+        out._rows = rows
+        return out
 
     def values_only(self) -> List[Tuple[object, ...]]:
         """Just the value tuples, for comparisons against non-temporal joins."""

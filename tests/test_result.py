@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.interval import Interval
 from repro.core.result import JoinResultSet, merge_result_sets
-from repro.core.errors import SchemaError
+from repro.core.errors import IntervalError, SchemaError
 
 
 def build(rows):
@@ -68,6 +68,26 @@ class TestTransformations:
     def test_expand_zero_is_identity(self):
         rs = build([((1, 2), (2, 5))])
         assert rs.expand_intervals(0) is rs
+
+    @pytest.mark.parametrize("amount", [0, 1.5, 85, float("inf")])
+    def test_expand_intervals_equals_per_row_expand(self, amount):
+        inf = float("inf")
+        rows = [
+            ((1, 2), (-inf, inf)),
+            ((1, 3), (-inf, 4)),
+            ((1, 4), (4, inf)),
+            ((2, 2), (4, 4)),  # zero-length, endpoints shared with the rows above
+            ((2, 3), (4, 4)),  # duplicate interval
+            ((3, 3), (-2.5, 0)),
+        ]
+        rs = build(rows)
+        got = rs.expand_intervals(amount)
+        assert got.attrs == rs.attrs
+        assert got.rows == [(v, iv.expand(amount)) for v, iv in rs]
+
+    def test_expand_intervals_negative_amount_stays_checked(self):
+        with pytest.raises(IntervalError):
+            build([((1, 2), (2, 3))]).expand_intervals(-1)
 
     def test_values_only(self):
         rs = build([((1, 2), (0, 5)), ((3, 4), (1, 2))])
