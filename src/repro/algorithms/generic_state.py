@@ -32,6 +32,11 @@ from ..obs import ExecutionStats
 
 Values = Tuple[object, ...]
 
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+_fast = Interval._fast
+_ALWAYS = Interval.always()
+
 
 class GenericGHDState:
     """Sweep state implementing Theorem 9 / Corollary 10.
@@ -253,7 +258,7 @@ class GenericGHDState:
             else:
                 proj = {}
                 for v in rows:
-                    proj[tuple(v[p] for p in pos)] = Interval.always()
+                    proj[tuple(v[p] for p in pos)] = _ALWAYS
             rel = TemporalRelation(name, sub_hg.edge(name), check_distinct=False)
             rel._rows = list(proj.items())
             sub_db[name] = rel
@@ -270,15 +275,18 @@ class GenericGHDState:
         out = TemporalRelation("bag", order, check_distinct=False)
         rows = []
         for t in tuples:
-            interval = Interval.always()
-            alive = True
+            # Endpoints in Interval.intersect's tie order; one interval
+            # per surviving bag row.
+            lo, hi = _NEG_INF, _POS_INF
             for pos, proj in lookups:
                 ivl = proj[tuple(t[p] for p in pos)]
-                interval = interval.intersect(ivl)
-                if interval is None:
-                    alive = False
+                if ivl.lo > lo:
+                    lo = ivl.lo
+                if ivl.hi < hi:
+                    hi = ivl.hi
+                if lo > hi:
                     break
-            if alive:
-                rows.append((t, interval))
+            else:
+                rows.append((t, _fast(lo, hi)))
         out._rows = rows
         return out

@@ -24,21 +24,38 @@ Implementation notes
   that are Cartesian-combined at internal nodes. Every recursive call is
   guaranteed at least one output, which yields the O(K(a)) enumeration
   bound.
+* Fragments carry their interval as two plain endpoints, intersected
+  inline, so the only :class:`Interval` REPORT builds is the one per
+  emitted result row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.classification import AttributeTree
 from ..core.errors import QueryError
-from ..core.interval import Interval
+from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
 
 Values = Tuple[object, ...]
-Fragment = Tuple[Dict[str, object], Interval]
+#: ``(newly bound attrs, lo, hi)``: a partial result and its interval.
+Fragment = Tuple[Dict[str, object], Number, Number]
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+_fast = Interval._fast
+
+
+def tuple_getter(keys: Sequence) -> Callable[..., Values]:
+    """``itemgetter`` that always returns a tuple (also for 0 or 1 key)."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda values: (values[key],)
+    return itemgetter(*keys) if keys else (lambda values: ())
 
 
 class _NodeState:
@@ -100,7 +117,8 @@ class HierarchicalState:
             path = nodes[leaf].path_attrs
             pos = {a: i for i, a in enumerate(eattrs)}
             self._perm[name] = tuple(pos[a] for a in path)
-        self._out_attrs = query.attrs
+        # Output row from a {attr: value} dict, in query.attrs order.
+        self._row_of = tuple_getter(query.attrs)
         self._stats = stats
 
     # ------------------------------------------------------------------
@@ -223,17 +241,15 @@ class HierarchicalState:
         fragments = self._report(self.tree.root.node_id, binding)
         if self._stats is not None:
             self._stats.incr("hier.report_fragments", len(fragments))
-        attrs = self._out_attrs
-        for fragment, result_interval in fragments:
-            row = tuple(
-                fragment[a] if a in fragment else binding[a] for a in attrs
-            )
-            out.append(row, result_interval)
+        row_of = self._row_of
+        append = out.append
+        for fragment, lo, hi in fragments:
+            append(row_of({**binding, **fragment}), _fast(lo, hi))
 
     def _report(self, node_id: int, binding: Dict[str, object]) -> List[Fragment]:
         """Lemma 4: join results of the subtree, compatible with ``binding``.
 
-        Returns fragments ``(newly bound attrs, interval)``; the interval
+        Returns fragments ``(newly bound attrs, lo, hi)``; ``[lo, hi]``
         is the intersection of the intervals of all leaf tuples used in
         the fragment.
         """
@@ -250,13 +266,13 @@ class HierarchicalState:
                 if bucket is None:
                     return []
                 hit = bucket.get(key)
-                return [] if hit is None else [({}, hit)]
+                return [] if hit is None else [({}, hit.lo, hit.hi)]
             gkey = tuple(binding[a] for a in path[:glen])
             bucket = state.groups.get(gkey)
             if bucket is None:
                 return []
             attr = node.attr
-            return [({attr: pv[-1]}, ivl) for pv, ivl in bucket.items()]
+            return [({attr: pv[-1]}, ivl.lo, ivl.hi) for pv, ivl in bucket.items()]
 
         if node.attr is None or node.attr in binding:
             # Case 2: V_u ⊆ supp(binding) — Cartesian product of children.
@@ -273,34 +289,37 @@ class HierarchicalState:
         for member in list(members):
             value = member[-1]
             binding[attr] = value
-            for fragment, interval in self._product_of_children(node_id, binding):
-                merged = dict(fragment)
-                merged[attr] = value
-                results.append((merged, interval))
+            for fragment, lo, hi in self._product_of_children(node_id, binding):
+                results.append(({**fragment, attr: value}, lo, hi))
             del binding[attr]
         return results
 
     def _product_of_children(
         self, node_id: int, binding: Dict[str, object]
     ) -> List[Fragment]:
-        """Cartesian combination of child REPORTs (Algorithm 3, line 7)."""
-        combined: List[Fragment] = [({}, Interval.always())]
+        """Cartesian combination of child REPORTs (Algorithm 3, line 7).
+
+        Endpoints intersect inline in :meth:`Interval.intersect`'s
+        argument order: the running ``lo``/``hi`` survive a tie, so
+        equal endpoints of different types (``1``/``1.0``) keep the same
+        representative.
+        """
+        combined: List[Fragment] = [({}, _NEG_INF, _POS_INF)]
         for child in self.tree.nodes[node_id].children:
             child_fragments = self._report(child, binding)
             if not child_fragments:
                 return []
             new: List[Fragment] = []
-            for fragment, interval in combined:
-                for cfragment, civl in child_fragments:
-                    joint = interval.intersect(civl)
-                    if joint is None:
+            append = new.append
+            for fragment, lo, hi in combined:
+                for cfragment, clo, chi in child_fragments:
+                    jlo = clo if clo > lo else lo
+                    jhi = chi if chi < hi else hi
+                    if jlo > jhi:
                         continue
-                    if cfragment:
-                        merged = dict(fragment)
-                        merged.update(cfragment)
-                    else:
-                        merged = fragment
-                    new.append((merged, joint))
+                    append(
+                        ({**fragment, **cfragment} if cfragment else fragment, jlo, jhi)
+                    )
             combined = new
             if not combined:
                 return []

@@ -39,9 +39,15 @@ from ..core.result import JoinResultSet
 from ..datastructures.heap import AddressableHeap
 from ..datastructures.sorted_list import SortedList
 from ..obs import ExecutionStats
+from .hierarchical import tuple_getter
 
 Values = Tuple[object, ...]
-Fragment = Tuple[Dict[str, object], Interval]
+#: ``(newly bound attrs, lo, hi)``, as in the hashed state.
+Fragment = Tuple[Dict[str, object], Number, Number]
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+_fast = Interval._fast
 
 
 class _SortedNodeState:
@@ -112,7 +118,7 @@ class ComparisonHierarchicalState:
             self._perm[name] = tuple(
                 pos[a] for a in nodes[leaf].path_attrs
             )
-        self._out_attrs = query.attrs
+        self._row_of = tuple_getter(query.attrs)
         self._seq = 0
         self._stats = stats
 
@@ -239,12 +245,9 @@ class ComparisonHierarchicalState:
         fragments = self._report(self.tree.root.node_id, binding)
         if self._stats is not None:
             self._stats.incr("cm.report_fragments", len(fragments))
-        for fragment, result_interval in fragments:
-            row = tuple(
-                fragment[a] if a in fragment else binding[a]
-                for a in self._out_attrs
-            )
-            out.append(row, result_interval)
+        row_of = self._row_of
+        for fragment, lo, hi in fragments:
+            out.append(row_of({**binding, **fragment}), _fast(lo, hi))
 
     def _report(self, node_id: int, binding: Dict[str, object]) -> List[Fragment]:
         node = self.tree.nodes[node_id]
@@ -256,11 +259,13 @@ class ComparisonHierarchicalState:
             if node.attr is None or node.attr in binding:
                 key = tuple(binding[a] for a in path)
                 run = _group_run(state.members, key)
-                return [({}, entry[-1]) for entry in run]
+                return [({}, entry[-1].lo, entry[-1].hi) for entry in run]
             gkey = tuple(binding[a] for a in path[:glen])
             run = _group_run(state.members, gkey)
             attr = node.attr
-            return [({attr: entry[-2]}, entry[-1]) for entry in run]
+            return [
+                ({attr: entry[-2]}, entry[-1].lo, entry[-1].hi) for entry in run
+            ]
 
         if node.attr is None or node.attr in binding:
             return self._product_of_children(node_id, binding)
@@ -273,33 +278,34 @@ class ComparisonHierarchicalState:
         for member in run:
             value = member[-1]
             binding[attr] = value
-            for fragment, interval in self._product_of_children(node_id, binding):
-                merged = dict(fragment)
-                merged[attr] = value
-                results.append((merged, interval))
+            for fragment, lo, hi in self._product_of_children(node_id, binding):
+                results.append(({**fragment, attr: value}, lo, hi))
             del binding[attr]
         return results
 
     def _product_of_children(
         self, node_id: int, binding: Dict[str, object]
     ) -> List[Fragment]:
-        combined: List[Fragment] = [({}, Interval.always())]
+        """Cartesian combination of child REPORTs, on plain endpoints.
+
+        Same tie order as :meth:`Interval.intersect` (the running
+        endpoint survives a tie), like the hashed state.
+        """
+        combined: List[Fragment] = [({}, _NEG_INF, _POS_INF)]
         for child in self.tree.nodes[node_id].children:
             child_fragments = self._report(child, binding)
             if not child_fragments:
                 return []
             new: List[Fragment] = []
-            for fragment, interval in combined:
-                for cfragment, civl in child_fragments:
-                    joint = interval.intersect(civl)
-                    if joint is None:
+            for fragment, lo, hi in combined:
+                for cfragment, clo, chi in child_fragments:
+                    jlo = clo if clo > lo else lo
+                    jhi = chi if chi < hi else hi
+                    if jlo > jhi:
                         continue
-                    if cfragment:
-                        merged = dict(fragment)
-                        merged.update(cfragment)
-                    else:
-                        merged = fragment
-                    new.append((merged, joint))
+                    new.append(
+                        ({**fragment, **cfragment} if cfragment else fragment, jlo, jhi)
+                    )
             combined = new
             if not combined:
                 return []

@@ -29,6 +29,10 @@ from .timefirst import sweep
 
 Values = Tuple[object, ...]
 
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+_fast = Interval._fast
+
 
 def materialize_bag(
     query_hg: Hypergraph,
@@ -43,6 +47,7 @@ def materialize_bag(
     intersection of the intervals of all fully contained relations.
     """
     lam_set = set(bag_attrs)
+    always = Interval.always()
     derived: Dict[str, Tuple[str, ...]] = {}
     sub_db: Dict[str, TemporalRelation] = {}
     full_edges: List[str] = []
@@ -59,7 +64,7 @@ def materialize_bag(
         else:
             rows = {}
             for v, _ in rel:
-                rows[tuple(v[p] for p in pos)] = Interval.always()
+                rows[tuple(v[p] for p in pos)] = always
         sub = TemporalRelation(name, restricted, check_distinct=False)
         sub._rows = list(rows.items())
         sub_db[name] = sub
@@ -73,16 +78,19 @@ def materialize_bag(
         lookups.append((tuple(order_pos[a] for a in eattrs), index))
     rows_out = []
     for t in tuples:
-        interval = Interval.always()
-        alive = True
+        # Intersect on endpoints in Interval.intersect's tie order;
+        # build one interval per surviving row.
+        lo, hi = _NEG_INF, _POS_INF
         for pos, index in lookups:
             ivl = index[tuple(t[p] for p in pos)]
-            interval = interval.intersect(ivl)
-            if interval is None:
-                alive = False
+            if ivl.lo > lo:
+                lo = ivl.lo
+            if ivl.hi < hi:
+                hi = ivl.hi
+            if lo > hi:
                 break
-        if alive:
-            rows_out.append((t, interval))
+        else:
+            rows_out.append((t, _fast(lo, hi)))
     out = TemporalRelation(bag_name, order, check_distinct=False)
     out._rows = rows_out
     return out

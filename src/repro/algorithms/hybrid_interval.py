@@ -27,6 +27,8 @@ only emitted intervals are clipped to the core. Exact by Helly's theorem
 in 1-D: closed intervals that intersect pairwise share a point, so rows
 that each meet the core and meet each other meet inside it. The emitted
 combinations are those of clipping every row first, at the same intervals.
+The clip also undoes the τ/2 shrink, so each emitted row builds its final
+interval once.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GuardedPartition, find_guarded_partition
 from ..obs import ExecutionStats
 from .allen import _BY_LO_HI, overlap_pairs_sorted
+from .hierarchical import tuple_getter
 
 Values = Tuple[object, ...]
 #: A residual row with its endpoints hoisted: ``(values, lo, hi, interval)``.
@@ -60,6 +63,8 @@ _POS_INF = float("inf")
 _NO_GROUP: Tuple[Sequence[Row], Sequence[Number]] = ((), ())
 _BY_TIME_KIND = itemgetter(0, 1)
 _fast = Interval._fast
+_new = object.__new__
+_put = object.__setattr__
 
 
 def hybrid_interval_join(
@@ -100,6 +105,7 @@ def hybrid_interval_join(
     db = shrink_database(database, tau)
 
     j_set = set(partition.J)
+    always = Interval.always()
     # ------------------------------------------------------------------
     # Line 2: L <- GenericJoin(Q_J, {π_J R_e | e ∈ E_J})
     # ------------------------------------------------------------------
@@ -111,9 +117,9 @@ def hybrid_interval_join(
         if not restricted:
             continue
         qj_edges[name] = restricted
-        key = _tuple_getter(db[name].positions(restricted))
+        key = tuple_getter(db[name].positions(restricted))
         sub = TemporalRelation(name, restricted, check_distinct=False)
-        sub._rows = [(k, Interval.always()) for k in dict.fromkeys(key(v) for v, _ in db[name])]
+        sub._rows = [(k, always) for k in dict.fromkeys(key(v) for v, _ in db[name])]
         qj_db[name] = sub
     if stats is None:
         core_tuples, j_order = generic_join_with_order(Hypergraph(qj_edges), qj_db)
@@ -127,9 +133,9 @@ def hybrid_interval_join(
     core_lookups = []
     for name in partition.core_edges:
         eattrs = hg.edge(name)
-        key = _tuple_getter(db[name].positions(eattrs))
+        key = tuple_getter(db[name].positions(eattrs))
         index = {key(v): (ivl.lo, ivl.hi) for v, ivl in db[name]}
-        core_lookups.append((_tuple_getter([j_pos[a] for a in eattrs]), index))
+        core_lookups.append((tuple_getter([j_pos[a] for a in eattrs]), index))
 
     # Residual relations grouped by their J-part, sorted: lines 5-6, once.
     plans: List[Plan] = []
@@ -138,20 +144,20 @@ def hybrid_interval_join(
         rel = db[name]
         j_part = [a for a in eattrs if a in j_set]
         i_part = tuple(a for a in eattrs if a not in j_set)
-        key = _tuple_getter(rel.positions(j_part))
-        project = _tuple_getter(rel.positions(i_part))
+        key = tuple_getter(rel.positions(j_part))
+        project = tuple_getter(rel.positions(i_part))
         raw: Dict[Values, List[Row]] = {}  # grouping keeps the (lo, hi) order
         for v, lo, hi, ivl in sorted(((v, i.lo, i.hi, i) for v, i in rel), key=_BY_LO_HI):
             raw.setdefault(key(v), []).append((project(v), lo, hi, ivl))
         groups = {k: (rows, [row[1] for row in rows]) for k, rows in raw.items()}
-        plans.append((name, i_part, _tuple_getter([j_pos[a] for a in j_part]), groups))
+        plans.append((name, i_part, tuple_getter([j_pos[a] for a in j_part]), groups))
 
     out = JoinResultSet(query.attrs)
     if residual_strategy == "sweep" or not partition.residual_product:
         strategy = _residual_timefirst
     else:
         strategy = _interval_join if len(plans) == 2 else _product_sweep
-    emit = strategy(query, j_order, plans, out, stats)
+    emit = strategy(query, j_order, plans, out, tau / 2 if tau else 0, stats)
 
     # ------------------------------------------------------------------
     # Lines 3-8: per core tuple, solve the residual join.
@@ -180,37 +186,55 @@ def hybrid_interval_join(
     if stats is not None:
         stats.add_time("phase.residuals", time.perf_counter() - residuals_start)
         stats.incr("results", len(out))
-    return out.expand_intervals(tau / 2 if tau else 0)
-
-
-def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], Values]:
-    """``itemgetter`` that always returns a tuple (also for 0 or 1 index)."""
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda values: (values[p],)
-    return itemgetter(*positions) if positions else (lambda values: ())
+    return out
 
 
 def _layout(query: JoinQuery, concat: Sequence[str]) -> Callable[[Sequence], Values]:
     """Getter reordering a ``concat``-ordered tuple into ``query.attrs``."""
-    return _tuple_getter([list(concat).index(a) for a in query.attrs])
+    return tuple_getter([list(concat).index(a) for a in query.attrs])
 
 
-def _clip(iv: Interval, clo: Number, chi: Number) -> Interval:
-    """``iv ∩ [clo, chi]``; nonempty for every emitted result (Helly)."""
-    lo, hi = iv.lo, iv.hi
-    if lo < clo or hi > chi:
-        return _fast(lo if lo > clo else clo, hi if hi < chi else chi)
-    return iv
+def _clipped(items: Sequence[tuple], clo: Number, chi: Number, half: Number) -> List[Interval]:
+    """The emitted interval of every item: its last field ``∩ [clo, chi]``,
+    widened back by ``half`` = τ/2.
+
+    Nonempty for every emitted result (Helly). The widening is
+    :meth:`Interval.expand`'s (infinite endpoints are fixed points), so
+    each interval equals clipping and then ``expand_intervals(half)``;
+    at ``half == 0`` an interval the core does not cut is reused as is.
+    One loop per core tuple, one interval per row.
+    """
+    out: List[Interval] = []
+    append = out.append
+    for item in items:
+        iv = item[-1]
+        lo, hi = iv.lo, iv.hi
+        if lo < clo or hi > chi:
+            lo, hi = (lo if lo > clo else clo), (hi if hi < chi else chi)
+        elif not half:
+            append(iv)
+            continue
+        if half:
+            if _NEG_INF < lo < _POS_INF:
+                lo = lo - half
+            if _NEG_INF < hi < _POS_INF:
+                hi = hi + half
+        # Interval._fast inlined: clipping and widening keep lo <= hi.
+        iv = _new(Interval)
+        _put(iv, "lo", lo)
+        _put(iv, "hi", hi)
+        append(iv)
+    return out
 
 
 # ----------------------------------------------------------------------
 # Residual strategies: each builds its per-call state once and returns
-# ``emit(core, clo, chi, kept_groups)``.
+# ``emit(core, clo, chi, kept_groups)``, which appends rows whose
+# intervals are already widened back by ``half`` = τ/2.
 # ----------------------------------------------------------------------
 def _interval_join(
     query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
-    stats: Optional[ExecutionStats],
+    half: Number, stats: Optional[ExecutionStats],
 ) -> Emit:
     """Two disjoint residual groups: a single lazy-sweep interval join."""
     layout = _layout(query, (*j_order, *plans[0][1], *plans[1][1]))
@@ -223,15 +247,17 @@ def _interval_join(
             stats.incr("hi.interval_joins")
             stats.observe("ij.scan", len(left) + len(right))
             stats.observe("ij.pairs", len(pairs))
-        for lvalues, rvalues, iv in pairs:
-            append((layout(core + lvalues + rvalues), _clip(iv, clo, chi)))
+        if not pairs:
+            return
+        for (lvalues, rvalues, _), iv in zip(pairs, _clipped(pairs, clo, chi, half)):
+            append((layout(core + lvalues + rvalues), iv))
 
     return emit
 
 
 def _product_sweep(
     query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
-    stats: Optional[ExecutionStats],
+    half: Number, stats: Optional[ExecutionStats],
 ) -> Emit:
     """k ≥ 3 disjoint residual groups: sweep enumerating live combinations.
 
@@ -280,6 +306,11 @@ def _product_sweep(
                     break
             for pvalues, lo, hi in partial:
                 lo, hi = (lo if lo > clo else clo), (hi if hi < chi else chi)
+                if half:
+                    if _NEG_INF < lo < _POS_INF:
+                        lo = lo - half
+                    if _NEG_INF < hi < _POS_INF:
+                        hi = hi + half
                 append((layouts[gi](core + pvalues), _fast(lo, hi)))
 
     return emit
@@ -287,7 +318,7 @@ def _product_sweep(
 
 def _residual_timefirst(
     query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
-    stats: Optional[ExecutionStats],
+    half: Number, stats: Optional[ExecutionStats],
 ) -> Emit:
     """General residual: recursive TIMEFIRST on Q_I (Algorithm 6, line 7).
 
@@ -307,7 +338,8 @@ def _residual_timefirst(
             stats.incr("hi.recursions")
         for shell, rows in zip(shells, groups):
             shell._rows = [(values, ivl) for values, _, _, ivl in rows]
-        for values, iv in timefirst_join(residual_query, residual_db):
-            append((layout(core + values), _clip(iv, clo, chi)))
+        rows = timefirst_join(residual_query, residual_db).rows
+        for (values, _), iv in zip(rows, _clipped(rows, clo, chi, half)):
+            append((layout(core + values), iv))
 
     return emit

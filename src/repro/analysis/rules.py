@@ -1,4 +1,4 @@
-"""The ~8 domain lint rules behind ``repro-lint``.
+"""The node-level domain lint rules behind ``repro-lint``.
 
 Each rule guards one structural convention the paper's guarantees (or
 the PR 2 parallel engine's exactly-once merge) rely on; DESIGN.md's
@@ -624,6 +624,86 @@ class KernelNoObjectRows(Rule):
 
 
 # ----------------------------------------------------------------------
+class CheckedIntervalInLoop(Rule):
+    """Sweep-state loops intersect plain endpoints, not checked intervals.
+
+    Theorem 6 bounds hierarchical TIMEFIRST by ``O(N log N + K)``, so on
+    output-heavy joins the constant per result row decides the speed. A
+    checked ``Interval(...)``, an ``.intersect(...)`` or an
+    ``Interval.always()`` inside an enumeration loop validates and
+    allocates once per partial combination; the sweep states carry
+    ``(lo, hi)`` numbers instead and build one interval per emitted row
+    (unchecked, ``Interval._fast``). The ``naive`` oracle is out of scope:
+    it keeps the checked arithmetic so it stays independent.
+    """
+
+    id = "checked-interval-in-loop"
+    severity = "error"
+    description = (
+        "Interval(...), .intersect(...) or Interval.always() inside a loop "
+        "in a sweep-state module"
+    )
+    hint = (
+        "intersect on endpoint numbers in the loop (keep max/min argument "
+        "order) and build the row's interval once with Interval._fast; "
+        "hoist Interval.always() out of the loop"
+    )
+
+    _ALGORITHM_MODULES = {
+        "generic_state.py", "hybrid.py", "hybrid_interval.py",
+    }
+    _LOOPS = KernelNoObjectRows._LOOPS
+
+    def applies(self, logical: str) -> bool:
+        base = _basename(logical)
+        if _in_dirs(logical, ("kernels",)):
+            return True
+        return _in_dirs(logical, ("algorithms",)) and (
+            base in self._ALGORITHM_MODULES or base.startswith("hierarchical")
+        )
+
+    @staticmethod
+    def _checked_call(node: ast.Call) -> Optional[str]:
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "Interval":
+            return "Interval(...) validates every interval it builds"
+        if not isinstance(func, ast.Attribute):
+            return None
+        if func.attr == "intersect":
+            return ".intersect(...) builds a checked Interval per call"
+        if (
+            func.attr == "always"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "Interval"
+        ):
+            return "Interval.always() is loop-invariant"
+        return None
+
+    def check(self, sf: SourceFile) -> List[Finding]:
+        out = []
+        seen: Set[int] = set()
+        for node in ast.walk(sf.tree):
+            if not isinstance(node, self._LOOPS):
+                continue
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call) or id(sub) in seen:
+                    continue
+                why = self._checked_call(sub)
+                if why is None:
+                    continue
+                seen.add(id(sub))  # nested loops walk twice
+                out.append(
+                    sf.finding(
+                        self,
+                        sub,
+                        f"{why} inside a sweep-state loop: intersect on "
+                        "(lo, hi) numbers and build one interval per row",
+                    )
+                )
+        return out
+
+
+# ----------------------------------------------------------------------
 def default_rules() -> List[Rule]:
     """The registered rule set, in reporting order."""
     return [
@@ -636,4 +716,5 @@ def default_rules() -> List[Rule]:
         PairedTracerPhases(),
         StatsContract(),
         KernelNoObjectRows(),
+        CheckedIntervalInLoop(),
     ]

@@ -53,8 +53,12 @@ class Interval:
     # ------------------------------------------------------------------
     @staticmethod
     def always() -> "Interval":
-        """The interval ``(-inf, +inf)`` used for non-temporal tuples."""
-        return Interval(_NEG_INF, _POS_INF)
+        """The interval ``(-inf, +inf)`` used for non-temporal tuples.
+
+        Every call returns the same instance: intervals are frozen and no
+        code mutates an existing one, so callers can share it.
+        """
+        return _ALWAYS
 
     @staticmethod
     def instant(t: Number) -> "Interval":
@@ -184,6 +188,8 @@ class Interval:
 
 
 IntervalLike = Union[Interval, Tuple[Number, Number], List[Number], Number]
+
+_ALWAYS = Interval(_NEG_INF, _POS_INF)
 
 
 def endpoint_eq(a: Number, b: Number) -> bool:

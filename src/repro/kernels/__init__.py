@@ -23,6 +23,7 @@ Layout:
 from .columns import (
     KernelColumns,
     build_columns,
+    deintern_expand,
     deintern_results,
     shard_row_ids,
     shrink_columns,
@@ -46,6 +47,7 @@ __all__ = [
     "KernelHierarchicalState",
     "PreparedDatabase",
     "build_columns",
+    "deintern_expand",
     "deintern_results",
     "kernel_sweep",
     "kernel_timefirst_join",

@@ -5,11 +5,11 @@
 validate, τ/2-shrink, r-hierarchical reduction, state selection, sweep,
 τ/2-expand — but runs on :class:`~repro.kernels.columns.KernelColumns`:
 the event stream is flattened and sorted exactly once per call into int
-codes, the dynamic structure is keyed on interned ints, and the results
-are de-interned in one batch at emission. Output equality with the
-object path (normalized row sets, ``sweep.*`` / ``hier.*`` / ``ghd.*``
-counters, ``phase.sweep`` timer) is the correctness contract, pinned by
-the hypothesis equivalence suite.
+codes, the dynamic structure is keyed on interned ints, and one pass at
+emission de-interns the results and widens their intervals back by τ/2.
+Output equality with the object path (normalized row sets, ``sweep.*`` /
+``hier.*`` / ``ghd.*`` counters, ``phase.sweep`` timer) is the
+correctness contract, pinned by the hypothesis equivalence suite.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
-from .columns import KernelColumns, build_columns, deintern_results
+from .columns import KernelColumns, build_columns, deintern_expand
 
 #: Algorithms with a kernel fast path. Every other registered algorithm
 #: silently ignores ``engine="kernel"`` (the dispatch layer strips the
@@ -144,5 +144,4 @@ def kernel_timefirst_join(
     result = kernel_sweep(run_query, columns, state, stats=stats)
     if tuple(result.attrs) != tuple(query.attrs):  # pragma: no cover - defensive
         raise InvariantError("kernel sweep returned unexpected attribute layout")
-    result = deintern_results(columns.domains, result)
-    return result.expand_intervals(tau / 2 if tau else 0)
+    return deintern_expand(columns.domains, result, tau / 2 if tau else 0)

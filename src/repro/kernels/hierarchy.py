@@ -13,10 +13,12 @@ on interned ints and driven by row ids:
 * upward propagation, REPORT and the emission layout are inherited
   unchanged from the object state — interned ints are ordinary hashable
   values to them — which keeps Theorem 6's update/enumeration bounds
-  and the output semantics identical by construction.
+  and the output semantics identical by construction. REPORT intersects
+  plain endpoints, so each emitted row builds exactly one interval.
 
-De-interning happens once at the end of the sweep
-(:func:`repro.kernels.columns.deintern_results`), not per result.
+The sweep emits interned rows with shrunk intervals. The routes then
+de-intern the values and undo the τ/2 shrink in one pass over the rows
+(:func:`repro.kernels.columns.deintern_expand`), not per result.
 """
 
 from __future__ import annotations
@@ -27,10 +29,14 @@ from typing import List, Optional, Tuple
 
 from ..algorithms.hierarchical import HierarchicalState
 from ..core.errors import QueryError
+from ..core.interval import Interval
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
 from .columns import KernelColumns
+
+_new = object.__new__
+_put = object.__setattr__
 
 
 class KernelHierarchicalState(HierarchicalState):
@@ -134,20 +140,7 @@ class KernelHierarchicalState(HierarchicalState):
             if support.get(pv[:path_len], 0) != nchildren:
                 break
         else:
-            binding = dict(zip(self._row_path[rid], pv))
-            fragments = self._report(self.tree.root.node_id, binding)
-            if self._stats is not None:
-                self._stats.incr("hier.report_fragments", len(fragments))
-            attrs = self._out_attrs
-            append = out.append
-            for fragment, result_interval in fragments:
-                append(
-                    tuple(
-                        fragment[a] if a in fragment else binding[a]
-                        for a in attrs
-                    ),
-                    result_interval,
-                )
+            self._emit(rid, pv, out)
         # DELETE (Algorithm 1, line 9).
         leaf = self._row_leaf[rid]
         gkey = self._row_gkey[rid]
@@ -159,3 +152,18 @@ class KernelHierarchicalState(HierarchicalState):
         if not bucket:
             del groups[gkey]
             self._signal_empty(self._row_leaf_parent[rid], gkey)
+
+    def _emit(self, rid: int, pv: Tuple[int, ...], out: JoinResultSet) -> None:
+        """REPORT (Algorithm 3) for a row that passed the membership walk."""
+        binding = dict(zip(self._row_path[rid], pv))
+        fragments = self._report(self.tree.root.node_id, binding)
+        if self._stats is not None:
+            self._stats.incr("hier.report_fragments", len(fragments))
+        row_of = self._row_of
+        append = out.rows.append
+        for fragment, lo, hi in fragments:
+            # Interval._fast inlined: lo <= hi holds by REPORT.
+            interval = _new(Interval)
+            _put(interval, "lo", lo)
+            _put(interval, "hi", hi)
+            append((row_of({**binding, **fragment}), interval))

@@ -52,7 +52,7 @@ from ..obs import ExecutionStats
 from .columns import (
     KernelColumns,
     build_columns,
-    deintern_results,
+    deintern_expand,
     shrink_columns,
 )
 from .engine import kernel_sweep, make_state
@@ -276,8 +276,7 @@ def prepared_kernel_join(
     _record_reuse(prepared, columns, stats)
     state = make_state(query, columns, stats=stats)
     result = kernel_sweep(query, columns, state, stats=stats)
-    result = deintern_results(columns.domains, result)
-    return result.expand_intervals(tau / 2 if tau else 0)
+    return deintern_expand(columns.domains, result, tau / 2 if tau else 0)
 
 
 # ----------------------------------------------------------------------

@@ -152,7 +152,7 @@ def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
     across the whole batch. Spawn-safe for the same reasons as
     :func:`run_shard`: module-level function, picklable dataclasses.
     """
-    from ..kernels import deintern_results, kernel_sweep, make_state
+    from ..kernels import deintern_expand, kernel_sweep, make_state
 
     partition = TimePartition(task.cuts)
     stats = ExecutionStats() if task.collect_stats else None
@@ -176,8 +176,7 @@ def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
             restricted[keep] = columns
         state = make_state(query, columns, stats=stats)
         result = kernel_sweep(query, columns, state, stats=stats)
-        result = deintern_results(columns.domains, result)
-        result = result.expand_intervals(half)
+        result = deintern_expand(columns.domains, result, half)
         rows_per_query.append(
             [row for row in result.rows if owner(row[1].hi) == shard]
         )
@@ -200,13 +199,14 @@ def _run_kernel_shard(task: ShardTask, stats: Optional[ExecutionStats]):
     back by τ/2. The ownership filter in :func:`run_shard` then sees
     the same expanded intervals the object path produces.
     """
-    from ..kernels import deintern_results, kernel_sweep, make_state
+    from ..kernels import deintern_expand, kernel_sweep, make_state
 
     columns = task.columns
     state = make_state(task.query, columns, stats=stats)
     result = kernel_sweep(task.query, columns, state, stats=stats)
-    result = deintern_results(columns.domains, result)
-    return result.expand_intervals(task.tau / 2 if task.tau else 0)
+    return deintern_expand(
+        columns.domains, result, task.tau / 2 if task.tau else 0
+    )
 
 
 def serve_pipe(conn) -> None:

@@ -92,7 +92,11 @@ class TestRegimes:
         assert advice.estimated_output < 10
 
     def test_advice_best_is_actually_competitive(self, rng):
-        """End-to-end: the advisor's pick is within 4x of the true best."""
+        """End-to-end: the advisor's pick is within 4x of the true best.
+
+        Each candidate is timed as the minimum of 3 runs, so one slow
+        sample on a loaded host does not decide the comparison.
+        """
         import time
 
         from repro.algorithms.registry import get_algorithm
@@ -103,8 +107,11 @@ class TestRegimes:
         timings = {}
         for cand in advice.ranked:
             fn = get_algorithm(cand.algorithm)
-            start = time.perf_counter()
-            fn(q, db)
-            timings[cand.algorithm] = time.perf_counter() - start
+            samples = []
+            for _ in range(3):
+                start = time.perf_counter()
+                fn(q, db)
+                samples.append(time.perf_counter() - start)
+            timings[cand.algorithm] = min(samples)
         best_actual = min(timings.values())
         assert timings[advice.best] <= max(4 * best_actual, best_actual + 0.05)

@@ -377,6 +377,78 @@ class TestKernelNoObjectRows:
                 if f.rule == "kernel-no-object-rows"] == []
 
 
+class TestCheckedIntervalInLoop:
+    RULE = "checked-interval-in-loop"
+    HIER = "src/repro/algorithms/hierarchical.py"
+
+    def test_intersect_in_loop_flagged(self):
+        src = """
+        def product(combined, fragments):
+            out = []
+            for interval in combined:
+                for civl in fragments:
+                    joint = interval.intersect(civl)
+                    if joint is not None:
+                        out.append(joint)
+            return out
+        """
+        found = findings_for(src, self.HIER, self.RULE)
+        assert len(found) == 1  # nested loops report the call once
+        assert found[0].line == 6
+        assert ".intersect" in found[0].message
+
+    def test_constructor_and_always_in_comprehension_flagged(self):
+        src = """
+        from repro.core.interval import Interval
+
+        def rows(keys, pairs):
+            a = [(k, Interval.always()) for k in keys]
+            b = [Interval(lo, hi) for lo, hi in pairs]
+            return a, b
+        """
+        found = findings_for(src, "src/repro/kernels/fixture.py", self.RULE)
+        assert sorted(f.line for f in found) == [5, 6]
+
+    def test_endpoint_arithmetic_and_fast_build_allowed(self):
+        src = """
+        from repro.core.interval import Interval
+
+        def rows(keys, pairs):
+            always = Interval.always()
+            first = Interval(0, 1).intersect(always)
+            out = [(k, always) for k in keys]
+            for lo, hi in pairs:
+                lo = lo if lo > 0 else 0
+                out.append(Interval._fast(lo, hi))
+            return first, out
+        """
+        assert findings_for(src, "src/repro/algorithms/hybrid.py", self.RULE) == []
+
+    def test_scope_is_the_sweep_state_modules(self):
+        src = """
+        def f(pairs):
+            return [a.intersect(b) for a, b in pairs]
+        """
+        for logical in (
+            "src/repro/algorithms/hierarchical_cm.py",
+            "src/repro/algorithms/generic_state.py",
+            "src/repro/algorithms/hybrid_interval.py",
+            "src/repro/kernels/columns.py",
+        ):
+            assert len(findings_for(src, logical, self.RULE)) == 1, logical
+        for logical in (
+            "src/repro/algorithms/naive.py",
+            "src/repro/algorithms/joinfirst.py",
+            "src/repro/nontemporal/yannakakis.py",
+            "src/repro/core/interval.py",
+        ):
+            assert findings_for(src, logical, self.RULE) == [], logical
+
+    def test_real_sweep_states_are_clean(self):
+        report = run_lint(["src/repro"], rules=default_rules())
+        assert [f for f in report.findings if f.rule == self.RULE] == []
+
+
 class TestEngineBehavior:
     def test_inline_suppression(self):
         src = """
@@ -436,7 +508,7 @@ class TestEngineBehavior:
 
     def test_every_rule_has_identity(self):
         rules = default_rules()
-        assert len(rules) == 9
-        assert len({r.id for r in rules}) == 9
+        assert len(rules) == 10
+        assert len({r.id for r in rules}) == 10
         for rule in rules:
             assert rule.description and rule.hint and rule.severity == "error"

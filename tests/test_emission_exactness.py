@@ -1,0 +1,489 @@
+"""Result rows are built exactly as the two-pass emission built them.
+
+The sweep states intersect plain ``(lo, hi)`` endpoints instead of
+checked :class:`Interval` objects, the kernel routes de-intern and widen
+by τ/2 in one pass (``deintern_expand``), and HYBRID-INTERVAL widens in
+its clip. None of that may change a row: not a value, not an endpoint,
+not an endpoint's *type*. Rows are compared by ``repr``, so a ``1``
+that turns into ``1.0`` is a failure.
+
+* ``max``/``min`` keep their first argument on a tie. The inline
+  intersections keep :meth:`Interval.intersect`'s argument order (the
+  running endpoint first), and the pinned cases below fail if the order
+  flips.
+* The golden digests and counters were recorded with the checked
+  two-pass code on the same generated instances. They pin every route
+  to those rows and counters.
+* The Hypothesis properties hold each one-pass step to the two-pass
+  composition it replaced, on instances with ``1``/``1.0``
+  representatives, ±inf, zero-length and touching endpoints.
+"""
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import prepare, run_batch, temporal_join
+from repro.algorithms.hierarchical import HierarchicalState
+from repro.algorithms.hybrid_interval import hybrid_interval_join
+from repro.core.durability import shrink_database
+from repro.core.interval import Interval
+from repro.core.query import JoinQuery
+from repro.core.relation import TemporalRelation
+from repro.kernels import (
+    build_columns,
+    deintern_expand,
+    deintern_results,
+    kernel_sweep,
+    make_state,
+    prepare_run,
+)
+from repro.obs import ExecutionStats
+from repro.serve import TemporalJoinService
+
+INF = float("inf")
+TAUS = (0, 3, 0.3)
+#: Endpoint pool: int/float representatives of equal times, ±inf, and
+#: few enough distinct values that touching and zero-length intervals
+#: are common.
+ENDPOINTS = (-INF, 0, 1, 1.0, 2, 2.0, 3, 4, 4.5, INF)
+
+STAR3 = JoinQuery.star(3)
+LINE3 = JoinQuery.line(3)
+STAR_WITH_CORE = JoinQuery(
+    {"R0": ("y",), "R1": ("x1", "y"), "R2": ("x2", "y"), "R3": ("x3", "y")}
+)
+TRIANGLE = JoinQuery.triangle()
+
+
+def exact(rows):
+    """Rows as ``repr`` strings: values, endpoints and their types."""
+    return [(tuple(map(repr, values)), repr(iv.lo), repr(iv.hi)) for values, iv in rows]
+
+
+def typed(rows):
+    """:func:`exact` rows in sorted order, for routes that order rows freely."""
+    return sorted(exact(rows))
+
+
+def digest(rows):
+    return hashlib.sha256(repr(typed(rows)).encode()).hexdigest()[:16]
+
+
+def instance(query, seed, n=7):
+    """A small database for ``query`` whose values and endpoints collide.
+
+    Attribute values come from ``{0, 1, 2}``, each drawn as an int or a
+    float, so equal values of different types meet in the joins.
+    """
+    rng = random.Random(seed)
+    database = {}
+    for name in query.edge_names:
+        attrs = query.edge(name)
+        rows = {}
+        for _ in range(n):
+            values = tuple(
+                rng.choice((int, float))(rng.randrange(3)) for _ in attrs
+            )
+            lo, hi = sorted((rng.choice(ENDPOINTS), rng.choice(ENDPOINTS)))
+            rows.setdefault(values, (lo, hi))
+        database[name] = TemporalRelation(name, attrs, list(rows.items()))
+    return database
+
+
+# ----------------------------------------------------------------------
+# Routes: every path whose emission changed.
+# ----------------------------------------------------------------------
+def _serve(query, database, tau, workers=1):
+    service = TemporalJoinService()
+    handle = service.register(query, tau=tau)
+    if workers == 1:
+        service.ingest_database(database)
+    else:
+        service.ingest_database(database, workers=workers, mode="inline")
+    return handle.snapshot().results
+
+
+def _batch(query, database, tau, workers=None):
+    kwargs = {} if workers is None else {"workers": workers, "parallel_mode": "inline"}
+    swapped = JoinQuery(
+        {name: query.edge(name) for name in query.edge_names},
+        attr_order=tuple(reversed(query.attrs)),
+    )
+    first, second = run_batch([query, swapped], prepare(database), tau=tau, **kwargs)
+    back = [swapped.attrs.index(a) for a in query.attrs]
+    return list(first) + [
+        (tuple(values[p] for p in back), iv) for values, iv in second
+    ]
+
+
+ROUTES = {
+    "kernel": lambda q, db, tau, stats: temporal_join(
+        q, db, tau, algorithm="timefirst", engine="kernel", stats=stats
+    ),
+    "object": lambda q, db, tau, stats: temporal_join(
+        q, db, tau, algorithm="timefirst", engine="object", stats=stats
+    ),
+    "kernel-workers3": lambda q, db, tau, stats: temporal_join(
+        q, db, tau, algorithm="timefirst", engine="kernel",
+        workers=3, parallel_mode="inline", stats=stats,
+    ),
+    "batch": lambda q, db, tau, stats: _batch(q, db, tau),
+    "batch-workers3": lambda q, db, tau, stats: _batch(q, db, tau, workers=3),
+    "hybrid": lambda q, db, tau, stats: temporal_join(
+        q, db, tau, algorithm="hybrid", stats=stats
+    ),
+    "hybrid-interval": lambda q, db, tau, stats: temporal_join(
+        q, db, tau, algorithm="hybrid-interval", stats=stats
+    ),
+    "hybrid-interval-sweep": lambda q, db, tau, stats: temporal_join(
+        q, db, tau, algorithm="hybrid-interval",
+        residual_strategy="sweep", stats=stats,
+    ),
+    "timefirst-cm": lambda q, db, tau, stats: temporal_join(
+        q, db, tau, algorithm="timefirst-cm", stats=stats
+    ),
+    "serve": lambda q, db, tau, stats: _serve(q, db, tau),
+    "serve-workers3": lambda q, db, tau, stats: _serve(q, db, tau, workers=3),
+}
+
+#: (query name, query, routes that serve it).
+CASES = (
+    ("star3", STAR3, ("kernel", "object", "timefirst-cm", "kernel-workers3", "batch",
+                      "batch-workers3", "hybrid", "serve", "serve-workers3")),
+    ("line3", LINE3, ("kernel", "object", "kernel-workers3", "batch", "hybrid",
+                      "hybrid-interval", "hybrid-interval-sweep", "serve")),
+    ("star-with-core", STAR_WITH_CORE, ("kernel", "hybrid-interval",
+                                        "hybrid-interval-sweep")),
+    ("triangle", TRIANGLE, ("object", "hybrid")),
+)
+SEEDS = range(8)
+PINNED_COUNTERS = ("hier.report_fragments", "results")
+PINNED_PREFIXES = ("hi.", "ij.")
+
+
+def run_case(query, route, tau):
+    """Digest and pinned counters of one route over every seed."""
+    rows = []
+    stats = ExecutionStats()
+    for seed in SEEDS:
+        rows.extend(ROUTES[route](query, instance(query, seed), tau, stats))
+    counters = {
+        key: value
+        for key, value in sorted(stats.counters.items())
+        if key in PINNED_COUNTERS or key.startswith(PINNED_PREFIXES)
+    }
+    return digest(rows), len(rows), counters
+
+
+#: ``(digest, rows, counters)`` per case, route and τ, recorded with the
+#: two-pass emission and checked intersections.
+GOLDEN = {
+    ("star3", "kernel", 0): ("8ae90bb01c0feeec", 47, {"hier.report_fragments": 47, "results": 47}),
+    ("star3", "kernel", 3): ("f74601279b294f79", 4, {"hier.report_fragments": 4, "results": 4}),
+    ("star3", "kernel", 0.3): (
+        "c21da8410e232b5d", 20, {"hier.report_fragments": 20, "results": 20},
+    ),
+    ("star3", "object", 0): ("431280c4a8a23895", 47, {"hier.report_fragments": 47, "results": 47}),
+    ("star3", "object", 3): ("a59b58d32ec94edc", 4, {"hier.report_fragments": 4, "results": 4}),
+    ("star3", "object", 0.3): (
+        "d97354a35d60a954", 20, {"hier.report_fragments": 20, "results": 20},
+    ),
+    ("star3", "timefirst-cm", 0): ("431280c4a8a23895", 47, {"results": 47}),
+    ("star3", "timefirst-cm", 3): ("a59b58d32ec94edc", 4, {"results": 4}),
+    ("star3", "timefirst-cm", 0.3): ("d97354a35d60a954", 20, {"results": 20}),
+    ("star3", "kernel-workers3", 0): (
+        "4b1736d576b6ac0e", 47, {"hier.report_fragments": 56, "results": 56},
+    ),
+    ("star3", "kernel-workers3", 3): (
+        "f74601279b294f79", 4, {"hier.report_fragments": 6, "results": 6},
+    ),
+    ("star3", "kernel-workers3", 0.3): (
+        "c21da8410e232b5d", 20, {"hier.report_fragments": 32, "results": 32},
+    ),
+    ("star3", "batch", 0): ("1755119f67c7b266", 94, {}),
+    ("star3", "batch", 3): ("c42eb1f797ab6f15", 8, {}),
+    ("star3", "batch", 0.3): ("906767f9ebff15a8", 40, {}),
+    ("star3", "batch-workers3", 0): ("bb4a93692bd739cc", 94, {}),
+    ("star3", "batch-workers3", 3): ("c42eb1f797ab6f15", 8, {}),
+    ("star3", "batch-workers3", 0.3): ("906767f9ebff15a8", 40, {}),
+    ("star3", "hybrid", 0): ("2165670cf2823efd", 47, {"hier.report_fragments": 47, "results": 47}),
+    ("star3", "hybrid", 3): ("a59b58d32ec94edc", 4, {"hier.report_fragments": 4, "results": 4}),
+    ("star3", "hybrid", 0.3): (
+        "4daa0e8ef818c56b", 20, {"hier.report_fragments": 20, "results": 20},
+    ),
+    ("star3", "serve", 0): ("d6d19868f46f9b16", 47, {}),
+    ("star3", "serve", 3): ("a59b58d32ec94edc", 4, {}),
+    ("star3", "serve", 0.3): ("7f152b70f5797bd2", 20, {}),
+    ("star3", "serve-workers3", 0): ("d6d19868f46f9b16", 47, {}),
+    ("star3", "serve-workers3", 3): ("a59b58d32ec94edc", 4, {}),
+    ("star3", "serve-workers3", 0.3): ("7f152b70f5797bd2", 20, {}),
+    ("line3", "kernel", 0): ("b8802ace6aef6977", 42, {"results": 42}),
+    ("line3", "kernel", 3): ("9f550af01eb94690", 2, {"results": 2}),
+    ("line3", "kernel", 0.3): ("8bd09c3b47df8196", 22, {"results": 22}),
+    ("line3", "object", 0): ("d531d1c278493bb6", 42, {"results": 42}),
+    ("line3", "object", 3): ("9f550af01eb94690", 2, {"results": 2}),
+    ("line3", "object", 0.3): ("e26eefe265109ded", 22, {"results": 22}),
+    ("line3", "kernel-workers3", 0): ("6958a2ebc9e6471d", 42, {"results": 56}),
+    ("line3", "kernel-workers3", 3): ("9f550af01eb94690", 2, {"results": 2}),
+    ("line3", "kernel-workers3", 0.3): ("8bd09c3b47df8196", 22, {"results": 39}),
+    ("line3", "batch", 0): ("fd78f979bc862d14", 84, {}),
+    ("line3", "batch", 3): ("ee5d1c88ab66c293", 4, {}),
+    ("line3", "batch", 0.3): ("9b3e3a27b3cfe993", 44, {}),
+    ("line3", "hybrid", 0): ("89781d8f784389da", 42, {"hier.report_fragments": 42, "results": 42}),
+    ("line3", "hybrid", 3): ("581f0f33ae1797c1", 2, {"hier.report_fragments": 2, "results": 2}),
+    ("line3", "hybrid", 0.3): (
+        "cc8752ed3d6439da", 22, {"hier.report_fragments": 22, "results": 22},
+    ),
+    ("line3", "hybrid-interval", 0): (
+        "38dbb8f75b623745", 42, {
+            "hi.core_pruned": 12, "hi.core_tuples": 32, "hi.interval_joins": 20,
+            "ij.pairs.count": 20, "ij.pairs.max": 6, "ij.pairs.total": 42, "ij.scan.count": 20,
+            "ij.scan.max": 5, "ij.scan.total": 61, "results": 42,
+        },
+    ),
+    ("line3", "hybrid-interval", 3): (
+        "581f0f33ae1797c1", 2, {
+            "hi.core_pruned": 5, "hi.core_tuples": 6, "hi.interval_joins": 1, "ij.pairs.count": 1,
+            "ij.pairs.max": 2, "ij.pairs.total": 2, "ij.scan.count": 1, "ij.scan.max": 3,
+            "ij.scan.total": 3, "results": 2,
+        },
+    ),
+    ("line3", "hybrid-interval", 0.3): (
+        "cc8752ed3d6439da", 22, {
+            "hi.core_pruned": 17, "hi.core_tuples": 27, "hi.interval_joins": 10,
+            "ij.pairs.count": 10, "ij.pairs.max": 6, "ij.pairs.total": 22, "ij.scan.count": 10,
+            "ij.scan.max": 5, "ij.scan.total": 31, "results": 22,
+        },
+    ),
+    ("line3", "hybrid-interval-sweep", 0): (
+        "38dbb8f75b623745", 42, {
+            "hi.core_pruned": 12, "hi.core_tuples": 32, "hi.recursions": 20, "results": 42,
+        },
+    ),
+    ("line3", "hybrid-interval-sweep", 3): (
+        "581f0f33ae1797c1", 2, {
+            "hi.core_pruned": 5, "hi.core_tuples": 6, "hi.recursions": 1, "results": 2,
+        },
+    ),
+    ("line3", "hybrid-interval-sweep", 0.3): (
+        "cc8752ed3d6439da", 22, {
+            "hi.core_pruned": 17, "hi.core_tuples": 27, "hi.recursions": 10, "results": 22,
+        },
+    ),
+    ("line3", "serve", 0): ("bd3d541b9b81caa6", 42, {}),
+    ("line3", "serve", 3): ("9f550af01eb94690", 2, {}),
+    ("line3", "serve", 0.3): ("681f9aca5eab7015", 22, {}),
+    ("star-with-core", "kernel", 0): (
+        "02d07cff3914d025", 32, {"hier.report_fragments": 32, "results": 32},
+    ),
+    ("star-with-core", "kernel", 3): ("4f53cda18c2baa0c", 0, {"results": 0}),
+    ("star-with-core", "kernel", 0.3): (
+        "02647f3c9a5d3936", 4, {"hier.report_fragments": 4, "results": 4},
+    ),
+    ("star-with-core", "hybrid-interval", 0): (
+        "cc8c2cb0331c06aa", 32, {
+            "hi.core_pruned": 4, "hi.core_tuples": 18, "hi.product_sweeps": 14, "results": 32,
+        },
+    ),
+    ("star-with-core", "hybrid-interval", 3): (
+        "4f53cda18c2baa0c", 0, {"hi.core_pruned": 2, "hi.core_tuples": 2, "results": 0},
+    ),
+    ("star-with-core", "hybrid-interval", 0.3): (
+        "1f65ff89e5fbcc18", 4, {
+            "hi.core_pruned": 8, "hi.core_tuples": 12, "hi.product_sweeps": 4, "results": 4,
+        },
+    ),
+    ("star-with-core", "hybrid-interval-sweep", 0): (
+        "9170e2fda5b4eed7", 32, {
+            "hi.core_pruned": 4, "hi.core_tuples": 18, "hi.recursions": 14, "results": 32,
+        },
+    ),
+    ("star-with-core", "hybrid-interval-sweep", 3): (
+        "4f53cda18c2baa0c", 0, {"hi.core_pruned": 2, "hi.core_tuples": 2, "results": 0},
+    ),
+    ("star-with-core", "hybrid-interval-sweep", 0.3): (
+        "1f65ff89e5fbcc18", 4, {
+            "hi.core_pruned": 8, "hi.core_tuples": 12, "hi.recursions": 4, "results": 4,
+        },
+    ),
+    ("triangle", "object", 0): ("35112450706aca75", 12, {"results": 12}),
+    ("triangle", "object", 3): ("4f53cda18c2baa0c", 0, {"results": 0}),
+    ("triangle", "object", 0.3): ("401c9e1ec7972cf6", 7, {"results": 7}),
+    ("triangle", "hybrid", 0): (
+        "217ca680d3d16f46", 12, {"hier.report_fragments": 12, "results": 12},
+    ),
+    ("triangle", "hybrid", 3): ("4f53cda18c2baa0c", 0, {"results": 0}),
+    ("triangle", "hybrid", 0.3): (
+        "8212e5ac6606fe44", 7, {"hier.report_fragments": 7, "results": 7},
+    ),
+}
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize(
+    "name,query,route",
+    [(name, query, route) for name, query, routes in CASES for route in routes],
+)
+def test_route_matches_recorded_rows(name, query, route, tau):
+    assert run_case(query, route, tau) == GOLDEN[name, route, tau]
+
+
+# ----------------------------------------------------------------------
+# Tie order: the first argument of max/min survives a tie.
+# ----------------------------------------------------------------------
+def test_interval_intersect_keeps_the_receiver_on_a_tie():
+    joint = Interval(1, 5).intersect(Interval(1.0, 5.0))
+    assert (repr(joint.lo), repr(joint.hi)) == ("1", "5")
+    joint = Interval(1.0, 5.0).intersect(Interval(1, 5))
+    assert (repr(joint.lo), repr(joint.hi)) == ("1.0", "5.0")
+
+
+def _tie_star():
+    # Both leaves tie on both endpoints; only the types differ.
+    query = JoinQuery.star(2)
+    rows = {"R1": [((1, 0), (1, 5))], "R2": [((2, 0), (1.0, 5.0))]}
+    return query, {
+        name: TemporalRelation(name, query.edge(name), rows[name])
+        for name in query.edge_names
+    }
+
+
+@pytest.mark.parametrize("route", ["kernel", "object", "timefirst-cm", "hybrid", "serve"])
+def test_report_tie_keeps_the_running_endpoint(route):
+    # R1's leaf comes first in the product, so its int endpoints survive
+    # the tie with R2's floats.
+    query, database = _tie_star()
+    rows = ROUTES[route](query, database, 0, None)
+    assert typed(rows) == [(("1", "0", "2"), "1", "5")]
+
+
+@pytest.mark.parametrize("route", ["object", "kernel", "hybrid"])
+def test_bag_tie_keeps_the_running_endpoint(route):
+    # One bag holds all three triangle edges; R1 and R2 tie on both
+    # endpoints, and R1's ints survive as they did with Interval.intersect.
+    query = TRIANGLE
+    intervals = {"R1": (1, 5), "R2": (1.0, 5.0), "R3": (0, 7)}
+    database = {
+        name: TemporalRelation(name, query.edge(name), [((0, 0), intervals[name])])
+        for name in query.edge_names
+    }
+    rows = ROUTES[route](query, database, 0, None)
+    assert typed(rows) == [(("0", "0", "0"), "1", "5")]
+
+
+def test_hybrid_interval_clip_tie_takes_the_core_endpoint():
+    # R1 is the core, [1.0, 5.0]. The residual pair R2 x R3 meets on
+    # [1, 6]; its hi is cut, so the clip takes max(1, 1.0) with the
+    # *core* endpoint surviving the tie, as the clip always did.
+    query = JoinQuery({"R1": ("y",), "R2": ("x1", "y"), "R3": ("x2", "y")})
+    database = {
+        "R1": TemporalRelation("R1", ("y",), [((0,), (1.0, 5.0))]),
+        "R2": TemporalRelation("R2", ("x1", "y"), [((1, 0), (1, 6))]),
+        "R3": TemporalRelation("R3", ("x2", "y"), [((2, 0), (0, 7))]),
+    }
+    expected = {0: ("1.0", "5.0"), 3: ("1.0", "5.0"), 0.3: ("0.9999999999999999", "5.0")}
+    for tau, (lo, hi) in expected.items():
+        rows = hybrid_interval_join(query, database, tau=tau)
+        assert typed(rows) == [(("0", "1", "2"), lo, hi)], tau
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: each one-pass step equals the two-pass composition.
+# ----------------------------------------------------------------------
+def _checked_product(self, node_id, binding):
+    """The REPORT product with checked :meth:`Interval.intersect`."""
+    combined = [({}, Interval.always())]
+    for child in self.tree.nodes[node_id].children:
+        child_fragments = self._report(child, binding)
+        if not child_fragments:
+            return []
+        new = []
+        for fragment, interval in combined:
+            for cfragment, clo, chi in child_fragments:
+                joint = interval.intersect(Interval(clo, chi))
+                if joint is not None:
+                    new.append(({**fragment, **cfragment}, joint))
+        combined = new
+        if not combined:
+            return []
+    return [(fragment, iv.lo, iv.hi) for fragment, iv in combined]
+
+
+@st.composite
+def instances(draw, queries):
+    """A query and a database drawn like :func:`instance`'s."""
+    query = draw(st.sampled_from(queries))
+    value = st.sampled_from((0, 1, 2, 0.0, 1.0, 2.0))
+    endpoint = st.sampled_from(ENDPOINTS)
+    database = {}
+    for name in query.edge_names:
+        attrs = query.edge(name)
+        rows = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=7))):
+            values = tuple(draw(value) for _ in attrs)
+            rows.setdefault(values, tuple(sorted((draw(endpoint), draw(endpoint)))))
+        database[name] = TemporalRelation(name, attrs, list(rows.items()))
+    return query, database
+
+
+taus = st.sampled_from(TAUS)
+HYPOTHESIS = settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@HYPOTHESIS
+@given(case=instances([STAR3, LINE3]), tau=taus)
+def test_inline_report_equals_checked_intersect(monkeypatch, case, tau):
+    query, database = case
+    routes = ("kernel", "object", "kernel-workers3", "batch", "hybrid", "serve")
+    fast = {route: typed(ROUTES[route](query, database, tau, None)) for route in routes}
+    with monkeypatch.context() as patch:
+        patch.setattr(HierarchicalState, "_product_of_children", _checked_product)
+        for route in routes:
+            assert typed(ROUTES[route](query, database, tau, None)) == fast[route], route
+
+
+@HYPOTHESIS
+@given(case=instances([STAR3, LINE3]), tau=taus)
+def test_deintern_expand_equals_two_passes(case, tau):
+    query, database = case
+    run_query, run_db = prepare_run(query, database, tau)
+    columns = build_columns(run_db)
+    out = kernel_sweep(run_query, columns, make_state(run_query, columns))
+    half = tau / 2 if tau else 0
+    one = deintern_expand(columns.domains, out, half)
+    two = deintern_results(columns.domains, out).expand_intervals(half)
+    assert one.attrs == two.attrs
+    assert exact(one) == exact(two)
+
+
+@HYPOTHESIS
+@given(
+    case=instances([LINE3, STAR_WITH_CORE]),
+    tau=taus,
+    strategy=st.sampled_from(["auto", "sweep"]),
+)
+def test_hybrid_interval_clip_equals_clip_then_expand(case, tau, strategy):
+    query, database = case
+    got = hybrid_interval_join(query, database, tau=tau, residual_strategy=strategy)
+    two_pass = hybrid_interval_join(
+        query, shrink_database(database, tau), residual_strategy=strategy
+    ).expand_intervals(tau / 2 if tau else 0)
+    assert typed(got) == typed(two_pass)
+
+
+@HYPOTHESIS
+@given(case=instances([STAR3, LINE3]), tau=taus)
+def test_kernel_route_equals_shrink_then_expand(case, tau):
+    query, database = case
+    got = temporal_join(query, database, tau, engine="kernel")
+    two_pass = temporal_join(
+        query, shrink_database(database, tau), engine="kernel"
+    ).expand_intervals(tau / 2 if tau else 0)
+    assert typed(got) == typed(two_pass)
