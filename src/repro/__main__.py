@@ -69,7 +69,8 @@ def main(argv=None) -> int:
     parser.add_argument("--algorithm", default=None,
                         help="run only this algorithm (default: all)")
     parser.add_argument("--workers", type=int, default=None, metavar="P",
-                        help="run each algorithm across P time shards via "
+                        help="run each algorithm across P shards (split by "
+                             "a key every relation shares, else by time) via "
                              "the parallel engine (default: serial)")
     parser.add_argument("--parallel-mode", default="process",
                         choices=["process", "inline"],
@@ -147,7 +148,7 @@ def main(argv=None) -> int:
         )
     if args.workers is not None:
         print(
-            f"Parallel: {args.workers} time shards "
+            f"Parallel: {args.workers} shards, by key or by time "
             f"({args.parallel_mode} mode, exactly-once merge)"
         )
     print()

@@ -447,10 +447,12 @@ def temporal_join(
         ``None`` (the default) no telemetry code runs.
     workers:
         ``None`` or ``1`` (default) runs the algorithm serially.
-        ``workers >= 2`` routes through the time-domain sharded engine of
+        ``workers >= 2`` routes through the sharded engine of
         :mod:`repro.parallel`: the same algorithm runs on ``workers``
-        endpoint-balanced time shards and the results are merged exactly
-        once — identical output up to row order.
+        shards — split by an attribute every relation shares where the
+        kernel engine runs, else by endpoint-balanced time cuts — and
+        the results are merged exactly once — identical output up to
+        row order.
     parallel_mode:
         ``"process"`` (spawn-based pool, the default) or ``"inline"``
         (same sharded execution inside the calling process, for
@@ -598,6 +600,9 @@ class ExplainAnalyze:
             f"results:    {len(self.result)}",
             f"wall time:  {self.seconds * 1e3:.3f} ms",
         ]
+        partition = self.stats.notes.get("parallel.partition")
+        if partition is not None:
+            head.append(f"partition:  {partition}")
         body = self.stats.render()
         sections = [
             "-- plan " + "-" * 32,

@@ -15,7 +15,9 @@ modules — exactly the protocol contracts the node rules cannot reach:
   closures and bound methods cannot cross the spawn pickle boundary;
 * :class:`OwnershipBeforeConcat` — shard-result rows must pass the
   right-endpoint ownership filter on every path before the exactly-once
-  merge concatenation (PR-2's no-dedup guarantee);
+  merge concatenation (the merge's no-dedup guarantee), unless the path has
+  established a key shard (``cuts is None``), whose results no other
+  shard derives;
 * :class:`StatsThreading` — a function holding a possibly-live ``stats``
   must forward it to every project callee that takes ``stats=``, so no
   counters silently vanish mid-pipeline.
@@ -279,13 +281,15 @@ class OwnershipBeforeConcat(ProjectRule):
     id = "ownership-before-concat"
     severity = "error"
     description = (
-        "shard results must pass the right-endpoint ownership filter on "
-        "every path before the exactly-once merge concatenation"
+        "shard results must pass the right-endpoint ownership filter, or "
+        "come from a key shard, on every path before the exactly-once "
+        "merge concatenation"
     )
     hint = (
         "filter rows with `owner(row_interval.hi) == shard` (or guard the "
-        "append on it) before handing them to the merge — the merge "
-        "concatenates without dedup (DESIGN: parallel execution, stage 4)"
+        "append on it) before handing them to the merge; only a key shard "
+        "(a branch on `cuts is None`) may skip it — the merge concatenates "
+        "without dedup (DESIGN: parallel execution, stages 1 and 4)"
     )
 
     def check_project(self, project: ProjectModel) -> List[Finding]:

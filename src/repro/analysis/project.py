@@ -291,6 +291,53 @@ def _is_filtered_expr(node: ast.AST) -> bool:
     return False
 
 
+def _key_shard_test(test: ast.AST) -> Optional[str]:
+    """``"is"``/``"isnot"`` when ``test`` compares a shard's ``cuts`` to None.
+
+    A shard task without time cuts is a key shard: the parent split the
+    rows on an attribute every relation shares, so no other shard can
+    derive any of its results and it needs no ownership filter.
+    """
+    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
+        return None
+    left, right = test.left, test.comparators[0]
+    if not (isinstance(right, ast.Constant) and right.value is None):
+        return None
+    name = left.id if isinstance(left, ast.Name) else getattr(left, "attr", None)
+    if name != "cuts":
+        return None
+    if isinstance(test.ops[0], ast.Is):
+        return "is"
+    if isinstance(test.ops[0], ast.IsNot):
+        return "isnot"
+    return None
+
+
+class _KeyShardGuard(Analysis):
+    """True iff every path here passed a ``cuts is None`` (key-shard) test.
+
+    Unlike :class:`_OwnershipGuard` this is per task, not per row, so a
+    loop iteration does not void it.
+    """
+
+    def initial(self):
+        return False
+
+    def join(self, a, b):
+        return a and b
+
+    def transfer(self, stmt, state):
+        return state
+
+    def refine(self, label, state):
+        if label is None:
+            return state
+        kind, test = label
+        if (_key_shard_test(test), kind) in (("is", "true"), ("isnot", "false")):
+            return True
+        return state
+
+
 class _OwnershipGuard(Analysis):
     """True iff an ownership check passed on every path since loop entry."""
 
@@ -396,11 +443,16 @@ def _appends_to(facts: _FunctionFacts, var: str) -> List[Tuple[ast.AST, ast.Call
 def _value_passes_ownership(
     facts: _FunctionFacts,
     guard_solution,
+    key_solution,
     node: ast.AST,
     at: ast.AST,
     depth: int = 0,
 ) -> bool:
-    """Does ``node`` (used at statement ``at``) carry only filtered rows?"""
+    """Does ``node`` (used at statement ``at``) carry only owned rows?
+
+    Owned means ownership-filtered, or bound only where a key-shard
+    test (``key_solution``) has passed.
+    """
     if depth > 3:
         return False
     if _is_filtered_expr(node):
@@ -416,6 +468,8 @@ def _value_passes_ownership(
                 return False
             if value is not None and _is_filtered_expr(value):
                 continue
+            if key_solution.before(stmt) is True:
+                continue
             if value is not None and isinstance(value, (ast.List, ast.Tuple)) and not value.elts:
                 pass  # empty init: appends decide below
             elif value is None and isinstance(stmt, ast.AnnAssign) and (
@@ -429,7 +483,11 @@ def _value_passes_ownership(
         # append into it must be filtered or ownership-guarded.
         for stmt, call in _appends_to(facts, node.id):
             arg = call.args[0]
-            if _value_passes_ownership(facts, guard_solution, arg, arg, depth + 1):
+            if _value_passes_ownership(
+                facts, guard_solution, key_solution, arg, arg, depth + 1
+            ):
+                continue
+            if key_solution.before(stmt) is True:
                 continue
             guarded = guard_solution.before(stmt)
             if guarded is not True:
@@ -791,8 +849,9 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
 
     facts = facts_for(func)
     guard = solve_forward(facts.cfg, _OwnershipGuard())
+    key_guard = solve_forward(facts.cfg, _KeyShardGuard())
     for value, anchor, label in sinks:
-        if not _value_passes_ownership(facts, guard, value, anchor):
+        if not _value_passes_ownership(facts, guard, key_guard, value, anchor):
             summary.ownership.append(
                 {
                     "line": anchor.lineno,
@@ -800,7 +859,8 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
                     "detail": (
                         f"{label} in {func.name}(): a shard-result value "
                         "reaches the exactly-once merge without passing the "
-                        "right-endpoint ownership filter on every path"
+                        "right-endpoint ownership filter or a key-shard "
+                        "(`cuts is None`) test on every path"
                     ),
                 }
             )

@@ -25,6 +25,7 @@ from .columns import (
     build_columns,
     deintern_expand,
     deintern_results,
+    key_shard_row_ids,
     shard_row_ids,
     shrink_columns,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "deintern_results",
     "kernel_sweep",
     "kernel_timefirst_join",
+    "key_shard_row_ids",
     "make_state",
     "prepare",
     "prepare_run",

@@ -45,8 +45,10 @@ object row.
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
+from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -163,11 +165,12 @@ class KernelColumns:
         Used to build shard payloads: each shard gets its own dense row
         ids, local endpoint ranks and pre-sorted event codes, while the
         de-intern ``domains`` tables are shared by reference (they are
-        read-only after construction). ``row_ids`` must be strictly
-        increasing — local row order then preserves the parent's event
-        ``seq`` tie-break order, which lets the local event codes be
-        *derived* from the parent's sorted stream (a filter under a
-        monotone remap) instead of re-sorted.
+        read-only after construction). ``row_ids`` (ints or an int64
+        array) must be strictly increasing — local row order then
+        preserves the parent's event ``seq`` tie-break order, which lets
+        the local event codes be *derived* from the parent's sorted
+        stream (a filter under a monotone remap) instead of re-sorted.
+        The derivation is int64 numpy work over the parent's arrays.
         """
         return self._subset(row_ids, self.relations)
 
@@ -197,19 +200,32 @@ class KernelColumns:
     def _subset(
         self, row_ids: Sequence[int], relations: Tuple[str, ...]
     ) -> "KernelColumns":
-        if any(b <= a for a, b in zip(row_ids, row_ids[1:])):
+        ids = np.asarray(row_ids, dtype=np.int64)
+        if ids.size > 1 and bool((ids[1:] <= ids[:-1]).any()):
             raise InvariantError(
                 "subset row_ids must be strictly increasing (parent seq order)"
             )
-        row_values = [self.row_values[r] for r in row_ids]
-        row_relation = [self.row_relation[r] for r in row_ids]
-        lo_ranks = [self.row_lo[r] for r in row_ids]
-        hi_ranks = [self.row_hi[r] for r in row_ids]
-        used = sorted(set(lo_ranks) | set(hi_ranks))
-        remap = {rank: local for local, rank in enumerate(used)}
-        rank_times = [self.rank_times[rank] for rank in used]
-        row_lo = array("q", (remap[r] for r in lo_ranks))
-        row_hi = array("q", (remap[r] for r in hi_ranks))
+        k = int(ids.size)
+        id_list = ids.tolist()
+        row_values = list(map(self.row_values.__getitem__, id_list))
+        row_relation = list(map(self.row_relation.__getitem__, id_list))
+        del id_list
+        lo = np.frombuffer(self.row_lo, dtype=np.int64)[ids]
+        hi = np.frombuffer(self.row_hi, dtype=np.int64)[ids]
+        # Local rank of every parent rank a kept row uses: the kept
+        # ranks, renumbered densely in parent order (a monotone remap).
+        used = np.zeros(len(self.rank_times), dtype=bool)
+        used[lo] = True
+        used[hi] = True
+        remap = np.cumsum(used, dtype=np.int64) - 1
+        kept_ranks = np.flatnonzero(used).tolist()
+        del used
+        rank_times = list(map(self.rank_times.__getitem__, kept_ranks))
+        del kept_ranks
+        row_lo = array("q", remap[lo].tobytes())
+        row_hi = array("q", remap[hi].tobytes())
+        del lo, hi
+        event_codes = self._derive_event_codes(ids, remap) if k else []
         return KernelColumns(
             relations=relations,
             row_relation=row_relation,
@@ -217,37 +233,35 @@ class KernelColumns:
             row_lo=row_lo,
             row_hi=row_hi,
             rank_times=rank_times,
-            event_codes=self._derive_event_codes(row_ids, remap),
+            event_codes=event_codes,
             domains=self.domains,
         )
 
-    def _derive_event_codes(
-        self, row_ids: Sequence[int], remap: Dict[int, int]
-    ) -> List[int]:
-        """Filter the parent's sorted event stream down to ``row_ids``.
+    def _derive_event_codes(self, ids: np.ndarray, remap: np.ndarray) -> List[int]:
+        """Filter the parent's sorted event stream down to rows ``ids``.
 
-        Both remaps are monotone — local ranks preserve parent rank
-        order, local row ids preserve parent row-id order (``row_ids``
-        ascending) — so the filtered stream is already sorted in the
-        local ``(rank, kind, row)`` code order. No sort happens here;
-        that is what keeps ``kernel.sort_calls`` at one per ingest.
+        ``remap`` maps each parent rank to its local rank. Both remaps
+        are monotone — local ranks preserve parent rank order, local row
+        ids preserve parent row-id order (``ids`` ascending) — so the
+        filtered stream is already sorted in the local ``(rank, kind,
+        row)`` code order. No sort happens here; that is what keeps
+        ``kernel.sort_calls`` at one per ingest. Local codes are bounded
+        by the parent's, so int64 holds them.
         """
-        k = len(row_ids)
-        if k == 0:
-            return []
         n = self.n_rows
-        local_of = {rid: local for local, rid in enumerate(row_ids)}
-        get = local_of.get
-        codes: List[int] = []
-        append = codes.append
-        for code in self.event_codes:
-            local = get(code % n)
-            if local is not None:
-                rank_kind = code // n  # parent rank * 2 + kind
-                append(
-                    ((remap[rank_kind >> 1] << 1) | (rank_kind & 1)) * k + local
-                )
-        return codes
+        k = int(ids.size)
+        local_of = np.full(n, -1, dtype=np.int64)
+        local_of[ids] = np.arange(k, dtype=np.int64)
+        codes = np.array(self.event_codes, dtype=np.int64)
+        local = local_of[codes % n]
+        del local_of
+        kept = local >= 0
+        rank_kind = codes[kept] // n  # parent rank * 2 + kind
+        del codes
+        local = local[kept]
+        del kept
+        local_codes = ((remap[rank_kind >> 1] << 1) | (rank_kind & 1)) * k + local
+        return local_codes.tolist()
 
     def timeline(self) -> Timeline:
         """Concurrency timeline straight from the sorted event arrays.
@@ -544,3 +558,66 @@ def shard_row_ids(
         for shard in range(first, last + 1):
             shards[shard].append(rid)
     return shards
+
+
+def key_shard_row_ids(
+    columns: KernelColumns,
+    positions: Mapping[str, int],
+    shards: int,
+) -> Optional[List[np.ndarray]]:
+    """Assign every row to one shard by its interned code of one attribute.
+
+    ``positions`` gives, per relation, where the key attribute sits in
+    that relation's rows. The attribute must occur in every relation of
+    the query: a join result then binds it to one value, so all of the
+    result's constituent rows share that value's shard and the shards
+    are disjoint in results — no row is copied.
+
+    A key's weight is its row count plus its output bound
+    ``Π_r rows_r(v)`` (with the key fixed, the results are a subset of
+    the product of the per-relation groups); keys are placed
+    largest-weight-first on the lightest shard (LPT). Returns ``None``
+    when one key holds more than ``1/shards`` of the rows, since no key
+    assignment can then balance the shards. Each shard's row ids
+    ascend, as :meth:`KernelColumns.subset` requires; with at least one
+    row, every shard is non-empty.
+    """
+    n = columns.n_rows
+    if n == 0:
+        return [np.empty(0, dtype=np.int64)]
+    keys = np.empty(n, dtype=np.int64)
+    blocks: List[Tuple[str, int, int]] = []
+    start = 0
+    # Rows of one relation are contiguous (ingest order).
+    for name, block in groupby(columns.row_relation):
+        count = sum(1 for _ in block)
+        keys[start:start + count] = np.fromiter(
+            map(itemgetter(positions[name]), columns.row_values[start:start + count]),
+            dtype=np.int64,
+            count=count,
+        )
+        blocks.append((name, start, start + count))
+        start += count
+    n_keys = int(keys.max()) + 1
+    # One row per relation of the query; an empty relation stays zero,
+    # which zeroes every key's output bound.
+    slot = {name: i for i, name in enumerate(positions)}
+    counts = np.zeros((len(slot), n_keys), dtype=np.int64)
+    for name, lo, hi in blocks:
+        counts[slot[name]] = np.bincount(keys[lo:hi], minlength=n_keys)
+    rows = counts.sum(axis=0)
+    if int(rows.max()) * shards > n:
+        return None
+    # float64: the product of group sizes can leave int64.
+    weight = rows + np.prod(counts.astype(np.float64), axis=0)
+    del counts
+    order = np.argsort(-weight, kind="stable")
+    order = order[rows[order] > 0]
+    shard_of = np.zeros(n_keys, dtype=np.int64)
+    loads = [(0.0, shard) for shard in range(shards)]
+    for key, w in zip(order.tolist(), weight[order].tolist()):
+        load, shard = heapq.heappop(loads)
+        shard_of[key] = shard
+        heapq.heappush(loads, (load + w, shard))
+    row_shard = shard_of[keys]
+    return [np.flatnonzero(row_shard == shard) for shard in range(shards)]

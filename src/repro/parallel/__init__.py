@@ -1,9 +1,10 @@
-"""Parallel execution engine: time-domain sharded sweeps, exactly-once merge.
+"""Parallel execution engine: key- or time-sharded sweeps, exactly-once merge.
 
-Runs any registered evaluation strategy across ``p`` contiguous time
-shards and reassembles the global result without deduplication. See
-``DESIGN.md`` ("Parallel execution") for the ownership rule and the
-boundary-replication argument; the entry point users normally reach is
+Runs any registered evaluation strategy across ``p`` shards — split by
+an attribute every relation shares when the kernel engine runs, else
+into contiguous time windows — and reassembles the global result
+without deduplication. See ``DESIGN.md`` ("Parallel execution") for the
+key-disjointness and ownership arguments; the entry point users normally reach is
 ``temporal_join(..., workers=p)`` in :mod:`repro.algorithms.registry`.
 """
 

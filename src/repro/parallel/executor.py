@@ -1,16 +1,25 @@
 """The parallel execution engine: shard, fan out, merge exactly once.
 
 :func:`parallel_temporal_join` runs *any* registered algorithm across
-``workers`` time shards:
+``workers`` shards:
 
-1. :func:`~repro.parallel.partition.partition_timeline` places
-   endpoint-balanced cuts;
-2. :func:`~repro.parallel.partition.shard_databases` replicates each
-   tuple into every shard its interval overlaps;
+1. on the kernel path, when one attribute occurs in every relation of
+   the run query, :func:`~repro.kernels.columns.key_shard_row_ids`
+   splits the rows by that attribute's value — shards that share no
+   join result, so nothing is copied and nothing is filtered;
+   otherwise :func:`~repro.parallel.partition.partition_timeline`
+   places endpoint-balanced time cuts;
+2. time shards replicate each tuple into every shard its interval
+   overlaps (:func:`~repro.parallel.partition.shard_databases`, or
+   :func:`~repro.kernels.columns.shard_row_ids` on the kernel path);
 3. each shard evaluates the unmodified serial algorithm
-   (:func:`~repro.parallel.worker.run_shard`) and keeps only the results
-   it owns under the exactly-once rule;
+   (:func:`~repro.parallel.worker.run_shard`); a time shard keeps only
+   the results it owns under the exactly-once rule;
 4. :func:`~repro.parallel.merge.merge_outcomes` concatenates.
+
+The ``parallel.partition`` note records the choice: ``key:<attr>``, or
+``time: <reason>`` (explicit cuts, no shared attribute, a heavy key, or
+the object engine).
 
 Execution modes
 ---------------
@@ -31,7 +40,7 @@ inline (a single shard needs no pool).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..core.errors import QueryError
 from ..core.interval import Number
@@ -73,7 +82,7 @@ def parallel_temporal_join(
     prepared=None,
     **kwargs,
 ) -> JoinResultSet:
-    """Evaluate a τ-durable temporal join across ``workers`` time shards.
+    """Evaluate a τ-durable temporal join across ``workers`` shards.
 
     Parameters mirror :func:`repro.algorithms.registry.temporal_join`
     plus the parallel knobs:
@@ -81,13 +90,14 @@ def parallel_temporal_join(
     workers:
         Requested shard/worker count. The effective shard count may be
         lower when the endpoint distribution does not admit that many
-        distinct cuts; ``stats`` reports it as ``parallel.shards``.
+        distinct time cuts; ``stats`` reports it as ``parallel.shards``.
     mode:
         ``"process"`` (spawn-based pool) or ``"inline"`` (sequential
         in-process execution of the same shard tasks).
     cuts:
-        Explicit interior cut points overriding the endpoint-balanced
-        partitioner — for experiments and boundary tests.
+        Explicit interior cut points: forces time shards and overrides
+        the endpoint-balanced partitioner — for experiments and boundary
+        tests.
     engine:
         As in :func:`~repro.algorithms.registry.temporal_join`. On the
         kernel path the parent interns the (shrunk, reduced) instance
@@ -101,7 +111,8 @@ def parallel_temporal_join(
 
     Returns the same :class:`JoinResultSet` (up to row order) as the
     serial ``temporal_join`` with the same arguments; the merge path
-    performs no deduplication, relying on the ownership rule.
+    performs no deduplication, relying on key-disjoint shards or the
+    ownership rule.
     """
     from ..algorithms.registry import (
         _check_engine,
@@ -126,20 +137,17 @@ def parallel_temporal_join(
         else:
             algorithm, _, kwargs = _resolve_auto(query, kwargs)
 
-    if cuts is not None:
-        partition = TimePartition(tuple(cuts))
-    else:
-        partition = partition_timeline(database, workers)
-
     used_engine, fallback_reason = _engine_decision(algorithm, engine, kwargs)
     if fallback_reason is not None and stats is not None:
         stats.note("kernel.fallback_reason", fallback_reason)
     if used_engine == "kernel":
-        tasks, replicated = _kernel_shard_tasks(
-            query, database, tau, algorithm, partition, stats,
+        tasks, replicated, choice = _kernel_shard_tasks(
+            query, database, tau, algorithm, workers, cuts, stats,
             prepared=prepared,
         )
     else:
+        choice = "time: explicit cuts" if cuts is not None else "time: object engine"
+        partition = _time_partition(database, workers, cuts)
         shard_dbs = shard_databases(database, partition)
         _, replicated = replication_factor(database, shard_dbs)
         tasks = [
@@ -156,6 +164,8 @@ def parallel_temporal_join(
             for i, shard_db in enumerate(shard_dbs)
         ]
 
+    if stats is not None:
+        stats.note("parallel.partition", choice)
     n_procs = min(workers, len(tasks))
     if mode == "process" and n_procs > 1:
         outcomes = _run_pool(tasks, n_procs, stats)
@@ -171,31 +181,59 @@ def parallel_temporal_join(
     )
 
 
+def _time_partition(
+    database: Mapping[str, TemporalRelation],
+    workers: int,
+    cuts: Optional[Sequence[Number]],
+) -> TimePartition:
+    """The caller's ``cuts``, else endpoint-balanced cuts of ``database``."""
+    if cuts is not None:
+        return TimePartition(tuple(cuts))
+    return partition_timeline(database, workers)
+
+
+def _key_attributes(query: JoinQuery) -> List[str]:
+    """Attributes occurring in every relation of ``query``, in output order."""
+    hypergraph = query.hypergraph
+    return [a for a in query.attrs if len(hypergraph.edges_of(a)) == len(hypergraph)]
+
+
 def _kernel_shard_tasks(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number,
     algorithm: str,
-    partition: TimePartition,
+    workers: int,
+    cuts: Optional[Sequence[Number]],
     stats: Optional[ExecutionStats],
     prepared=None,
 ):
     """Build kernel-engine shard tasks: interned columns, no object rows.
 
-    The instance is prepared (validated, τ/2-shrunk, reduced) and
-    interned *once* in the parent — or, with a
+    Returns ``(tasks, replicated, choice)``, ``choice`` being the
+    ``parallel.partition`` note. The instance is prepared (validated,
+    τ/2-shrunk, reduced) and interned *once* in the parent — or, with a
     :class:`~repro.kernels.prepared.PreparedDatabase`, not at all: the
     artifact's cached τ-view restricted to the query's relations stands
     in for the cold ``prepare_run`` + ``build_columns`` pair (queries
     needing the per-query r-hierarchical reduction take the cold branch
-    regardless). Each shard receives the column subset of every row
-    whose expanded (original) interval overlaps its window, re-ranked
-    locally with its own pre-sorted event codes. Assignment by expanded
-    intervals is what makes ownership exact: a result's endpoint owner
-    sees all of the result's constituent rows (their expanded intervals
-    each contain the expanded result endpoint).
+    regardless).
+
+    **Key shards** come first: when an attribute occurs in every
+    relation of the run query, rows are split by its interned code
+    (:func:`~repro.kernels.columns.key_shard_row_ids`). Every result
+    binds that attribute to one value, so each shard holds all of its
+    results' rows, no row is copied, and the tasks carry no cuts (no
+    ownership filter). **Time shards** are the fallback — no such
+    attribute, one key heavier than ``1/workers`` of the rows, or
+    explicit ``cuts``: each shard receives the column subset of every
+    row whose expanded (original) interval overlaps its window.
+    Assignment by expanded intervals is what makes ownership exact: a
+    result's endpoint owner sees all of the result's constituent rows
+    (their expanded intervals each contain the expanded result
+    endpoint).
     """
-    from ..kernels import build_columns, prepare_run, shard_row_ids
+    from ..kernels import build_columns, key_shard_row_ids, prepare_run, shard_row_ids
     from ..kernels.prepared import _record_reuse, needs_reduction
 
     if prepared is not None and not needs_reduction(query):
@@ -205,8 +243,29 @@ def _kernel_shard_tasks(
     else:
         run_query, run_db = prepare_run(query, database, tau, stats=stats)
         columns = build_columns(run_db, stats=stats)
-    assignments = shard_row_ids(columns, partition.cuts, tau)
-    replicated = sum(len(rids) for rids in assignments) - columns.n_rows
+
+    assignments = None
+    if cuts is not None:
+        choice = "time: explicit cuts"
+    else:
+        choice = "time: no shared attribute"
+        for attr in _key_attributes(run_query):
+            positions = {
+                name: run_query.edge(name).index(attr)
+                for name in run_query.edge_names
+            }
+            assignments = key_shard_row_ids(columns, positions, workers)
+            if assignments is not None:
+                choice = f"key:{attr}"
+                break
+            choice = "time: heavy key"
+    if assignments is not None:
+        shard_cuts = None
+        replicated = 0
+    else:
+        shard_cuts = _time_partition(database, workers, cuts).cuts
+        assignments = shard_row_ids(columns, shard_cuts, tau)
+        replicated = sum(len(rids) for rids in assignments) - columns.n_rows
     tasks = [
         ShardTask(
             shard=i,
@@ -214,14 +273,14 @@ def _kernel_shard_tasks(
             database=None,
             tau=tau,
             algorithm=algorithm,
-            cuts=partition.cuts,
+            cuts=shard_cuts,
             kwargs={},
             collect_stats=stats is not None,
             columns=columns.subset(rids),
         )
         for i, rids in enumerate(assignments)
     ]
-    return tasks, replicated
+    return tasks, replicated, choice
 
 
 def _run_pool(

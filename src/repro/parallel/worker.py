@@ -1,4 +1,4 @@
-"""Shard worker: runs one serial algorithm on one time shard.
+"""Shard worker: runs one serial algorithm on one shard.
 
 :func:`run_shard` is the function shipped to worker processes. It is a
 plain module-level function over picklable dataclasses, so it works
@@ -7,10 +7,11 @@ the child interpreter imports this module fresh and receives the task by
 pickle — nothing may depend on inherited parent state).
 
 The worker evaluates the *unmodified* registered algorithm on its shard
-sub-database, then applies the ownership filter: only results whose
-intersection interval ends inside the shard's owned range survive (see
-:mod:`repro.parallel.partition`). Everything else is a boundary
-duplicate that some neighbouring shard owns.
+sub-database, then, on a time shard, applies the ownership filter: only
+results whose intersection interval ends inside the shard's owned range
+survive (see :mod:`repro.parallel.partition`). Everything else is a
+boundary duplicate that some neighbouring shard owns. A key shard (no
+cuts) shares no result with any other shard and keeps all of its own.
 
 :func:`serve_pipe` is the loop a resident worker process runs: it
 receives ``(fn, task)`` pairs from :mod:`repro.parallel.pool` over one
@@ -51,7 +52,9 @@ class ShardTask:
     database: Optional[Dict[str, TemporalRelation]]
     tau: Number
     algorithm: str
-    cuts: Tuple[Number, ...]
+    #: Interior time cuts, or ``None`` for a key shard: its rows share no
+    #: join result with any other shard's, so it keeps every result.
+    cuts: Optional[Tuple[Number, ...]]
     kwargs: Dict = field(default_factory=dict)
     collect_stats: bool = False
     columns: Optional[object] = None  # repro.kernels.KernelColumns
@@ -106,12 +109,15 @@ class ShardOutcome:
 def run_shard(task: ShardTask) -> ShardOutcome:
     """Evaluate ``task`` and keep only the results this shard owns.
 
+    A time shard owns the results whose intersection interval ends in
+    its window; a key shard (``task.cuts is None``) owns all of its
+    results.
+
     The algorithm is resolved from the registry *inside* the worker —
     functions are looked up by name rather than pickled, which keeps the
     payload small and spawn-safe. Exceptions propagate; the pool in
     :mod:`repro.parallel.executor` re-raises them in the parent.
     """
-    partition = TimePartition(task.cuts)
     stats = ExecutionStats() if task.collect_stats else None
 
     start = time.perf_counter()
@@ -130,8 +136,11 @@ def run_shard(task: ShardTask) -> ShardOutcome:
     seconds = time.perf_counter() - start
 
     shard = task.shard
-    owner = partition.owner
-    owned = [row for row in result.rows if owner(row[1].hi) == shard]
+    if task.cuts is None:
+        owned = result.rows  # key shard: every result it derives is its own
+    else:
+        owner = TimePartition(task.cuts).owner
+        owned = [row for row in result.rows if owner(row[1].hi) == shard]
     return ShardOutcome(
         shard=shard,
         rows=owned,

@@ -322,6 +322,42 @@ class TestOwnershipBeforeConcat:
         })
         assert findings == []
 
+    KEY_SHARD = (
+        "def run_shard(task, result, owner):\n"
+        "    shard = task.shard\n"
+        "    if {test}:\n"
+        "        owned = {then}\n"
+        "    else:\n"
+        "        owned = {other}\n"
+        "    return ShardOutcome(shard=shard, rows=owned)\n"
+    )
+    FILTERED = "[row for row in result.rows if owner(row[1].hi) == shard]"
+
+    def _key_shard(self, test, then, other):
+        source = self.KEY_SHARD.format(test=test, then=then, other=other)
+        return _by_rule(
+            self._lint({self.WORKER: source}), "ownership-before-concat"
+        )
+
+    def test_key_shard_branch_passes(self):
+        """Rows of a task without cuts (a key shard) need no filter."""
+        assert self._key_shard("task.cuts is None", "result.rows", self.FILTERED) == []
+        assert self._key_shard("task.cuts is not None", self.FILTERED, "result.rows") == []
+
+    def test_unfiltered_rows_on_time_shard_branch_fire(self):
+        assert self._key_shard("task.cuts is not None", "result.rows", self.FILTERED)
+        assert self._key_shard("task.cuts is None", self.FILTERED, "result.rows")
+
+    def test_other_none_test_is_not_a_key_shard(self):
+        assert self._key_shard("task.columns is None", "result.rows", self.FILTERED)
+        assert self._key_shard("task.cuts == ()", "result.rows", self.FILTERED)
+
+    def test_real_worker_inverted_key_test_fires(self):
+        source = _read(self.WORKER)
+        mutated = source.replace("if task.cuts is None:", "if task.cuts is not None:")
+        assert mutated != source
+        assert _by_rule(self._lint({self.WORKER: mutated}), "ownership-before-concat")
+
     def test_inline_suppression_applies_to_flow_findings(self):
         """A span directive on the statement's first line silences the
         flow finding anchored to the multi-line ShardOutcome(...) call."""

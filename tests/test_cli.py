@@ -101,7 +101,7 @@ class TestCLIParallel:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "Parallel: 2 time shards" in out
+        assert "Parallel: 2 shards, by key or by time" in out
         assert "inline mode" in out
         assert "RESULT MISMATCH" not in out
 
@@ -115,6 +115,7 @@ class TestCLIParallel:
         out = capsys.readouterr().out
         assert "parallel.shards" in out
         assert "phase.parallel.shard00" in out
+        assert "time: no shared attribute" in out  # line3 keeps time cuts
 
     def test_invalid_workers_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -129,7 +130,7 @@ class TestCLIParallel:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "Parallel: 2 time shards" in out
+        assert "Parallel: 2 shards, by key or by time" in out
         assert "parallel.shards" in out
         assert "RESULT MISMATCH" not in out
 

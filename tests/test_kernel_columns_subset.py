@@ -9,9 +9,14 @@ intervals included — any strictly-increasing row-id subset must
 * de-intern identically to the parent (shared ``domains`` tables),
 * keep its derived event-code stream sorted, complete (two events per
   row) and equal in ``(time, kind, seq)`` order to a cold re-sort —
-  the no-resort derivation must be indistinguishable from sorting.
+  the no-resort derivation must be indistinguishable from sorting;
+* match, field for field and type for type, the per-row loop
+  derivation that the numpy slicer replaced (kept here as reference).
 """
 
+from array import array
+
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -152,6 +157,67 @@ def test_identity_subset_is_equivalent(drawn):
     assert sub.intervals() == columns.intervals()
     assert list(sub.row_lo) == list(columns.row_lo)
     assert list(sub.row_hi) == list(columns.row_hi)
+
+
+def _reference_subset(columns, row_ids):
+    """The per-row loop derivation the numpy ``_subset`` replaced."""
+    lo_ranks = [columns.row_lo[r] for r in row_ids]
+    hi_ranks = [columns.row_hi[r] for r in row_ids]
+    used = sorted(set(lo_ranks) | set(hi_ranks))
+    remap = {rank: local for local, rank in enumerate(used)}
+    k, n = len(row_ids), columns.n_rows
+    local_of = {rid: local for local, rid in enumerate(row_ids)}
+    codes = []
+    for code in columns.event_codes:
+        local = local_of.get(code % n)
+        if local is not None:
+            rank_kind = code // n
+            codes.append(
+                ((remap[rank_kind >> 1] << 1) | (rank_kind & 1)) * k + local
+            )
+    return {
+        "row_values": [columns.row_values[r] for r in row_ids],
+        "row_relation": [columns.row_relation[r] for r in row_ids],
+        "row_lo": array("q", (remap[r] for r in lo_ranks)),
+        "row_hi": array("q", (remap[r] for r in hi_ranks)),
+        "rank_times": [columns.rank_times[rank] for rank in used],
+        "event_codes": codes,
+    }
+
+
+def _assert_bit_identical(sub, want):
+    for name, value in want.items():
+        got = getattr(sub, name)
+        assert type(got) is type(value), name
+        assert got == value, name
+    # Same endpoint objects, so ``1`` and ``1.0`` keep their own types.
+    assert [type(t) for t in sub.rank_times] == [
+        type(t) for t in want["rank_times"]
+    ]
+    assert all(type(c) is int for c in sub.event_codes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=_columns_and_subset(), as_array=st.booleans())
+def test_subset_bit_identical_to_loop_reference(drawn, as_array):
+    """The numpy slicer reproduces the loop's codes, ranks and row order,
+    for list and int64-array row ids alike."""
+    columns, row_ids = drawn
+    ids = np.asarray(row_ids, dtype=np.int64) if as_array else row_ids
+    _assert_bit_identical(columns.subset(ids), _reference_subset(columns, row_ids))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=_columns_and_subset())
+def test_restrict_bit_identical_to_loop_reference(drawn):
+    columns, _ = drawn
+    for keep in (("R1",), ("R2",)):
+        row_ids = [
+            rid for rid in range(columns.n_rows) if columns.row_relation[rid] in keep
+        ]
+        sub = columns.restrict(keep)
+        assert sub.relations == keep
+        _assert_bit_identical(sub, _reference_subset(columns, row_ids))
 
 
 def test_non_increasing_row_ids_rejected():
