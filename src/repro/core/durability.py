@@ -34,6 +34,19 @@ from .result import JoinResultSet
 Database = Mapping[str, TemporalRelation]
 
 
+def check_threshold(tau: Number) -> None:
+    """Reject a durability threshold no shrink can apply: NaN or negative.
+
+    Every τ/2 shrink (:func:`shrink_database` here, and the rank-space
+    shrink of :mod:`repro.kernels.columns`) checks its amount with this
+    one function, so all of them fail with the same :class:`QueryError`.
+    """
+    if math.isnan(tau):
+        raise QueryError(f"durability threshold must not be NaN, got {tau}")
+    if tau < 0:
+        raise QueryError(f"durability threshold must be >= 0, got {tau}")
+
+
 def shrink_database(database: Database, tau: Number) -> Dict[str, TemporalRelation]:
     """Apply the τ/2 shrink to every relation (the τ-durable reduction).
 
@@ -41,10 +54,7 @@ def shrink_database(database: Database, tau: Number) -> Dict[str, TemporalRelati
     unchanged. With ``tau == 0`` the database is returned as-is (well,
     shallow-copied) because the shrink is the identity.
     """
-    if math.isnan(tau):
-        raise QueryError(f"durability threshold must not be NaN, got {tau}")
-    if tau < 0:
-        raise QueryError(f"durability threshold must be >= 0, got {tau}")
+    check_threshold(tau)
     if tau == 0:
         return dict(database)
     half = tau / 2

@@ -8,8 +8,9 @@ indistinguishable from the object path. See DESIGN.md §"Kernel layer".
 Layout:
 
 * :mod:`~repro.kernels.columns` — the only module that touches object
-  rows: interning, rank compression, the single per-call event sort,
-  de-interning, shard subsetting, timeline bridging.
+  rows: interning, rank compression, the τ/2 shrink in rank space, the
+  single per-call event sort, de-interning, shard subsetting, timeline
+  bridging.
 * :mod:`~repro.kernels.hierarchy` / :mod:`~repro.kernels.generic` —
   row-id driven sweep states (Theorem 6 / Theorem 9 structures).
 * :mod:`~repro.kernels.engine` — the τ-aware driver and the

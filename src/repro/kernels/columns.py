@@ -34,13 +34,21 @@ bundle once per ``temporal_join`` call — or once per *database* via
   sorted stream under a monotone rank/row remap instead of re-sorting,
   so the sort count stays at one however many queries sweep the same
   prepared columns.
+* **τ/2 shrink in rank space** — the cold τ > 0 route
+  (:func:`build_shrunk_columns`) and the prepared τ-views
+  (:func:`shrink_columns`) share :func:`_shrink_ranks`: the unshrunk
+  endpoints are ranked, ``lo + τ/2`` and ``hi - τ/2`` are computed once
+  per distinct rank, rows are remapped and dropped with int64 numpy
+  work, and only the cold route's surviving rows are interned. The
+  event codes are sorted once, after the shrink.
 
 Emission intervals are **not** pickled: :func:`build_columns` seeds the
 per-process cache behind :meth:`KernelColumns.intervals` with the ingest
-rows' own intervals, derived or unpickled columns rebuild theirs from
-``rank_times`` on demand, and the cache is excluded from pickling, so
-shard columns ship to spawn-based worker processes without a single
-object row.
+rows' own intervals; every other column set (shrunk, derived or
+unpickled) builds one interval per distinct ``(lo_rank, hi_rank)`` pair
+on demand and shares it between rows. The cache is excluded from
+pickling, so shard columns ship to spawn-based worker processes without
+a single object row.
 """
 
 from __future__ import annotations
@@ -48,18 +56,19 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from itertools import groupby
-from operator import itemgetter
+from itertools import compress, groupby
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.durability import check_threshold, shrink_database
 from ..core.errors import InvariantError
 from ..core.interval import Interval, Number
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..core.timeline import Timeline, timeline_from_sorted_events
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, ExecutionStats
 
 Domains = Dict[str, List[object]]
 
@@ -140,22 +149,34 @@ class KernelColumns:
         """Per-row emission intervals.
 
         Columns from :func:`build_columns` hold the ingest rows' own
-        intervals; others reconstruct them from rank space on first use.
-        ``rank_times`` round-trips endpoints exactly (it stores the
-        original values), so the reconstructed intervals are
-        value-identical to the source rows'. The list is cached per
-        process; the cache never travels in the pickle payload.
+        intervals; others reconstruct them from rank space on first use,
+        building one :class:`Interval` per distinct ``(lo_rank,
+        hi_rank)`` pair and sharing it between the rows that have that
+        pair (intervals are frozen, so sharing is safe). ``rank_times``
+        round-trips endpoints exactly (it stores the original values),
+        so the reconstructed intervals are value-identical to the source
+        rows'. The list is cached per process; the cache never travels
+        in the pickle payload.
         """
         cached = self._interval_cache
         if cached is None:
-            # Endpoints of validated intervals with lo rank <= hi rank:
-            # the checked constructor could only re-confirm that.
-            rank_times = self.rank_times
-            fast = Interval._fast
-            cached = [
-                fast(rank_times[lo], rank_times[hi])
-                for lo, hi in zip(self.row_lo, self.row_hi)
-            ]
+            cached = []
+            if self.n_rows:
+                rank_times = self.rank_times
+                n_ranks = len(rank_times)
+                # Pair key lo * n_ranks + hi < n_ranks ** 2 <= (2 * n) ** 2,
+                # well inside int64 wherever the event codes are.
+                keys = np.frombuffer(self.row_lo, dtype=np.int64) * n_ranks
+                keys += np.frombuffer(self.row_hi, dtype=np.int64)
+                pairs, which = np.unique(keys, return_inverse=True)
+                # Endpoints of validated intervals with lo rank <= hi
+                # rank: the checked constructor could only re-confirm it.
+                fast = Interval._fast
+                built = [
+                    fast(rank_times[key // n_ranks], rank_times[key % n_ranks])
+                    for key in pairs.tolist()
+                ]
+                cached = list(map(built.__getitem__, which.tolist()))
             self._interval_cache = cached
         return cached
 
@@ -284,6 +305,13 @@ class KernelColumns:
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 _getitem = list.__getitem__
+_lo_of = attrgetter("lo")
+_hi_of = attrgetter("hi")
+
+#: Endpoint types whose τ/2 images depend on the value alone: with a
+#: float ``half``, ``1 + half``, ``1.0 + half`` and ``True + half`` are
+#: one float, and the infinities (floats) are fixed points.
+_PLAIN_ENDPOINTS = frozenset({int, float, bool})
 
 #: Largest value an int64 event code may take.
 _INT64_MAX = (1 << 63) - 1
@@ -328,26 +356,148 @@ def build_columns(
     ``phase.kernel.intern`` / ``phase.kernel.rank`` timers, all nested
     under the object path's ``phase.events`` for comparability.
     """
-    if stats is None:
-        return _build(database, None)
-    with stats.timer("phase.events"):
-        return _build(database, stats)
+    tracer = NULL_TRACER if stats is None else stats
+    with tracer.timer("phase.events"):
+        row_intervals = _row_intervals(database)
+        with tracer.timer("phase.kernel.rank"):
+            ranks = _rank_endpoints(
+                list(map(_lo_of, row_intervals)), list(map(_hi_of, row_intervals))
+            )
+        columns = _ingest(
+            database,
+            ((name, database[name].attrs, database[name].rows) for name in database),
+            *ranks,
+            tracer,
+        )
+    # The ingest rows' own intervals are the emission intervals: seed
+    # this process's cache with them instead of rebuilding from ranks.
+    columns._interval_cache = row_intervals
+    return columns
 
 
-def _intern_columns(database, domains, row_relation, row_values, row_intervals):
-    """Intern ``database`` one attribute column at a time.
+def build_shrunk_columns(
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    stats: Optional[ExecutionStats] = None,
+) -> KernelColumns:
+    """``build_columns(shrink_database(database, tau))``, shrunk in rank space.
 
-    Each domain sees its values in (relation, row) order, exactly as a
-    row-by-row loop would, so codes and first-appearance order match it;
-    values that compare equal (``1``, ``1.0``, ``True``) share the slot of
-    the first one seen. Empty relations still register their domains.
+    The cold kernel route's ingest. Rather than build one shrunk
+    :class:`Interval` per row and intern the shrunk database, it ranks
+    the *unshrunk* endpoints, shrinks once per distinct endpoint
+    (:func:`_shrink_ranks`), drops the vanished rows in rank space, and
+    only then interns the surviving rows' values — so a dropped row
+    never supplies a domain representative, exactly as in the shrunk
+    database. Every field equals the object composition's: codes and
+    domains, row order, ``row_lo``/``row_hi``, ``rank_times`` values and
+    types, event codes. Emission intervals are built lazily by
+    :meth:`KernelColumns.intervals`, once per distinct endpoint pair.
+
+    Images computed once per distinct endpoint are exact when equal
+    endpoints have identical images, which holds for a float ``τ/2``
+    over ``int``/``float``/``bool`` endpoints (every finite image is the
+    same float, infinities are fixed points). Any other input — a
+    ``Fraction`` τ, numpy scalars as endpoints — takes the object shrink
+    (:func:`~repro.core.durability.shrink_database`), which computes
+    each row's own image.
+
+    ``stats`` records what :func:`build_columns` records for the shrunk
+    database, ``kernel.shrink_dropped`` (rows the shrink removed, for
+    ``tau > 0``) and the ``phase.shrink`` timer around the shrink.
     """
-    interners: Dict[str, Dict[object, int]] = {}
+    if tau == 0:
+        return build_columns(database, stats)
+    tracer = NULL_TRACER if stats is None else stats
+    with tracer.timer("phase.shrink"):
+        check_threshold(tau)
+        half = tau / 2
+        row_intervals = _row_intervals(database)
+        los = list(map(_lo_of, row_intervals))
+        his = list(map(_hi_of, row_intervals))
+        del row_intervals
+        plain = (
+            type(half) is float
+            and _PLAIN_ENDPOINTS.issuperset(map(type, los))
+            and _PLAIN_ENDPOINTS.issuperset(map(type, his))
+        )
+        if plain:
+            keep, *ranks = _shrink_ranks(*_rank_endpoints(los, his), half)
+        else:
+            shrunk_db = shrink_database(database, tau)
+    if plain:
+        with tracer.timer("phase.events"):
+            columns = _ingest(
+                database, _surviving_rows(database, keep.tolist()), *ranks, tracer
+            )
+    else:
+        columns = build_columns(shrunk_db, stats)
+    tracer.incr("kernel.shrink_dropped", len(los) - columns.n_rows)
+    return columns
+
+
+def _ingest(
+    database: Mapping[str, TemporalRelation],
+    relations,
+    rank_times: List[Number],
+    row_lo: array,
+    row_hi: array,
+    tracer,
+) -> KernelColumns:
+    """Intern ``relations`` and sort the event codes of ranked rows."""
+    with tracer.timer("phase.kernel.intern"):
+        domains, row_relation, row_values = _intern_columns(relations)
+    with tracer.timer("phase.kernel.rank"):
+        event_codes = _sorted_event_codes(row_lo, row_hi)
+    tracer.incr("kernel.rows", len(row_values))
+    tracer.incr("kernel.interned_values", sum(map(len, domains.values())))
+    tracer.incr("kernel.distinct_endpoints", len(rank_times))
+    tracer.incr("kernel.sort_calls")
+    return KernelColumns(
+        relations=tuple(database),
+        row_relation=row_relation,
+        row_values=row_values,
+        row_lo=row_lo,
+        row_hi=row_hi,
+        rank_times=rank_times,
+        event_codes=event_codes,
+        domains=domains,
+    )
+
+
+def _surviving_rows(database: Mapping[str, TemporalRelation], flags: List[bool]):
+    """``(name, attrs, rows)`` per relation, keeping rows whose flag is set."""
+    start = 0
     for name in database:
         relation = database[name]
-        tables = [interners.setdefault(a, {}) for a in relation.attrs]
-        rel_domains = [domains.setdefault(a, []) for a in relation.attrs]
-        rows = relation.rows
+        stop = start + len(relation.rows)
+        yield name, relation.attrs, list(compress(relation.rows, flags[start:stop]))
+        start = stop
+
+
+def _row_intervals(database: Mapping[str, TemporalRelation]) -> List[Interval]:
+    """Every row's interval, in database (row id) order."""
+    out: List[Interval] = []
+    for name in database:
+        out.extend(map(itemgetter(1), database[name].rows))
+    return out
+
+
+def _intern_columns(relations):
+    """Intern ``(name, attrs, rows)`` relations one attribute column at a time.
+
+    Returns ``(domains, row_relation, row_values)``. Each domain sees its
+    values in (relation, row) order, exactly as a row-by-row loop would,
+    so codes and first-appearance order match it; values that compare
+    equal (``1``, ``1.0``, ``True``) share the slot of the first one
+    seen. Empty relations still register their domains.
+    """
+    domains: Domains = {}
+    row_relation: List[str] = []
+    row_values: List[Tuple[int, ...]] = []
+    interners: Dict[str, Dict[object, int]] = {}
+    for name, attrs, rows in relations:
+        tables = [interners.setdefault(a, {}) for a in attrs]
+        rel_domains = [domains.setdefault(a, []) for a in attrs]
         if not rows:
             continue
         # Transpose with itemgetter rather than ``zip(*rows)``, which
@@ -361,13 +511,12 @@ def _intern_columns(database, domains, row_relation, row_values, row_intervals):
             domain.extend(fresh)
             code_columns.append(map(table.__getitem__, column))
         row_values.extend(zip(*code_columns))
-        row_intervals.extend(map(itemgetter(1), rows))
         row_relation.extend([name] * len(rows))
+    return domains, row_relation, row_values
 
 
-def _rank_endpoints(row_intervals):
-    los = [iv.lo for iv in row_intervals]
-    his = [iv.hi for iv in row_intervals]
+def _rank_endpoints(los: List[Number], his: List[Number]):
+    """``(rank_times, row_lo, row_hi)`` of the rows' endpoints."""
     # Interleaved so equal endpoints of different types (``5``/``5.0``)
     # keep the first-seen representative, row by row.
     endpoints = [None] * (2 * len(los))
@@ -378,48 +527,48 @@ def _rank_endpoints(row_intervals):
     return rank_times, array("q", map(rank_of, los)), array("q", map(rank_of, his))
 
 
-def _build(
-    database: Mapping[str, TemporalRelation],
-    stats: Optional[ExecutionStats],
-) -> KernelColumns:
-    domains: Domains = {}
-    row_relation: List[str] = []
-    row_values: List[Tuple[int, ...]] = []
-    row_intervals: List[Interval] = []
+def _shrink_ranks(
+    rank_times: List[Number], row_lo: array, row_hi: array, half: Number
+) -> Tuple[np.ndarray, List[Number], array, array]:
+    """The τ/2 shrink in rank space: arithmetic once per distinct endpoint.
 
-    if stats is None:
-        _intern_columns(database, domains, row_relation, row_values, row_intervals)
-        rank_times, row_lo, row_hi = _rank_endpoints(row_intervals)
-        event_codes = _sorted_event_codes(row_lo, row_hi)
-    else:
-        with stats.timer("phase.kernel.intern"):
-            _intern_columns(
-                database, domains, row_relation, row_values, row_intervals
-            )
-        with stats.timer("phase.kernel.rank"):
-            rank_times, row_lo, row_hi = _rank_endpoints(row_intervals)
-            event_codes = _sorted_event_codes(row_lo, row_hi)
-        stats.incr("kernel.rows", len(row_values))
-        stats.incr(
-            "kernel.interned_values", sum(len(d) for d in domains.values())
-        )
-        stats.incr("kernel.distinct_endpoints", len(rank_times))
-        stats.incr("kernel.sort_calls")
+    Computes ``t + half`` and ``t - half`` (infinite ``t`` fixed, as in
+    :meth:`TemporalRelation.shrink`) once per rank. Both images are
+    monotone in rank order, so sorting their concatenation is a merge
+    of two sorted runs; it compares Python numbers, not float64, so ints
+    above 2**53 stay exact. Rows are remapped with int64 ``take``, a row
+    whose new lo rank exceeds its new hi rank vanishes, and only images
+    a surviving row uses become ranks.
 
-    columns = KernelColumns(
-        relations=tuple(database),
-        row_relation=row_relation,
-        row_values=row_values,
-        row_lo=row_lo,
-        row_hi=row_hi,
-        rank_times=rank_times,
-        event_codes=event_codes,
-        domains=domains,
+    Returns ``(keep, rank_times, row_lo, row_hi)``: the boolean survivor
+    mask over the input rows, then the survivors' shrunk rank space.
+    """
+    isinf = math.isinf
+    lo_image = [t if isinf(t) else t + half for t in rank_times]
+    hi_image = [t if isinf(t) else t - half for t in rank_times]
+    merged = list(dict.fromkeys(sorted(lo_image + hi_image)))
+    rank_of = dict(zip(merged, range(len(merged)))).__getitem__
+    n_ranks = len(rank_times)
+    lo = np.fromiter(map(rank_of, lo_image), dtype=np.int64, count=n_ranks).take(
+        np.frombuffer(row_lo, dtype=np.int64)
     )
-    # The ingest rows' own intervals are the emission intervals: seed
-    # this process's cache with them instead of rebuilding from ranks.
-    columns._interval_cache = row_intervals
-    return columns
+    hi = np.fromiter(map(rank_of, hi_image), dtype=np.int64, count=n_ranks).take(
+        np.frombuffer(row_hi, dtype=np.int64)
+    )
+    keep = lo <= hi
+    lo = lo[keep]
+    hi = hi[keep]
+    used = np.zeros(len(merged), dtype=bool)
+    used[lo] = True
+    used[hi] = True
+    remap = np.cumsum(used, dtype=np.int64) - 1
+    kept_times = list(map(merged.__getitem__, np.flatnonzero(used).tolist()))
+    return (
+        keep,
+        kept_times,
+        array("q", remap.take(lo).tobytes()),
+        array("q", remap.take(hi).tobytes()),
+    )
 
 
 def shrink_columns(
@@ -429,49 +578,37 @@ def shrink_columns(
 ) -> KernelColumns:
     """Derive the τ/2-shrunk columns of ``columns`` — in rank space.
 
-    Mirrors :func:`repro.core.durability.shrink_database` exactly —
-    ``lo + τ/2`` / ``hi - τ/2`` with infinite endpoints as fixed points,
-    rows whose shrunk interval vanishes dropped (in row order, so the
-    survivors keep the event ``seq`` tie-break order of the equivalent
-    shrunk database) — without materialising a single object row. The
-    shrunk endpoints are new values, so this is the one derivation that
-    must re-rank and re-sort (counted in ``kernel.sort_calls``); the
-    prepared engine caches the result per τ.
+    The prepared engine's τ-view: the same :func:`_shrink_ranks` as the
+    cold route, so rows, their order, ``row_lo``/``row_hi``,
+    ``rank_times`` and the event codes equal those of
+    ``build_columns(shrink_database(database, tau))``. Two differences
+    are inherent to starting from columns: images are taken from each
+    rank's representative, and the view keeps the base columns' interned
+    codes and ``domains`` (values seen only in dropped rows keep their
+    slots), which de-intern to the same values. The shrunk endpoints are
+    new values, so the view sorts its own event codes — one
+    ``kernel.sort_calls`` per τ, cached by the prepared engine. A NaN or
+    negative ``tau`` raises :class:`~repro.core.errors.QueryError`.
     """
-    if tau == 0:
-        return columns
-    half = tau / 2
-    rank_times = columns.rank_times
-    isinf = math.isinf
-    keep: List[int] = []
-    los: List[Number] = []
-    his: List[Number] = []
-    for rid in range(columns.n_rows):
-        lo = rank_times[columns.row_lo[rid]]
-        hi = rank_times[columns.row_hi[rid]]
-        if not isinf(lo):
-            lo = lo + half
-        if not isinf(hi):
-            hi = hi - half
-        if lo > hi:
-            continue
-        keep.append(rid)
-        los.append(lo)
-        his.append(hi)
-    new_times = sorted(set(los) | set(his))
-    rank_of = {t: rank for rank, t in enumerate(new_times)}
-    row_lo = array("q", (rank_of[t] for t in los))
-    row_hi = array("q", (rank_of[t] for t in his))
+    tracer = NULL_TRACER if stats is None else stats
+    with tracer.timer("phase.shrink"):
+        check_threshold(tau)
+        if tau == 0:
+            return columns
+        keep, rank_times, row_lo, row_hi = _shrink_ranks(
+            columns.rank_times, columns.row_lo, columns.row_hi, tau / 2
+        )
+    flags = keep.tolist()
     event_codes = _sorted_event_codes(row_lo, row_hi)
-    if stats is not None:
-        stats.incr("kernel.sort_calls")
+    tracer.incr("kernel.sort_calls")
+    tracer.incr("kernel.shrink_dropped", columns.n_rows - len(row_lo))
     return KernelColumns(
         relations=columns.relations,
-        row_relation=[columns.row_relation[r] for r in keep],
-        row_values=[columns.row_values[r] for r in keep],
+        row_relation=list(compress(columns.row_relation, flags)),
+        row_values=list(compress(columns.row_values, flags)),
         row_lo=row_lo,
         row_hi=row_hi,
-        rank_times=new_times,
+        rank_times=rank_times,
         event_codes=event_codes,
         domains=columns.domains,
     )
@@ -536,7 +673,7 @@ def shard_row_ids(
     """Assign every row to the shards its *original* interval overlaps.
 
     The columns hold τ/2-shrunk intervals (the kernel driver shrinks
-    before interning); ownership in :mod:`repro.parallel` is evaluated
+    while building them); ownership in :mod:`repro.parallel` is evaluated
     on *expanded* result intervals, so assignment must expand each row
     interval back by τ/2 first — a result's every constituent then
     reaches the shard that owns the result's endpoint. Infinite

@@ -4,9 +4,11 @@
 :func:`repro.algorithms.timefirst.timefirst_join` step for step —
 validate, τ/2-shrink, r-hierarchical reduction, state selection, sweep,
 τ/2-expand — but runs on :class:`~repro.kernels.columns.KernelColumns`:
-the event stream is flattened and sorted exactly once per call into int
-codes, the dynamic structure is keyed on interned ints, and one pass at
-emission de-interns the results and widens their intervals back by τ/2.
+the τ/2 shrink happens in rank space, once per distinct endpoint (object
+rows are shrunk only for the r-hierarchical reduction), the event stream
+is flattened and sorted exactly once per call into int codes, the
+dynamic structure is keyed on interned ints, and one pass at emission
+de-interns the results and widens their intervals back by τ/2.
 Output equality with the object path (normalized row sets, ``sweep.*`` /
 ``hier.*`` / ``ghd.*`` counters, ``phase.sweep`` timer) is the
 correctness contract, pinned by the hypothesis equivalence suite.
@@ -23,7 +25,12 @@ from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
-from .columns import KernelColumns, build_columns, deintern_expand
+from .columns import (
+    KernelColumns,
+    build_columns,
+    build_shrunk_columns,
+    deintern_expand,
+)
 
 #: Algorithms with a kernel fast path. Every other registered algorithm
 #: silently ignores ``engine="kernel"`` (the dispatch layer strips the
@@ -36,6 +43,16 @@ def supports_kernel(algorithm: str) -> bool:
     return algorithm in KERNEL_ALGORITHMS
 
 
+def needs_reduction(query: JoinQuery) -> bool:
+    """True iff TIMEFIRST on ``query`` rewrites the *instance* first.
+
+    Merely-r-hierarchical queries go through the footnote-2 reduction,
+    which drops rows per query: such a query shrinks and reduces object
+    rows (:func:`prepare_run`), and cannot share prepared columns.
+    """
+    return (not query.is_hierarchical) and query.is_r_hierarchical
+
+
 def prepare_run(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
@@ -45,9 +62,9 @@ def prepare_run(
     """Validate, τ/2-shrink and (if r-hierarchical) reduce the instance.
 
     Returns the (query, database) pair the sweep actually runs on — the
-    same pair the object path's ``timefirst_join`` would construct. The
-    parallel executor calls this before interning so shard columns are
-    built from the final run instance.
+    same pair the object path's ``timefirst_join`` would construct.
+    :func:`cold_columns` calls it for queries that need the reduction,
+    which reads shrunk object rows.
     """
     from ..core.classification import reduce_instance
 
@@ -57,7 +74,7 @@ def prepare_run(
     else:
         with stats.timer("phase.shrink"):
             db = shrink_database(database, tau)
-    if query.is_hierarchical or not query.is_r_hierarchical:
+    if not needs_reduction(query):
         return query, db
     reduced_hg, reduced_db = reduce_instance(query.hypergraph, db)
     # Keep the original output attribute order: reduction never removes
@@ -67,6 +84,27 @@ def prepare_run(
         attr_order=query.attrs,
     )
     return run_query, reduced_db
+
+
+def cold_columns(
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    tau: Number = 0,
+    stats: Optional[ExecutionStats] = None,
+) -> Tuple[JoinQuery, KernelColumns]:
+    """The run query and its columns for a kernel call without prepared columns.
+
+    Validates ``query`` against ``database`` and τ/2-shrinks in rank
+    space (:func:`~repro.kernels.columns.build_shrunk_columns`). A query
+    that needs the r-hierarchical instance reduction shrinks and reduces
+    object rows instead (:func:`prepare_run`), since the reduction reads
+    the shrunk rows.
+    """
+    if needs_reduction(query):
+        run_query, run_db = prepare_run(query, database, tau, stats=stats)
+        return run_query, build_columns(run_db, stats=stats)
+    query.validate(database)
+    return query, build_shrunk_columns(database, tau, stats=stats)
 
 
 def make_state(
@@ -138,8 +176,7 @@ def kernel_timefirst_join(
     ``state_factory``, which forces the object engine): same counters,
     same normalized results, one event sort per call.
     """
-    run_query, run_db = prepare_run(query, database, tau, stats=stats)
-    columns = build_columns(run_db, stats=stats)
+    run_query, columns = cold_columns(query, database, tau, stats=stats)
     state = make_state(run_query, columns, stats=stats)
     result = kernel_sweep(run_query, columns, state, stats=stats)
     if tuple(result.attrs) != tuple(query.attrs):  # pragma: no cover - defensive

@@ -55,19 +55,9 @@ from .columns import (
     deintern_expand,
     shrink_columns,
 )
-from .engine import kernel_sweep, make_state
+from .engine import kernel_sweep, make_state, needs_reduction
 
 Database = Mapping[str, TemporalRelation]
-
-
-def needs_reduction(query: JoinQuery) -> bool:
-    """True iff TIMEFIRST on ``query`` rewrites the *instance* first.
-
-    Merely-r-hierarchical queries go through the footnote-2 reduction,
-    which drops rows per query — incompatible with sharing one prepared
-    column set across a fleet, so such queries take the cold path.
-    """
-    return (not query.is_hierarchical) and query.is_r_hierarchical
 
 
 class PreparedDatabase:

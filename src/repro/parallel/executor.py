@@ -212,12 +212,12 @@ def _kernel_shard_tasks(
 
     Returns ``(tasks, replicated, choice)``, ``choice`` being the
     ``parallel.partition`` note. The instance is prepared (validated,
-    τ/2-shrunk, reduced) and interned *once* in the parent — or, with a
+    τ/2-shrunk in rank space, reduced) and interned *once* in the parent
+    by :func:`~repro.kernels.engine.cold_columns` — or, with a
     :class:`~repro.kernels.prepared.PreparedDatabase`, not at all: the
     artifact's cached τ-view restricted to the query's relations stands
-    in for the cold ``prepare_run`` + ``build_columns`` pair (queries
-    needing the per-query r-hierarchical reduction take the cold branch
-    regardless).
+    in for it (queries needing the per-query r-hierarchical reduction
+    take the cold branch regardless).
 
     **Key shards** come first: when an attribute occurs in every
     relation of the run query, rows are split by its interned code
@@ -233,16 +233,16 @@ def _kernel_shard_tasks(
     (their expanded intervals each contain the expanded result
     endpoint).
     """
-    from ..kernels import build_columns, key_shard_row_ids, prepare_run, shard_row_ids
-    from ..kernels.prepared import _record_reuse, needs_reduction
+    from ..kernels import key_shard_row_ids, shard_row_ids
+    from ..kernels.engine import cold_columns, needs_reduction
+    from ..kernels.prepared import _record_reuse
 
     if prepared is not None and not needs_reduction(query):
         run_query = query
         columns = prepared.columns_for(query, tau, stats=stats)
         _record_reuse(prepared, columns, stats)
     else:
-        run_query, run_db = prepare_run(query, database, tau, stats=stats)
-        columns = build_columns(run_db, stats=stats)
+        run_query, columns = cold_columns(query, database, tau, stats=stats)
 
     assignments = None
     if cuts is not None:
