@@ -29,6 +29,7 @@ from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GHD, fhtw_ghd, trivial_ghd
 from ..nontemporal.yannakakis import yannakakis
 from ..obs import ExecutionStats
+from .hierarchical import duplicate_tuple
 
 Values = Tuple[object, ...]
 
@@ -115,7 +116,12 @@ class GenericGHDState:
     # SweepState interface
     # ------------------------------------------------------------------
     def insert(self, relation: str, values: Values, interval: Interval) -> None:
-        self._active[relation][values] = interval
+        active = self._active[relation]
+        if values in active:
+            # An overwrite would lose the first tuple's interval and fail
+            # its expiry later.
+            raise duplicate_tuple(relation, values)
+        active[values] = interval
         index = self._attr_index[relation]
         for attr, value in zip(self._edge_attrs[relation], values):
             index[attr].setdefault(value, set()).add(values)

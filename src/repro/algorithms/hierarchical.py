@@ -24,15 +24,20 @@ Implementation notes
   that are Cartesian-combined at internal nodes. Every recursive call is
   guaranteed at least one output, which yields the O(K(a)) enumeration
   bound.
-* Fragments carry their interval as two plain endpoints, intersected
-  inline, so the only :class:`Interval` REPORT builds is the one per
-  emitted result row.
+* REPORT is compiled once per relation leaf, on the leaf's first emit,
+  into closures over the node states (:meth:`HierarchicalState._compile`).
+  Fragments are value tuples in a fixed per-node attribute order and
+  carry their interval as two plain endpoints, intersected inline; each
+  result row is one positional getter over the path values and the
+  root's fragment, with the one :class:`Interval` REPORT builds for it.
+  A kernel state can compile the same programs to decode interned values
+  and undo the τ/2 shrink as they emit (:mod:`repro.kernels.hierarchy`).
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.classification import AttributeTree
 from ..core.errors import QueryError
@@ -42,12 +47,19 @@ from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
 
 Values = Tuple[object, ...]
-#: ``(newly bound attrs, lo, hi)``: a partial result and its interval.
-Fragment = Tuple[Dict[str, object], Number, Number]
+#: ``(values, lo, hi)``: the values a subtree binds, in the node's
+#: attribute order, and the interval of that partial result.
+Fragment = Tuple[Values, Number, Number]
+#: A compiled subtree REPORT: ``report(pv, key) -> fragments``.
+Report = Callable[[Values, Values], List[Fragment]]
+#: A compiled leaf REPORT: ``program(pv, out)`` appends the results.
+Program = Callable[[Values, JoinResultSet], None]
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
-_fast = Interval._fast
+_new = object.__new__
+_put = object.__setattr__
+_getitem = list.__getitem__
 
 
 def tuple_getter(keys: Sequence) -> Callable[..., Values]:
@@ -56,6 +68,15 @@ def tuple_getter(keys: Sequence) -> Callable[..., Values]:
         key = keys[0]
         return lambda values: (values[key],)
     return itemgetter(*keys) if keys else (lambda values: ())
+
+
+def duplicate_tuple(relation: str, values: Values) -> QueryError:
+    """The error for a tuple inserted while an equal one is still active."""
+    return QueryError(
+        f"duplicate active tuple {tuple(values)} in relation {relation!r}; "
+        "the temporal model requires distinct tuples (see IntervalSet/"
+        "explode_interval_sets for multi-interval data)"
+    )
 
 
 class _NodeState:
@@ -117,9 +138,13 @@ class HierarchicalState:
             path = nodes[leaf].path_attrs
             pos = {a: i for i, a in enumerate(eattrs)}
             self._perm[name] = tuple(pos[a] for a in path)
-        # Output row from a {attr: value} dict, in query.attrs order.
-        self._row_of = tuple_getter(query.attrs)
         self._stats = stats
+        # Compiled REPORT per leaf id, built on the leaf's first emit.
+        self._programs: List[Optional[Program]] = [None] * len(nodes)
+        # Emission mode of the programs: decode values through these
+        # domains and widen intervals by this amount (kernel final rows).
+        self._decode: Optional[Mapping[str, List[object]]] = None
+        self._half: Number = 0
 
     # ------------------------------------------------------------------
     # INSERT / DELETE with upward propagation
@@ -144,12 +169,7 @@ class HierarchicalState:
             if pv in bucket:
                 # The model requires distinct tuples per relation; a silent
                 # overwrite here would corrupt the delete bookkeeping.
-                raise QueryError(
-                    f"duplicate active tuple {pv} in relation {relation!r}; "
-                    "the temporal model requires distinct tuples "
-                    "(see IntervalSet/explode_interval_sets for "
-                    "multi-interval data)"
-                )
+                raise duplicate_tuple(relation, values)
             bucket[pv] = interval
 
     def delete(self, relation: str, values: Values, interval: Interval) -> None:
@@ -233,80 +253,184 @@ class HierarchicalState:
             if state.support.get(key, 0) != self._nchildren[node_id]:
                 return
             node_id = self.tree.nodes[node_id].parent
-        # Algorithm 3 from the root.
-        binding: Dict[str, object] = {}
-        leaf_path = self.tree.nodes[leaf].path_attrs
-        for attr, value in zip(leaf_path, pv):
-            binding[attr] = value
-        fragments = self._report(self.tree.root.node_id, binding)
-        if self._stats is not None:
-            self._stats.incr("hier.report_fragments", len(fragments))
-        row_of = self._row_of
-        append = out.append
-        for fragment, lo, hi in fragments:
-            append(row_of({**binding, **fragment}), _fast(lo, hi))
+        program = self._programs[leaf]
+        if program is None:
+            program = self._programs[leaf] = self._compile(leaf)
+        program(pv, out)
 
-    def _report(self, node_id: int, binding: Dict[str, object]) -> List[Fragment]:
-        """Lemma 4: join results of the subtree, compatible with ``binding``.
+    def _compile(self, leaf: int) -> Program:
+        """Algorithm 3 from the root, compiled for tuples of one leaf.
 
-        Returns fragments ``(newly bound attrs, lo, hi)``; ``[lo, hi]``
-        is the intersection of the intervals of all leaf tuples used in
-        the fragment.
+        Which case of Lemma 4 applies at a node depends only on the leaf:
+        the root and the leaf's ancestors are bound by the leaf's path
+        values (case 2, a product of the children), every other attribute
+        node extends the partial result by its members (case 3). So the
+        program holds one closure per node and no binding: a node's group
+        key is a prefix of the path values on the leaf's root path, and
+        the member tuple below a case-3 node.
+
+        The program appends each result row with its interval: values
+        decoded through ``self._decode`` and endpoints widened by
+        ``self._half`` when those are set (kernel routes that emit final
+        rows), else as stored in the state.
+        """
+        nodes = self.tree.nodes
+        on_path = set()
+        node_id: Optional[int] = leaf
+        while node_id is not None:
+            on_path.add(node_id)
+            node_id = nodes[node_id].parent
+        report, fragment_attrs = self._compile_node(self.tree.root.node_id, leaf, on_path)
+        path = nodes[leaf].path_attrs
+        position = {attr: i for i, attr in enumerate(path + fragment_attrs)}
+        row_of = tuple_getter([position[attr] for attr in self.query.attrs])
+        domains = self._decode
+        if domains is None:
+            bound_of: Callable[[Values], Values] = _same
+        else:
+            tables = [domains[attr] for attr in path]
+            bound_of = lambda pv: tuple(map(_getitem, tables, pv))  # noqa: E731
+        stats = self._stats
+        half = self._half
+
+        if not half:
+            def program(pv: Values, out: JoinResultSet) -> None:
+                fragments = report(pv, ())
+                if stats is not None:
+                    stats.incr("hier.report_fragments", len(fragments))
+                if not fragments:
+                    return
+                bound = bound_of(pv)
+                append = out.rows.append
+                for fragment, lo, hi in fragments:
+                    # Interval._fast inlined: lo <= hi holds by REPORT.
+                    interval = _new(Interval)
+                    _put(interval, "lo", lo)
+                    _put(interval, "hi", hi)
+                    append((row_of(bound + fragment), interval))
+
+            return program
+
+        def widening_program(pv: Values, out: JoinResultSet) -> None:
+            fragments = report(pv, ())
+            if stats is not None:
+                stats.incr("hier.report_fragments", len(fragments))
+            if not fragments:
+                return
+            bound = bound_of(pv)
+            append = out.rows.append
+            for fragment, lo, hi in fragments:
+                # JoinResultSet.expand_intervals' arithmetic: infinite
+                # endpoints are fixed points, and widening keeps lo <= hi.
+                if lo > _NEG_INF:
+                    lo = lo - half
+                if hi < _POS_INF:
+                    hi = hi + half
+                interval = _new(Interval)
+                _put(interval, "lo", lo)
+                _put(interval, "hi", hi)
+                append((row_of(bound + fragment), interval))
+
+        return widening_program
+
+    def _compile_node(
+        self, node_id: int, leaf: int, on_path: Set[int]
+    ) -> Tuple[Report, Tuple[str, ...]]:
+        """Lemma 4 for the subtree of ``node_id``, as ``report(pv, key)``.
+
+        ``key`` is the parent's ``V`` tuple. The closure returns fragments
+        ``(values, lo, hi)``: the values of the attributes the subtree
+        binds, in the order returned next to the closure, and the
+        intersection ``[lo, hi]`` of the intervals of the leaf tuples used.
         """
         node = self.tree.nodes[node_id]
         state = self._state[node_id]
+        domains = self._decode
 
         if node.is_leaf:
-            glen = self._parent_path_len[node_id]
-            path = node.path_attrs
-            if node.attr is None or node.attr in binding:
-                # Fully bound: exact lookup (semi-join with a single row).
-                key = tuple(binding[a] for a in path)
-                bucket = state.groups.get(key[:glen])
-                if bucket is None:
-                    return []
-                hit = bucket.get(key)
-                return [] if hit is None else [({}, hit.lo, hit.hi)]
-            gkey = tuple(binding[a] for a in path[:glen])
-            bucket = state.groups.get(gkey)
-            if bucket is None:
+            groups = state.groups
+            if node_id == leaf:
+                # The expiring tuple's own leaf: an exact lookup.
+                def own(pv: Values, key: Values) -> List[Fragment]:
+                    bucket = groups.get(key)
+                    hit = None if bucket is None else bucket.get(pv)
+                    return [] if hit is None else [((), hit.lo, hit.hi)]
+
+                return own, ()
+            if node.attr is None:
+                # A relation leaf below its deepest attribute: V_w is the
+                # parent's V, so ``key`` binds it fully.
+                def bound(pv: Values, key: Values) -> List[Fragment]:
+                    bucket = groups.get(key)
+                    hit = None if bucket is None else bucket.get(key)
+                    return [] if hit is None else [((), hit.lo, hit.hi)]
+
+                return bound, ()
+            if domains is None:
+                def extend(pv: Values, key: Values) -> List[Fragment]:
+                    bucket = groups.get(key)
+                    if bucket is None:
+                        return []
+                    return [((v[-1],), i.lo, i.hi) for v, i in bucket.items()]
+            else:
+                table = domains[node.attr]
+
+                def extend(pv: Values, key: Values) -> List[Fragment]:
+                    bucket = groups.get(key)
+                    if bucket is None:
+                        return []
+                    return [((table[v[-1]],), i.lo, i.hi) for v, i in bucket.items()]
+
+            return extend, (node.attr,)
+
+        compiled = [self._compile_node(child, leaf, on_path) for child in node.children]
+        product = _product([report for report, _ in compiled])
+        attrs = tuple(attr for _, child_attrs in compiled for attr in child_attrs)
+
+        if node_id in on_path:
+            # Case 2: V_u is bound by the path values -- product of children.
+            vlen = self._path_len[node_id]
+            return (lambda pv, key: product(pv, pv[:vlen])), attrs
+
+        # Case 3: extend the partial result by every member of the group.
+        members_of = state.members
+        if domains is None:
+            value_of: Callable[[Values], object] = itemgetter(-1)
+        else:
+            table = domains[node.attr]
+            value_of = lambda member: table[member[-1]]  # noqa: E731
+
+        def members(pv: Values, key: Values) -> List[Fragment]:
+            group = members_of.get(key)
+            if not group:
                 return []
-            attr = node.attr
-            return [({attr: pv[-1]}, ivl.lo, ivl.hi) for pv, ivl in bucket.items()]
+            results: List[Fragment] = []
+            append = results.append
+            for member in list(group):
+                value = (value_of(member),)
+                for fragment, lo, hi in product(pv, member):
+                    append((fragment + value, lo, hi))
+            return results
 
-        if node.attr is None or node.attr in binding:
-            # Case 2: V_u ⊆ supp(binding) — Cartesian product of children.
-            return self._product_of_children(node_id, binding)
+        return members, attrs + (node.attr,)
 
-        # Case 3: extend binding with every member of the matching group.
-        glen = self._parent_path_len[node_id]
-        gkey = tuple(binding[a] for a in node.path_attrs[:glen])
-        members = state.members.get(gkey)
-        if not members:
-            return []
-        attr = node.attr
-        results: List[Fragment] = []
-        for member in list(members):
-            value = member[-1]
-            binding[attr] = value
-            for fragment, lo, hi in self._product_of_children(node_id, binding):
-                results.append(({**fragment, attr: value}, lo, hi))
-            del binding[attr]
-        return results
 
-    def _product_of_children(
-        self, node_id: int, binding: Dict[str, object]
-    ) -> List[Fragment]:
-        """Cartesian combination of child REPORTs (Algorithm 3, line 7).
+def _same(values: Values) -> Values:
+    return values
 
-        Endpoints intersect inline in :meth:`Interval.intersect`'s
-        argument order: the running ``lo``/``hi`` survive a tie, so
-        equal endpoints of different types (``1``/``1.0``) keep the same
-        representative.
-        """
-        combined: List[Fragment] = [({}, _NEG_INF, _POS_INF)]
-        for child in self.tree.nodes[node_id].children:
-            child_fragments = self._report(child, binding)
+
+def _product(reports: Sequence[Report]) -> Report:
+    """Cartesian combination of child REPORTs (Algorithm 3, line 7).
+
+    Endpoints intersect inline in :meth:`Interval.intersect`'s argument
+    order: the running ``lo``/``hi`` survive a tie, so equal endpoints of
+    different types (``1``/``1.0``) keep the same representative.
+    """
+
+    def product(pv: Values, key: Values) -> List[Fragment]:
+        combined: List[Fragment] = [((), _NEG_INF, _POS_INF)]
+        for report in reports:
+            child_fragments = report(pv, key)
             if not child_fragments:
                 return []
             new: List[Fragment] = []
@@ -317,10 +441,10 @@ class HierarchicalState:
                     jhi = chi if chi < hi else hi
                     if jlo > jhi:
                         continue
-                    append(
-                        ({**fragment, **cfragment} if cfragment else fragment, jlo, jhi)
-                    )
+                    append((fragment + cfragment, jlo, jhi))
             combined = new
             if not combined:
                 return []
         return combined
+
+    return product

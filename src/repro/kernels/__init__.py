@@ -12,8 +12,10 @@ Layout:
   single per-call event sort, de-interning, shard subsetting, timeline
   bridging.
 * :mod:`~repro.kernels.hierarchy` / :mod:`~repro.kernels.generic` —
-  row-id driven sweep states (Theorem 6 / Theorem 9 structures).
-* :mod:`~repro.kernels.engine` — the τ-aware driver and the
+  row-id driven sweep states (Theorem 6 / Theorem 9 structures); the
+  hierarchical one can emit final rows, decoded and widened by τ/2.
+* :mod:`~repro.kernels.engine` — the τ-aware driver, the one sweep
+  every kernel route runs (``sweep_columns``), and the
   ``supports_kernel`` capability probe used by the dispatch layer.
 * :mod:`~repro.kernels.prepared` — pay the ingest once per *database*:
   :func:`prepare` / :class:`PreparedDatabase` /
@@ -38,6 +40,7 @@ from .engine import (
     make_state,
     prepare_run,
     supports_kernel,
+    sweep_columns,
 )
 from .generic import KernelGenericState
 from .hierarchy import KernelHierarchicalState
@@ -61,4 +64,5 @@ __all__ = [
     "shard_row_ids",
     "shrink_columns",
     "supports_kernel",
+    "sweep_columns",
 ]

@@ -614,6 +614,13 @@ def shrink_columns(
     )
 
 
+def decode_values(
+    domains: Domains, attrs: Sequence[str], values: Sequence[int]
+) -> Tuple[object, ...]:
+    """One interned tuple laid out in ``attrs``, mapped back to its values."""
+    return tuple(domains[attr][code] for attr, code in zip(attrs, values))
+
+
 def deintern_results(domains: Domains, results: JoinResultSet) -> JoinResultSet:
     """Map interned result rows back to the original attribute values.
 

@@ -6,9 +6,16 @@ validate, τ/2-shrink, r-hierarchical reduction, state selection, sweep,
 τ/2-expand — but runs on :class:`~repro.kernels.columns.KernelColumns`:
 the τ/2 shrink happens in rank space, once per distinct endpoint (object
 rows are shrunk only for the r-hierarchical reduction), the event stream
-is flattened and sorted exactly once per call into int codes, the
-dynamic structure is keyed on interned ints, and one pass at emission
-de-interns the results and widens their intervals back by τ/2.
+is flattened and sorted exactly once per call into int codes, and the
+dynamic structure is keyed on interned ints.
+
+Every kernel route — cold, prepared, and both worker shard paths —
+sweeps through :func:`sweep_columns`. On hierarchical queries REPORT
+builds each result once, final: de-interned and widened back by τ/2
+inside the sweep. The GHD state emits interned rows, which one pass
+(:func:`~repro.kernels.columns.deintern_expand`) turns into final rows.
+:func:`make_state` + :func:`kernel_sweep` still return interned rows
+with shrunk intervals, for callers that time the layers apart.
 Output equality with the object path (normalized row sets, ``sweep.*`` /
 ``hier.*`` / ``ghd.*`` counters, ``phase.sweep`` timer) is the
 correctness contract, pinned by the hypothesis equivalence suite.
@@ -31,6 +38,8 @@ from .columns import (
     build_shrunk_columns,
     deintern_expand,
 )
+
+_POS_INF = float("inf")
 
 #: Algorithms with a kernel fast path. Every other registered algorithm
 #: silently ignores ``engine="kernel"`` (the dispatch layer strips the
@@ -112,7 +121,11 @@ def make_state(
     columns: KernelColumns,
     stats: Optional[ExecutionStats] = None,
 ):
-    """Select the kernel sweep state the way the object path does."""
+    """Select the kernel sweep state the way the object path does.
+
+    The state emits interned rows with τ/2-shrunk intervals; the routes
+    themselves sweep through :func:`sweep_columns`.
+    """
     from .generic import KernelGenericState
     from .hierarchy import KernelHierarchicalState
 
@@ -164,6 +177,30 @@ def kernel_sweep(
     return out
 
 
+def sweep_columns(
+    run_query: JoinQuery,
+    columns: KernelColumns,
+    tau: Number = 0,
+    stats: Optional[ExecutionStats] = None,
+) -> JoinResultSet:
+    """Sweep τ/2-shrunk ``columns`` into final rows: de-interned and widened.
+
+    Row for row equal to ``deintern_expand(columns.domains,
+    kernel_sweep(...make_state(...)...), τ/2)`` — values, order and
+    endpoint types. A hierarchical query builds each row once, inside
+    the sweep, so ``phase.sweep`` includes decoding and widening there.
+    """
+    half = tau / 2 if tau else 0
+    if run_query.is_hierarchical and 0 <= half < _POS_INF:
+        from .hierarchy import KernelHierarchicalState
+
+        state = KernelHierarchicalState(run_query, columns, stats=stats, half=half)
+        return kernel_sweep(run_query, columns, state, stats=stats)
+    state = make_state(run_query, columns, stats=stats)
+    result = kernel_sweep(run_query, columns, state, stats=stats)
+    return deintern_expand(columns.domains, result, half)
+
+
 def kernel_timefirst_join(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
@@ -177,8 +214,7 @@ def kernel_timefirst_join(
     same normalized results, one event sort per call.
     """
     run_query, columns = cold_columns(query, database, tau, stats=stats)
-    state = make_state(run_query, columns, stats=stats)
-    result = kernel_sweep(run_query, columns, state, stats=stats)
+    result = sweep_columns(run_query, columns, tau, stats=stats)
     if tuple(result.attrs) != tuple(query.attrs):  # pragma: no cover - defensive
         raise InvariantError("kernel sweep returned unexpected attribute layout")
-    return deintern_expand(columns.domains, result, tau / 2 if tau else 0)
+    return result

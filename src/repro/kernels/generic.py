@@ -22,11 +22,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.generic_state import GenericGHDState, Values
+from ..algorithms.hierarchical import duplicate_tuple
 from ..core.interval import Interval
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
-from .columns import KernelColumns
+from .columns import KernelColumns, decode_values
 
 
 class KernelGenericState(GenericGHDState):
@@ -42,6 +43,7 @@ class KernelGenericState(GenericGHDState):
         self._row_relation = columns.row_relation
         self._row_values = columns.row_values
         self._row_interval = columns.intervals()
+        self._domains = columns.domains
         # Per relation: (active dict, attr-index dict, edge attrs) —
         # one lookup per event instead of three.
         self._row_state: Dict[str, tuple] = {
@@ -60,7 +62,11 @@ class KernelGenericState(GenericGHDState):
     # ------------------------------------------------------------------
     def insert_row(self, rid: int) -> None:
         values = self._row_values[rid]
-        active, index, attrs = self._row_state[self._row_relation[rid]]
+        relation = self._row_relation[rid]
+        active, index, attrs = self._row_state[relation]
+        if values in active:
+            decoded = decode_values(self._domains, attrs, values)
+            raise duplicate_tuple(relation, decoded)
         active[values] = self._row_interval[rid]
         for attr, value in zip(attrs, values):
             bucket = index[attr].get(value)

@@ -10,15 +10,20 @@ on interned ints and driven by row ids:
   ancestor keys of the Algorithm 2 walk inputs) is precomputed once per
   row from the interned columns, so the hot loop does dict operations
   on small int tuples and nothing else;
-* upward propagation, REPORT and the emission layout are inherited
+* upward propagation and the compiled REPORT programs are inherited
   unchanged from the object state — interned ints are ordinary hashable
   values to them — which keeps Theorem 6's update/enumeration bounds
-  and the output semantics identical by construction. REPORT intersects
-  plain endpoints, so each emitted row builds exactly one interval.
+  and the output semantics identical by construction.
 
-The sweep emits interned rows with shrunk intervals. The routes then
-de-intern the values and undo the τ/2 shrink in one pass over the rows
-(:func:`repro.kernels.columns.deintern_expand`), not per result.
+With ``half`` given, the programs emit final rows: they decode the
+expiring row's path values once per emit and each fragment value once
+per fragment (fragments are shared by the product rows built from
+them), widen finite endpoints by ``half`` with
+:func:`~repro.kernels.columns.deintern_expand`'s arithmetic, and build
+one interval per row; :func:`~repro.kernels.engine.sweep_columns` runs
+the state this way. Without ``half`` the sweep emits interned rows with
+shrunk intervals, the pair ``make_state`` + ``kernel_sweep`` has always
+returned.
 """
 
 from __future__ import annotations
@@ -27,16 +32,12 @@ from itertools import groupby
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from ..algorithms.hierarchical import HierarchicalState
-from ..core.errors import QueryError
-from ..core.interval import Interval
+from ..algorithms.hierarchical import HierarchicalState, duplicate_tuple
+from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
-from .columns import KernelColumns
-
-_new = object.__new__
-_put = object.__setattr__
+from .columns import KernelColumns, decode_values
 
 
 class KernelHierarchicalState(HierarchicalState):
@@ -47,8 +48,13 @@ class KernelHierarchicalState(HierarchicalState):
         query: JoinQuery,
         columns: KernelColumns,
         stats: Optional[ExecutionStats] = None,
+        *,
+        half: Optional[Number] = None,
     ) -> None:
         super().__init__(query, stats=stats)
+        if half is not None:
+            self._decode = columns.domains
+            self._half = half
         nodes = self.tree.nodes
         prep = {}
         for name, leaf in self._leaf_id.items():
@@ -69,7 +75,6 @@ class KernelHierarchicalState(HierarchicalState):
                 self._perm[name],
                 self._parent_path_len[leaf],
                 tuple(chain),
-                nodes[leaf].path_attrs,
             )
 
         row_pv: List[Tuple[int, ...]] = []
@@ -77,7 +82,6 @@ class KernelHierarchicalState(HierarchicalState):
         row_leaf: List[int] = []
         row_leaf_parent: List[Optional[int]] = []
         row_chain: List[tuple] = []
-        row_path: List[Tuple[str, ...]] = []
         row_names = columns.row_relation
         row_values = columns.row_values
         # Rows of one relation are contiguous (ingest order), so the
@@ -85,7 +89,7 @@ class KernelHierarchicalState(HierarchicalState):
         start = 0
         for name, block in groupby(row_names):
             count = sum(1 for _ in block)
-            leaf, parent, perm, plen, chain, path = prep[name]
+            leaf, parent, perm, plen, chain = prep[name]
             values = row_values[start:start + count]
             start += count
             if perm == tuple(range(len(values[0]))):
@@ -99,15 +103,15 @@ class KernelHierarchicalState(HierarchicalState):
             row_leaf.extend([leaf] * count)
             row_leaf_parent.extend([parent] * count)
             row_chain.extend([chain] * count)
-            row_path.extend([path] * count)
         self._row_pv = row_pv
         self._row_gkey = row_gkey
         self._row_leaf = row_leaf
         self._row_leaf_parent = row_leaf_parent
         self._row_chain = row_chain
-        self._row_path = row_path
         self._row_interval = columns.intervals()
         self._row_relation = row_names
+        self._row_values = row_values
+        self._domains = columns.domains
 
     # ------------------------------------------------------------------
     # Row-id sweep interface (the kernel event loop calls only these)
@@ -125,24 +129,26 @@ class KernelHierarchicalState(HierarchicalState):
             self._signal_nonempty(self._row_leaf_parent[rid], gkey)
         else:
             if pv in bucket:
-                raise QueryError(
-                    f"duplicate active tuple {pv} in relation "
-                    f"{self._row_relation[rid]!r}; the temporal model "
-                    "requires distinct tuples (see IntervalSet/"
-                    "explode_interval_sets for multi-interval data)"
+                relation = self._row_relation[rid]
+                values = decode_values(
+                    self._domains, self.query.edge(relation), self._row_values[rid]
                 )
+                raise duplicate_tuple(relation, values)
             bucket[pv] = self._row_interval[rid]
 
     def expire_row(self, rid: int, out: JoinResultSet) -> None:
         """ENUMERATE (Algorithm 2) then DELETE for one expiring row."""
         pv = self._row_pv[rid]
+        leaf = self._row_leaf[rid]
         for support, path_len, nchildren in self._row_chain[rid]:
             if support.get(pv[:path_len], 0) != nchildren:
                 break
         else:
-            self._emit(rid, pv, out)
+            program = self._programs[leaf]
+            if program is None:
+                program = self._programs[leaf] = self._compile(leaf)
+            program(pv, out)
         # DELETE (Algorithm 1, line 9).
-        leaf = self._row_leaf[rid]
         gkey = self._row_gkey[rid]
         if self._stats is not None:
             self._stats.incr("hier.deletes")
@@ -152,18 +158,3 @@ class KernelHierarchicalState(HierarchicalState):
         if not bucket:
             del groups[gkey]
             self._signal_empty(self._row_leaf_parent[rid], gkey)
-
-    def _emit(self, rid: int, pv: Tuple[int, ...], out: JoinResultSet) -> None:
-        """REPORT (Algorithm 3) for a row that passed the membership walk."""
-        binding = dict(zip(self._row_path[rid], pv))
-        fragments = self._report(self.tree.root.node_id, binding)
-        if self._stats is not None:
-            self._stats.incr("hier.report_fragments", len(fragments))
-        row_of = self._row_of
-        append = out.rows.append
-        for fragment, lo, hi in fragments:
-            # Interval._fast inlined: lo <= hi holds by REPORT.
-            interval = _new(Interval)
-            _put(interval, "lo", lo)
-            _put(interval, "hi", hi)
-            append((row_of({**binding, **fragment}), interval))

@@ -52,10 +52,9 @@ from ..obs import ExecutionStats
 from .columns import (
     KernelColumns,
     build_columns,
-    deintern_expand,
     shrink_columns,
 )
-from .engine import kernel_sweep, make_state, needs_reduction
+from .engine import needs_reduction, sweep_columns
 
 Database = Mapping[str, TemporalRelation]
 
@@ -264,9 +263,7 @@ def prepared_kernel_join(
     query.validate(prepared.database)
     columns = prepared.columns_for(query, tau, stats=stats)
     _record_reuse(prepared, columns, stats)
-    state = make_state(query, columns, stats=stats)
-    result = kernel_sweep(query, columns, state, stats=stats)
-    return deintern_expand(columns.domains, result, tau / 2 if tau else 0)
+    return sweep_columns(query, columns, tau, stats=stats)
 
 
 # ----------------------------------------------------------------------

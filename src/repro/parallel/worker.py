@@ -155,19 +155,18 @@ def run_shard(task: ShardTask) -> ShardOutcome:
 def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
     """Sweep every batch query over one shard's prepared columns.
 
-    Mirrors the kernel arm of :func:`run_shard` query by query — make
-    state, sweep, de-intern, expand, ownership-filter — but reuses the
+    Mirrors the kernel arm of :func:`run_shard` query by query — sweep
+    into final rows, ownership-filter — but reuses the
     shard's column payload (and its per-relation-subset restrictions)
     across the whole batch. Spawn-safe for the same reasons as
     :func:`run_shard`: module-level function, picklable dataclasses.
     """
-    from ..kernels import deintern_expand, kernel_sweep, make_state
+    from ..kernels import sweep_columns
 
     partition = TimePartition(task.cuts)
     stats = ExecutionStats() if task.collect_stats else None
     shard = task.shard
     owner = partition.owner
-    half = task.tau / 2 if task.tau else 0
     all_relations = set(task.columns.relations)
 
     start = time.perf_counter()
@@ -183,9 +182,7 @@ def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
                 else task.columns.restrict(keep)
             )
             restricted[keep] = columns
-        state = make_state(query, columns, stats=stats)
-        result = kernel_sweep(query, columns, state, stats=stats)
-        result = deintern_expand(columns.domains, result, half)
+        result = sweep_columns(query, columns, task.tau, stats=stats)
         rows_per_query.append(
             [row for row in result.rows if owner(row[1].hi) == shard]
         )
@@ -203,19 +200,14 @@ def _run_kernel_shard(task: ShardTask, stats: Optional[ExecutionStats]):
 
     The parent already validated, τ/2-shrunk and (if needed) reduced
     the instance before interning, so the worker's job is exactly the
-    remaining pipeline: sweep the shard's pre-sorted event codes,
-    de-intern via the shared domain tables, and expand result intervals
-    back by τ/2. The ownership filter in :func:`run_shard` then sees
-    the same expanded intervals the object path produces.
+    remaining pipeline: sweep the shard's pre-sorted event codes into
+    rows de-interned via the shared domain tables and expanded back by
+    τ/2. The ownership filter in :func:`run_shard` then sees the same
+    expanded intervals the object path produces.
     """
-    from ..kernels import deintern_expand, kernel_sweep, make_state
+    from ..kernels import sweep_columns
 
-    columns = task.columns
-    state = make_state(task.query, columns, stats=stats)
-    result = kernel_sweep(task.query, columns, state, stats=stats)
-    return deintern_expand(
-        columns.domains, result, task.tau / 2 if task.tau else 0
-    )
+    return sweep_columns(task.query, task.columns, task.tau, stats=stats)
 
 
 def serve_pipe(conn) -> None:

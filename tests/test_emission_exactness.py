@@ -1,9 +1,11 @@
 """Result rows are built exactly as the two-pass emission built them.
 
 The sweep states intersect plain ``(lo, hi)`` endpoints instead of
-checked :class:`Interval` objects, the kernel routes de-intern and widen
-by τ/2 in one pass (``deintern_expand``), and HYBRID-INTERVAL widens in
-its clip. None of that may change a row: not a value, not an endpoint,
+checked :class:`Interval` objects, REPORT is compiled per relation leaf
+into positional programs, the kernel routes de-intern and widen by τ/2
+inside REPORT (hierarchical queries) or in one pass
+(``deintern_expand``, the GHD state), and HYBRID-INTERVAL widens in its
+clip. None of that may change a row: not a value, not an endpoint,
 not an endpoint's *type*. Rows are compared by ``repr``, so a ``1``
 that turns into ``1.0`` is a failure.
 
@@ -16,7 +18,9 @@ that turns into ``1.0`` is a failure.
   to those rows and counters.
 * The Hypothesis properties hold each one-pass step to the two-pass
   composition it replaced, on instances with ``1``/``1.0``
-  representatives, ±inf, zero-length and touching endpoints.
+  representatives, ±inf, zero-length and touching endpoints. The
+  compiled REPORT is held, route by route, to a reference kept here:
+  the dict-based REPORT with checked :meth:`Interval.intersect`.
 """
 
 import hashlib
@@ -33,6 +37,7 @@ from repro.core.durability import shrink_database
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
+from repro.core.result import JoinResultSet
 from repro.kernels import (
     build_columns,
     deintern_expand,
@@ -57,6 +62,9 @@ STAR_WITH_CORE = JoinQuery(
     {"R0": ("y",), "R1": ("x1", "y"), "R2": ("x2", "y"), "R3": ("x3", "y")}
 )
 TRIANGLE = JoinQuery.triangle()
+#: Case 3 of Lemma 4: an expiring R3 tuple extends its results by the
+#: members of ``b`` below ``a``.
+NESTED = JoinQuery({"R1": ("a", "b", "c"), "R2": ("a", "b"), "R3": ("a", "d")})
 
 
 def exact(rows):
@@ -394,23 +402,84 @@ def test_hybrid_interval_clip_tie_takes_the_core_endpoint():
 # ----------------------------------------------------------------------
 # Hypothesis: each one-pass step equals the two-pass composition.
 # ----------------------------------------------------------------------
-def _checked_product(self, node_id, binding):
-    """The REPORT product with checked :meth:`Interval.intersect`."""
+def _reference_report(state, node_id, binding):
+    """Lemma 4 over ``state``'s nodes: the dict-based REPORT with checked
+    :meth:`Interval.intersect`, as the hierarchical state ran it before
+    REPORT was compiled. Fragments are ``({attr: value}, interval)``."""
+    node = state.tree.nodes[node_id]
+    nstate = state._state[node_id]
+    if node.is_leaf:
+        glen = state._parent_path_len[node_id]
+        path = node.path_attrs
+        if node.attr is None or node.attr in binding:
+            key = tuple(binding[a] for a in path)
+            bucket = nstate.groups.get(key[:glen])
+            hit = None if bucket is None else bucket.get(key)
+            return [] if hit is None else [({}, hit)]
+        bucket = nstate.groups.get(tuple(binding[a] for a in path[:glen]))
+        if bucket is None:
+            return []
+        return [({node.attr: pv[-1]}, interval) for pv, interval in bucket.items()]
+    if node.attr is None or node.attr in binding:
+        return _reference_product(state, node_id, binding)
+    glen = state._parent_path_len[node_id]
+    members = nstate.members.get(tuple(binding[a] for a in node.path_attrs[:glen]))
+    if not members:
+        return []
+    results = []
+    for member in list(members):
+        binding[node.attr] = member[-1]
+        for fragment, interval in _reference_product(state, node_id, binding):
+            results.append(({**fragment, node.attr: member[-1]}, interval))
+        del binding[node.attr]
+    return results
+
+
+def _reference_product(state, node_id, binding):
     combined = [({}, Interval.always())]
-    for child in self.tree.nodes[node_id].children:
-        child_fragments = self._report(child, binding)
+    for child in state.tree.nodes[node_id].children:
+        child_fragments = _reference_report(state, child, binding)
         if not child_fragments:
             return []
         new = []
         for fragment, interval in combined:
-            for cfragment, clo, chi in child_fragments:
-                joint = interval.intersect(Interval(clo, chi))
+            for cfragment, cinterval in child_fragments:
+                joint = interval.intersect(cinterval)
                 if joint is not None:
                     new.append(({**fragment, **cfragment}, joint))
         combined = new
         if not combined:
             return []
-    return [(fragment, iv.lo, iv.hi) for fragment, iv in combined]
+    return combined
+
+
+def _reference_compiler(calls):
+    """A stand-in for ``HierarchicalState._compile`` running the reference.
+
+    Rows are decoded and widened by the two-pass composition when the
+    state emits final rows (the kernel routes); ``calls`` records every
+    REPORT the reference ran.
+    """
+
+    def compile_(state, leaf):
+        path = state.tree.nodes[leaf].path_attrs
+        attrs = state.query.attrs
+
+        def program(pv, out):
+            calls.append(leaf)
+            binding = dict(zip(path, pv))
+            fragments = _reference_report(state, state.tree.root.node_id, binding)
+            rows = JoinResultSet(attrs)
+            for fragment, interval in fragments:
+                merged = {**binding, **fragment}
+                rows.append(tuple(merged[a] for a in attrs), interval)
+            if state._decode is not None:
+                rows = deintern_results(state._decode, rows).expand_intervals(state._half)
+            out.extend(rows.rows)
+
+        return program
+
+    return compile_
 
 
 @st.composite
@@ -437,16 +506,60 @@ HYPOTHESIS = settings(
 )
 
 
+#: Routes per query that run the hierarchical state's REPORT.
+REPORT_ROUTES = {
+    STAR3: ("kernel", "object", "kernel-workers3", "batch", "hybrid", "serve"),
+    NESTED: ("kernel", "object", "kernel-workers3", "batch", "hybrid", "serve"),
+    LINE3: ("hybrid",),
+}
+
+
+def _check_against_reference(monkeypatch, query, database, tau):
+    routes = REPORT_ROUTES[query]
+    fast = {route: exact(ROUTES[route](query, database, tau, None)) for route in routes}
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(HierarchicalState, "_compile", _reference_compiler(calls))
+        for route in routes:
+            before = len(calls)
+            assert exact(ROUTES[route](query, database, tau, None)) == fast[route], route
+            if fast[route]:
+                assert len(calls) > before, f"{route} did not run the reference"
+
+
 @HYPOTHESIS
-@given(case=instances([STAR3, LINE3]), tau=taus)
+@given(case=instances([STAR3, NESTED, LINE3]), tau=taus)
 def test_inline_report_equals_checked_intersect(monkeypatch, case, tau):
     query, database = case
-    routes = ("kernel", "object", "kernel-workers3", "batch", "hybrid", "serve")
-    fast = {route: typed(ROUTES[route](query, database, tau, None)) for route in routes}
-    with monkeypatch.context() as patch:
-        patch.setattr(HierarchicalState, "_product_of_children", _checked_product)
-        for route in routes:
-            assert typed(ROUTES[route](query, database, tau, None)) == fast[route], route
+    _check_against_reference(monkeypatch, query, database, tau)
+
+
+#: Fixed instances whose products have two factors of several fragments
+#: each (star3), and whose case-3 node has several members (nested).
+FIXED = {
+    "star3": (STAR3, {
+        "R1": [((1, 0), (0, 5))],
+        "R2": [((2, 0), (1, 8)), ((3, 0), (2.0, 7)), ((4, 0), (0, INF))],
+        "R3": [((5, 0), (-INF, 6)), ((6, 0), (1.0, 9))],
+    }),
+    "nested": (NESTED, {
+        "R1": [((0, b, 4 + b), (0, 9)) for b in (1, 2, 3)]
+        + [((0, 1, 9), (2, 8))],
+        "R2": [((0, b), (0.0, 9.0)) for b in (3, 1, 2)],
+        "R3": [((0, 8), (1, 4)), ((0, 9), (5, INF))],
+    }),
+}
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_fixed_report_equals_checked_intersect(monkeypatch, name, tau):
+    query, rows = FIXED[name]
+    database = {
+        relation: TemporalRelation(relation, query.edge(relation), rows[relation])
+        for relation in query.edge_names
+    }
+    _check_against_reference(monkeypatch, query, database, tau)
 
 
 @HYPOTHESIS

@@ -9,6 +9,7 @@ mechanics.
 """
 
 import math
+import re
 import pytest
 
 from repro import ExecutionStats, explain_analyze, temporal_join
@@ -245,6 +246,48 @@ class TestDuplicateActiveTuples:
             temporal_join(query, db, algorithm="timefirst", engine="object")
         with pytest.raises(QueryError, match="duplicate active tuple"):
             kernel_timefirst_join(query, db)
+
+    @staticmethod
+    def _overlapping(query, name, values, others):
+        """``name`` holds ``values`` twice, on overlapping intervals."""
+        db = {
+            rel: TemporalRelation(rel, query.edge(rel), [(others[rel], (0, 9))])
+            for rel in query.edge_names
+            if rel != name
+        }
+        db[name] = TemporalRelation(
+            name, query.edge(name), [(values, (0, 5)), (values, (1, 6))],
+            check_distinct=False,
+        )
+        return db
+
+    @pytest.mark.parametrize("engine", ["object", "kernel"])
+    def test_hierarchical_error_shows_the_tuple_as_given(self, engine):
+        query = JoinQuery.star(2)
+        db = self._overlapping(query, "R1", ("alice", "x"), {"R2": ("bob", "x")})
+        message = "duplicate active tuple ('alice', 'x') in relation 'R1'"
+        with pytest.raises(QueryError, match=re.escape(message)):
+            temporal_join(query, db, algorithm="timefirst", engine=engine)
+
+    @pytest.mark.parametrize("route", ["object", "kernel", "serve"])
+    def test_ghd_state_rejects_duplicates_with_a_typed_error(self, route):
+        # Before, the second insert overwrote the first, and the first
+        # expiry's delete made the second raise a bare KeyError.
+        from repro.serve import TemporalJoinService
+
+        query = JoinQuery.line(3)
+        assert not query.is_hierarchical
+        db = self._overlapping(
+            query, "R1", ("a", "b"), {"R2": ("b", "c"), "R3": ("c", "d")}
+        )
+        message = "duplicate active tuple ('a', 'b') in relation 'R1'"
+        with pytest.raises(QueryError, match=re.escape(message)):
+            if route == "serve":
+                service = TemporalJoinService()
+                service.register(query)
+                service.ingest_database(db)
+            else:
+                temporal_join(query, db, algorithm="timefirst", engine=route)
 
 
 class TestTimelineBridge:
