@@ -1,11 +1,12 @@
-"""Ablation: the binary interval-join families inside BASELINE.
+"""Ablation: the binary interval-join strategies inside BASELINE.
 
-The paper's related-work section surveys sort/merge-based, sweep-based,
-and index-based binary temporal joins, and its BASELINE adopts the
-forward scan "experimentally verified as the most efficient temporal
-join algorithm". This bench reproduces that verification on our own
-substrate: the same BASELINE plan with each family plugged in, on a
-dense-overlap and a sparse-overlap workload.
+The paper's BASELINE adopts the forward scan "experimentally verified
+as the most efficient temporal join algorithm"; the repository's
+default binary join is the lazy endpoint sweep of Piatov et al. This
+bench runs the same BASELINE plan with each registered strategy on a
+dense-overlap and a sparse-overlap workload. The index and sort-merge
+families it once also measured were retired after losing to the lazy
+sweep on both workloads.
 """
 
 import time
@@ -22,7 +23,7 @@ from repro.core.query import self_join_database
 
 from conftest import record_report
 
-STRATEGIES = ["forward-scan", "sort-merge", "index"]
+STRATEGIES = ["forward-scan", "lazy-sweep"]
 
 
 def dense_workload():
@@ -69,7 +70,7 @@ def test_binary_join_families(benchmark):
     record_report(
         "ablation_binary_families",
         render_table(
-            "BASELINE with each binary interval-join family",
+            "BASELINE with each binary interval-join strategy",
             rows, metric="seconds", x_label="overlap profile",
         ),
     )

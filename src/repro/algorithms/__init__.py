@@ -10,7 +10,7 @@ from .hardness import (
 )
 from .hybrid import hybrid_join, materialize_bag, select_hybrid_ghd
 from .hybrid_interval import hybrid_interval_join
-from .interval_join import forward_scan_join, index_nested_join, interval_join, sort_merge_join
+from .interval_join import forward_scan_join, interval_join
 from .joinfirst import joinfirst_join
 from .naive import naive_join, naive_nontemporal_join
 from .online import OnlineTemporalJoin, arrivals_from_database, stream_temporal_join
@@ -36,9 +36,7 @@ __all__ = [
     "get_algorithm",
     "hybrid_interval_join",
     "hybrid_join",
-    "index_nested_join",
     "interval_join",
-    "sort_merge_join",
     "joinfirst_join",
     "materialize_bag",
     "OnlineTemporalJoin",

@@ -34,7 +34,7 @@ def binary_temporal_join(
     constituent pair is recoverable from the values. ``strategy`` selects
     the per-key interval-join family (``lazy-sweep`` — the default since
     it beat the paper's forward scan [26] on the ratio-gated benchmark —
-    ``forward-scan``, ``index``, or ``sort-merge``); ``predicate`` picks
+    or ``forward-scan``); ``predicate`` picks
     an extended Allen predicate or ``-or-`` union (lazy-sweep only;
     default ``overlaps`` matches the paper's implicit join predicate).
     """

@@ -24,7 +24,7 @@ from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GHD, fhtw_ghd, hhtw_ghd
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, ExecutionStats
 from .timefirst import sweep
 
 Values = Tuple[object, ...]
@@ -128,27 +128,17 @@ def hybrid_join(
     hg = query.hypergraph
     if ghd is None:
         ghd = select_hybrid_ghd(hg, mode)
-    if ghd.is_trivial() and len(ghd.bags) == len(hg.edge_names):
-        # Degenerate decomposition: HYBRID reduces to plain TIMEFIRST but
-        # still runs through the same code path for uniformity.
-        pass
     db = shrink_database(database, tau)
+    tracer = NULL_TRACER if stats is None else stats
     bag_db: Dict[str, TemporalRelation] = {}
-    if stats is None:
+    with tracer.timer("phase.materialize"):
         for bag, lam in ghd.bags.items():
             rel = materialize_bag(hg, db, lam, bag_name=bag)
+            tracer.incr("hybrid.bags")
+            tracer.observe("hybrid.bag_rows", len(rel))
             if track_intermediates is not None:
                 track_intermediates.append(len(rel))
             bag_db[bag] = rel
-    else:
-        with stats.timer("phase.materialize"):
-            for bag, lam in ghd.bags.items():
-                rel = materialize_bag(hg, db, lam, bag_name=bag)
-                stats.incr("hybrid.bags")
-                stats.observe("hybrid.bag_rows", len(rel))
-                if track_intermediates is not None:
-                    track_intermediates.append(len(rel))
-                bag_db[bag] = rel
     bag_edges = {bag: bag_db[bag].attrs for bag in ghd.bags}
     bag_query = JoinQuery(bag_edges, attr_order=query.attrs)
     state = _bag_sweep_state(bag_query, bag_db, stats=stats)

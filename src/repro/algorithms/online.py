@@ -20,13 +20,15 @@ Internally the operator reuses the sweep states of
 expirations; :meth:`advance_to` drains every expiration up to a
 watermark, and :meth:`finish` flushes the remainder.
 
-Telemetry follows the PR-1 contract: pass ``stats=`` and the operator
-records the same ``sweep.*`` counters as the offline sweep — after
-:meth:`finish` on an endpoint-ordered replay of a database they match
-:func:`repro.algorithms.timefirst.sweep` exactly (``sweep.events``,
-``sweep.inserts``, ``sweep.enumerate_calls``, ``sweep.active_peak``,
-``results``), and the underlying state adds its ``hier.*`` / ``ghd.*``
-counters. Online-only events get the ``online.*`` prefix:
+Telemetry follows the offline contract: pass ``stats=`` and the operator
+records the same ``sweep.*`` counters as the offline sweep. The offline
+routes derive them from the sorted event codes after
+:func:`repro.algorithms.timefirst.drive`'s loop; this operator counts
+them per arrival and per expiration, and after :meth:`finish` on an
+endpoint-ordered replay of a database the two match exactly
+(``sweep.events``, ``sweep.inserts``, ``sweep.enumerate_calls``,
+``sweep.active_peak``, ``results``). The underlying state adds its
+``hier.*`` / ``ghd.*`` counters. Online-only events get the ``online.*`` prefix:
 ``online.clamped`` (non-strict out-of-order arrivals, with the
 ``online.clamp_reason`` note so degradation is never silent) and
 ``online.watermark_regressions`` (non-monotone :meth:`advance_to`

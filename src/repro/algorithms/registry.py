@@ -129,29 +129,9 @@ def _ensure_loaded() -> None:
         Merely r-hierarchical queries go through the footnote-2 instance
         reduction first, like the hashed variant.
         """
-        from ..core.classification import reduce_instance
-        from ..core.durability import shrink_database
-        from ..core.query import JoinQuery
-
-        factory = lambda q, db: ComparisonHierarchicalState(q, stats=stats)  # noqa: E731
-        if not query.is_hierarchical and query.is_r_hierarchical:
-            reduced_hg, reduced_db = reduce_instance(
-                query.hypergraph, shrink_database(database, tau)
-            )
-            reduced_query = JoinQuery(
-                {n: reduced_hg.edge(n) for n in reduced_hg.edge_names},
-                attr_order=query.attrs,
-            )
-            result = timefirst_join(
-                reduced_query, reduced_db,
-                state_factory=factory,
-                stats=stats,
-                **kwargs,
-            )
-            return result.expand_intervals(tau / 2 if tau else 0)
         return timefirst_join(
             query, database, tau=tau,
-            state_factory=factory,
+            state_factory=lambda q, db: ComparisonHierarchicalState(q, stats=stats),
             stats=stats,
             **kwargs,
         )
@@ -280,11 +260,6 @@ def _engine_decision(
     return "kernel", None
 
 
-def _kernel_eligible(name: str, engine: str, kwargs: Mapping) -> bool:
-    """True iff :func:`_engine_decision` selects the kernel fast path."""
-    return _engine_decision(name, engine, kwargs)[0] == "kernel"
-
-
 def strip_unsupported_kwargs(fn: Algorithm, kwargs: Dict) -> Dict:
     """Drop keyword arguments ``fn`` does not accept.
 
@@ -312,10 +287,6 @@ def strip_unsupported_kwargs(fn: Algorithm, kwargs: Dict) -> Dict:
     return {k: v for k, v in kwargs.items() if k in accepted}
 
 
-#: Back-compat alias for the previously private name.
-_strip_unsupported_kwargs = strip_unsupported_kwargs
-
-
 def _resolve_auto(
     query: JoinQuery, kwargs: Dict, choice=None, stats=None
 ) -> Tuple[str, Algorithm, Dict]:
@@ -340,7 +311,7 @@ def _resolve_auto(
     if _applicable(name, query):
         return name, _REGISTRY[name], kwargs
     fallback = _REGISTRY["hybrid"]
-    return "hybrid", fallback, _strip_unsupported_kwargs(fallback, kwargs)
+    return "hybrid", fallback, strip_unsupported_kwargs(fallback, kwargs)
 
 
 def _binary_predicate_join(

@@ -558,16 +558,15 @@ class KernelNoObjectRows(Rule):
     loops never touch ``(values, Interval)`` object rows — only
     ``columns.py`` (the boundary that interns on the way in and
     de-interns on the way out) may. A ``.rows`` / ``._rows`` access
-    inside a loop, or any call to the object path's ``event_stream``,
-    reintroduces per-event object traffic and silently erodes the
-    engine's measured speedup.
+    inside a loop reintroduces per-event object traffic and silently
+    erodes the engine's measured speedup.
     """
 
     id = "kernel-no-object-rows"
     severity = "error"
     description = (
-        "object-row access (.rows/._rows in a loop, or event_stream()) "
-        "inside src/repro/kernels/ outside columns.py"
+        "object-row access (.rows/._rows in a loop) inside "
+        "src/repro/kernels/ outside columns.py"
     )
     hint = (
         "consume KernelColumns arrays (row_values/row_lo/row_hi/"
@@ -585,23 +584,6 @@ class KernelNoObjectRows(Rule):
         out = []
         seen: Set[int] = set()
         for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name == "event_stream":
-                    out.append(
-                        sf.finding(
-                            self,
-                            node,
-                            "event_stream() builds (tuple, Interval) event "
-                            "objects: kernels sweep pre-sorted integer "
-                            "event codes instead",
-                        )
-                    )
             if not isinstance(node, self._LOOPS):
                 continue
             for sub in ast.walk(node):

@@ -1,14 +1,11 @@
-"""Data-structure substrate: heaps, sorted indexes, interval trees, tries."""
+"""Data-structure substrate: heaps, sorted indexes, tries."""
 
 from .heap import AddressableHeap
-from .interval_tree import DynamicIntervalIndex, StaticIntervalTree
 from .sorted_list import SortedList
 from .trie import RelationTrie
 
 __all__ = [
     "AddressableHeap",
-    "DynamicIntervalIndex",
-    "StaticIntervalTree",
     "SortedList",
     "RelationTrie",
 ]

@@ -8,7 +8,7 @@ bundle once per ``temporal_join`` call — or once per *database* via
 
 * **Value interning** — every attribute value is mapped to a dense int
   per attribute domain, in deterministic first-appearance order
-  (database iteration order, the same order that fixes event ``seq``
+  (database iteration order, the same order that breaks event
   ties). Interning runs column-wise: per relation the value tuples are
   transposed, each column's new values come from ``dict.fromkeys`` and
   its codes from one ``map`` over the domain table, and the code
@@ -24,10 +24,11 @@ bundle once per ``temporal_join`` call — or once per *database* via
   in rank space; ``rank_times`` maps ranks back to the exact original
   endpoint values (``±inf`` participate as ordinary values).
 * **Pre-sorted event codes** — the Algorithm 1 event list is flattened
-  into one sorted list of ints, ``(rank * 2 + kind) * n_rows + row``,
-  whose integer order equals the object path's ``(time, kind, seq)``
-  order. The codes are built and sorted as one int64 numpy array, which
-  bounds them by ``(2 * max_rank + 2) * n_rows < 2**63`` (checked).
+  into one sorted list of ints, ``(rank * 2 + kind) * n_rows + row``:
+  the encoding of :mod:`repro.algorithms.events` that every TIMEFIRST
+  route sweeps. The codes are built and sorted as one int64 numpy
+  array, which bounds them by ``(2 * max_rank + 2) * n_rows < 2**63``
+  (checked).
   Sorting happens once per ingest (``kernel.sort_calls``); derived
   columns — shard subsets (:meth:`KernelColumns.subset`) and relation
   restrictions (:meth:`KernelColumns.restrict`) — *filter* the parent's
@@ -62,6 +63,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..algorithms.events import _rank_endpoints, _sorted_event_codes
 from ..core.durability import check_threshold, shrink_database
 from ..core.errors import InvariantError
 from ..core.interval import Interval, Number
@@ -76,10 +78,10 @@ Domains = Dict[str, List[object]]
 class KernelColumns:
     """One database, flattened into interned parallel arrays.
 
-    Row ids follow database iteration order (relation by relation), the
-    exact order :func:`repro.algorithms.events.event_stream` assigns its
-    ``seq`` tie-breaker — so the kernel sweep replays the object sweep's
-    event order bit for bit.
+    Row ids follow database iteration order (relation by relation) and
+    ``event_codes`` is the shared encoding of
+    :mod:`repro.algorithms.events`, so the kernel sweep replays the
+    object sweep's event order bit for bit.
     """
 
     __slots__ = (
@@ -188,7 +190,7 @@ class KernelColumns:
         de-intern ``domains`` tables are shared by reference (they are
         read-only after construction). ``row_ids`` (ints or an int64
         array) must be strictly increasing — local row order then
-        preserves the parent's event ``seq`` tie-break order, which lets
+        preserves the parent's row-id tie-break order, which lets
         the local event codes be *derived* from the parent's sorted
         stream (a filter under a monotone remap) instead of re-sorted.
         The derivation is int64 numpy work over the parent's arrays.
@@ -201,7 +203,7 @@ class KernelColumns:
         The multi-query path: one prepared database, many queries each
         touching a subset of its relations. Relation order follows the
         parent columns (ingest order), never the argument order, so row
-        ids keep the parent's ``seq`` tie-break order.
+        ids keep the parent's row-id tie-break order.
         """
         keep = frozenset(relations)
         missing = keep - set(self.relations)
@@ -224,7 +226,7 @@ class KernelColumns:
         ids = np.asarray(row_ids, dtype=np.int64)
         if ids.size > 1 and bool((ids[1:] <= ids[:-1]).any()):
             raise InvariantError(
-                "subset row_ids must be strictly increasing (parent seq order)"
+                "subset row_ids must be strictly increasing (parent row order)"
             )
         k = int(ids.size)
         id_list = ids.tolist()
@@ -312,36 +314,6 @@ _hi_of = attrgetter("hi")
 #: float ``half``, ``1 + half``, ``1.0 + half`` and ``True + half`` are
 #: one float, and the infinities (floats) are fixed points.
 _PLAIN_ENDPOINTS = frozenset({int, float, bool})
-
-#: Largest value an int64 event code may take.
-_INT64_MAX = (1 << 63) - 1
-
-
-def _sorted_event_codes(row_lo: array, row_hi: array) -> List[int]:
-    """Encode + sort the event stream as single ints.
-
-    ``code = (rank * 2 + kind) * n + row`` with INSERT=0 < EXPIRE=1, so
-    plain integer order is the object path's ``(time, kind, seq)`` order.
-    The codes are built and sorted as one int64 numpy array; every code
-    is below ``(2 * max_rank + 2) * n``, and an input where that bound
-    leaves int64 raises instead of wrapping into a wrong order.
-    """
-    n = len(row_lo)
-    if n == 0:
-        return []
-    lo = np.frombuffer(row_lo, dtype=np.int64)
-    hi = np.frombuffer(row_hi, dtype=np.int64)
-    max_rank = max(int(lo.max()), int(hi.max()))
-    if (2 * max_rank + 2) * n > _INT64_MAX:
-        raise InvariantError(
-            f"event codes for {n} rows with ranks up to {max_rank} "
-            "overflow int64"
-        )
-    rows = np.arange(n, dtype=np.int64)
-    codes = np.concatenate((lo * (2 * n) + rows, (hi * 2 + 1) * n + rows))
-    codes.sort()
-    return codes.tolist()
-
 
 def build_columns(
     database: Mapping[str, TemporalRelation],
@@ -513,18 +485,6 @@ def _intern_columns(relations):
         row_values.extend(zip(*code_columns))
         row_relation.extend([name] * len(rows))
     return domains, row_relation, row_values
-
-
-def _rank_endpoints(los: List[Number], his: List[Number]):
-    """``(rank_times, row_lo, row_hi)`` of the rows' endpoints."""
-    # Interleaved so equal endpoints of different types (``5``/``5.0``)
-    # keep the first-seen representative, row by row.
-    endpoints = [None] * (2 * len(los))
-    endpoints[::2] = los
-    endpoints[1::2] = his
-    rank_times = sorted(set(endpoints))
-    rank_of = {t: rank for rank, t in enumerate(rank_times)}.__getitem__
-    return rank_times, array("q", map(rank_of, los)), array("q", map(rank_of, his))
 
 
 def _shrink_ranks(

@@ -1,13 +1,14 @@
-"""The kernel TIMEFIRST driver: one interning pass, one flat sweep.
+"""The kernel TIMEFIRST route: one interning pass, one flat sweep.
 
-:func:`kernel_timefirst_join` mirrors
-:func:`repro.algorithms.timefirst.timefirst_join` step for step —
-validate, τ/2-shrink, r-hierarchical reduction, state selection, sweep,
-τ/2-expand — but runs on :class:`~repro.kernels.columns.KernelColumns`:
-the τ/2 shrink happens in rank space, once per distinct endpoint (object
-rows are shrunk only for the r-hierarchical reduction), the event stream
-is flattened and sorted exactly once per call into int codes, and the
-dynamic structure is keyed on interned ints.
+:func:`kernel_timefirst_join` computes what
+:func:`repro.algorithms.timefirst.timefirst_join` computes, on
+:class:`~repro.kernels.columns.KernelColumns`: the τ/2 shrink happens in
+rank space, once per distinct endpoint (a query that needs the
+r-hierarchical reduction goes through the shared
+:func:`~repro.algorithms.timefirst.prepare_run` on object rows instead),
+the event codes are sorted once per call, the dynamic structure is keyed
+on interned ints, and the sweep is the shared
+:func:`~repro.algorithms.timefirst.drive` loop.
 
 Every kernel route — cold, prepared, and both worker shard paths —
 sweeps through :func:`sweep_columns`. On hierarchical queries REPORT
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Tuple
 
-from ..core.durability import shrink_database
+from ..algorithms.timefirst import drive, needs_reduction, prepare_run
 from ..core.errors import InvariantError
 from ..core.interval import Number
 from ..core.query import JoinQuery
@@ -50,49 +51,6 @@ KERNEL_ALGORITHMS = frozenset({"timefirst"})
 def supports_kernel(algorithm: str) -> bool:
     """True iff ``algorithm`` has a kernel fast path."""
     return algorithm in KERNEL_ALGORITHMS
-
-
-def needs_reduction(query: JoinQuery) -> bool:
-    """True iff TIMEFIRST on ``query`` rewrites the *instance* first.
-
-    Merely-r-hierarchical queries go through the footnote-2 reduction,
-    which drops rows per query: such a query shrinks and reduces object
-    rows (:func:`prepare_run`), and cannot share prepared columns.
-    """
-    return (not query.is_hierarchical) and query.is_r_hierarchical
-
-
-def prepare_run(
-    query: JoinQuery,
-    database: Mapping[str, TemporalRelation],
-    tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
-) -> Tuple[JoinQuery, Mapping[str, TemporalRelation]]:
-    """Validate, τ/2-shrink and (if r-hierarchical) reduce the instance.
-
-    Returns the (query, database) pair the sweep actually runs on — the
-    same pair the object path's ``timefirst_join`` would construct.
-    :func:`cold_columns` calls it for queries that need the reduction,
-    which reads shrunk object rows.
-    """
-    from ..core.classification import reduce_instance
-
-    query.validate(database)
-    if stats is None:
-        db = shrink_database(database, tau)
-    else:
-        with stats.timer("phase.shrink"):
-            db = shrink_database(database, tau)
-    if not needs_reduction(query):
-        return query, db
-    reduced_hg, reduced_db = reduce_instance(query.hypergraph, db)
-    # Keep the original output attribute order: reduction never removes
-    # attributes, only edges.
-    run_query = JoinQuery(
-        {n: reduced_hg.edge(n) for n in reduced_hg.edge_names},
-        attr_order=query.attrs,
-    )
-    return run_query, reduced_db
 
 
 def cold_columns(
@@ -142,39 +100,14 @@ def kernel_sweep(
 ) -> JoinResultSet:
     """Algorithm 1 over pre-sorted event codes (interned output rows)."""
     out = JoinResultSet(run_query.attrs)
-    n = columns.n_rows
-    if n == 0:
+    if columns.n_rows == 0:
         if stats is not None:
             stats.incr("results", 0)
         return out
-    codes = columns.event_codes
-    insert_row = state.insert_row
-    expire_row = state.expire_row
-    if stats is None:
-        for code in codes:
-            if (code // n) & 1:
-                expire_row(code % n, out)
-            else:
-                insert_row(code % n)
-        return out
-    active = peak = inserts = 0
-    with stats.timer("phase.sweep"):
-        for code in codes:
-            if (code // n) & 1:
-                expire_row(code % n, out)
-                active -= 1
-            else:
-                inserts += 1
-                active += 1
-                if active > peak:
-                    peak = active
-                insert_row(code % n)
-    stats.incr("sweep.events", len(codes))
-    stats.incr("sweep.inserts", inserts)
-    stats.incr("sweep.enumerate_calls", len(codes) - inserts)
-    stats.peak("sweep.active_peak", peak)
-    stats.incr("results", len(out))
-    return out
+    return drive(
+        columns.event_codes, columns.n_rows, state.insert_row, state.expire_row,
+        out, stats,
+    )
 
 
 def sweep_columns(

@@ -331,17 +331,6 @@ class TestKernelNoObjectRows:
         assert len(findings_for(
             src, self.KERNEL, "kernel-no-object-rows")) == 1
 
-    def test_event_stream_call_flagged_anywhere(self):
-        src = """
-        from repro.algorithms.events import event_stream
-
-        def build(db):
-            return list(event_stream(db))
-        """
-        found = findings_for(src, self.KERNEL, "kernel-no-object-rows")
-        assert len(found) == 1
-        assert "event_stream" in found[0].message
-
     def test_rows_outside_loop_allowed(self):
         # One-shot (non-loop) access, e.g. sizing, is not a hot loop.
         src = """

@@ -127,28 +127,3 @@ class TestHarnessValidation:
         m1 = measure("timefirst", q, db, measure_memory=False, repeat=1)
         m3 = measure("timefirst", q, db, measure_memory=False, repeat=3)
         assert m3.seconds <= m1.seconds * 3  # sanity; min-of-3 is stable
-
-
-class TestIntervalTreeUnbounded:
-    def test_static_tree_with_infinite_endpoints(self):
-        from repro.datastructures.interval_tree import StaticIntervalTree
-
-        items = [
-            (Interval.always(), "always"),
-            (Interval(0, 5), "short"),
-            (Interval(3, float("inf")), "open-ended"),
-        ]
-        tree = StaticIntervalTree(items)
-        hits = {p for _, p in tree.stab(4)}
-        assert hits == {"always", "short", "open-ended"}
-        hits = {p for _, p in tree.overlapping(Interval(100, 200))}
-        assert hits == {"always", "open-ended"}
-
-    def test_dynamic_index_with_infinite_endpoints(self):
-        from repro.datastructures.interval_tree import DynamicIntervalIndex
-
-        idx = DynamicIntervalIndex()
-        idx.insert(Interval.always(), "always")
-        idx.insert(Interval(0, 5), "short")
-        hits = {p for _, p in idx.overlapping(Interval(50, 60))}
-        assert hits == {"always"}

@@ -1,4 +1,4 @@
-"""Tests for forward-scan and index-based interval joins."""
+"""Tests for the forward-scan interval join and self-overlap pairs."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.algorithms.interval_join import (
     forward_scan_join,
-    index_nested_join,
     self_overlap_pairs,
 )
 from repro.core.interval import Interval
@@ -70,30 +69,6 @@ class TestForwardScan:
         right = [("c", Interval(3, 4))]
         got = sorted(forward_scan_join(left, right))
         assert got == brute_pairs(left, right)
-
-
-class TestIndexNested:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_randomized_against_brute(self, seed):
-        rng = random.Random(seed + 50)
-        left = random_items(rng, 25, "l")
-        right = random_items(rng, 50, "r")
-        assert sorted(index_nested_join(left, right)) == brute_pairs(left, right)
-
-    def test_swaps_to_smaller_probe_side(self):
-        rng = random.Random(1)
-        left = random_items(rng, 50, "l")
-        right = random_items(rng, 5, "r")
-        got = sorted(index_nested_join(left, right))
-        assert got == brute_pairs(left, right)
-
-    def test_agrees_with_forward_scan(self):
-        rng = random.Random(9)
-        left = random_items(rng, 30, "l")
-        right = random_items(rng, 30, "r")
-        fs = sorted(forward_scan_join(left, right))
-        ix = sorted(index_nested_join(left, right))
-        assert fs == ix
 
 
 class TestSelfOverlap:

@@ -1,4 +1,4 @@
-"""Tests for the three binary interval-join families."""
+"""Tests for the binary interval-join strategies and their dispatch."""
 
 import random
 
@@ -9,9 +9,7 @@ from repro.algorithms.baseline import baseline_join
 from repro.algorithms.interval_join import (
     JOIN_STRATEGIES,
     forward_scan_join,
-    index_nested_join,
     interval_join,
-    sort_merge_join,
 )
 from repro.algorithms.naive import naive_join
 from repro.core.interval import Interval
@@ -29,52 +27,17 @@ def random_items(rng, n, prefix, span=60):
     return items
 
 
-class TestSortMerge:
-    def test_simple_pair(self):
-        out = sort_merge_join(
-            [("a", Interval(0, 5))], [("b", Interval(3, 9))]
-        )
-        assert out == [("a", "b", Interval(3, 5))]
-
-    def test_touching(self):
-        out = sort_merge_join(
-            [("a", Interval(0, 5))], [("b", Interval(5, 9))]
-        )
-        assert out == [("a", "b", Interval(5, 5))]
-
-    def test_empty_sides(self):
-        assert sort_merge_join([], [("b", Interval(0, 1))]) == []
-        assert sort_merge_join([("a", Interval(0, 1))], []) == []
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_agrees_with_forward_scan(self, seed):
-        rng = random.Random(seed)
-        left = random_items(rng, 35, "l")
-        right = random_items(rng, 30, "r")
-        fs = sorted(forward_scan_join(left, right))
-        sm = sorted(sort_merge_join(left, right))
-        assert fs == sm
-
-    def test_each_pair_once(self):
-        rng = random.Random(3)
-        left = random_items(rng, 40, "l")
-        right = random_items(rng, 40, "r")
-        pairs = sort_merge_join(left, right)
-        keys = [(a, b) for a, b, _ in pairs]
-        assert len(keys) == len(set(keys))
-
-
 class TestDispatch:
     def test_all_strategies_registered(self):
-        assert set(JOIN_STRATEGIES) == {
-            "forward-scan", "index", "sort-merge", "lazy-sweep"
-        }
+        assert set(JOIN_STRATEGIES) == {"forward-scan", "lazy-sweep"}
 
     def test_unknown_strategy(self):
-        with pytest.raises(QueryError) as exc:
-            interval_join([], [], strategy="quantum")
-        # The error must name the valid strategies.
-        assert "lazy-sweep" in str(exc.value)
+        # "index" is a retired strategy name, rejected like any other.
+        for strategy in ("quantum", "index"):
+            with pytest.raises(QueryError) as exc:
+                interval_join([], [], strategy=strategy)
+            # The error must name the valid strategies.
+            assert "lazy-sweep" in str(exc.value)
 
     def test_unknown_predicate(self):
         with pytest.raises(QueryError) as exc:
@@ -119,7 +82,7 @@ class TestThreadThrough:
         q = JoinQuery.star(3)
         db = random_database(q, rng, n=10, domain=3)
         got = temporal_join(
-            q, db, algorithm="baseline", binary_strategy="sort-merge"
+            q, db, algorithm="baseline", binary_strategy="forward-scan"
         )
         want = temporal_join(q, db, algorithm="naive")
         assert got.normalized() == want.normalized()

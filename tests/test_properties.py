@@ -11,7 +11,6 @@ from repro.core.interval import Interval, IntervalSet, intersect_all
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.datastructures.heap import AddressableHeap
-from repro.datastructures.interval_tree import DynamicIntervalIndex
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -121,14 +120,6 @@ def test_heap_sorts_any_input(pairs):
         heap.push(key, i)
     out = [heap.pop()[0] for _ in range(len(pairs))]
     assert out == sorted(k for k, _ in pairs)
-
-
-@given(st.lists(intervals, max_size=25), intervals)
-def test_dynamic_interval_index_overlap(ivs, probe):
-    idx = DynamicIntervalIndex([(iv, i) for i, iv in enumerate(ivs)])
-    got = sorted(p for _, p in idx.overlapping(probe))
-    want = sorted(i for i, iv in enumerate(ivs) if iv.intersects(probe))
-    assert got == want
 
 
 @given(st.lists(intervals, max_size=15), st.lists(intervals, max_size=15))
