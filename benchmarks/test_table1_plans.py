@@ -8,7 +8,7 @@ partitions, decision-tree outcomes).
 
 import pytest
 
-from repro.core.classification import AttributeTree, QueryClass
+from repro.core.classification import AttributeTree
 from repro.core.planner import plan
 from repro.core.query import JoinQuery
 from repro.nontemporal.ghd import find_guarded_partition, hhtw_ghd

@@ -16,7 +16,6 @@ Run:  python examples/dblp_patterns.py
 from repro import JoinQuery, temporal_join
 from repro.bench.reporting import render_series
 from repro.core.durability import coalesce_results, explode_interval_sets
-from repro.core.query import self_join_database
 from repro.workloads import dblp
 from repro.workloads.graphs import count_durable_patterns
 

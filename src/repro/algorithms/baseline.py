@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.durability import shrink_database
 from ..core.errors import InvariantError, QueryError
@@ -25,7 +25,6 @@ from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..nontemporal.hash_join import estimate_join_size
 from ..obs import ExecutionStats
 from .binary import binary_temporal_join
 from .interval_join import DEFAULT_STRATEGY

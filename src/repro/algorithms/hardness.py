@@ -16,10 +16,9 @@ case the reduction's hard instances use.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Set, Tuple
 
 from ..core.errors import QueryError
-from ..core.hypergraph import Hypergraph
 from ..core.interval import Interval
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation

@@ -20,7 +20,6 @@ from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..nontemporal.generic_join import generic_join_with_order
-from ..nontemporal.hash_join import lookup_index
 from ..obs import ExecutionStats
 
 Values = Tuple[object, ...]

@@ -1,12 +1,15 @@
-"""Algorithm registry and the dispatching ``temporal_join`` entry point.
+"""Algorithm registry, the one route decision, and the join entry points.
 
 Every evaluation strategy from the paper is registered under the name the
-experiments section uses; ``temporal_join(..., algorithm="auto")`` runs
-the Figure 7 planner and dispatches to its pick. When the planner's pick
-is structurally inapplicable to the given instance (checked *up front*,
-never by catching mid-execution errors), dispatch falls back to the
-universally applicable HYBRID with algorithm-specific keyword arguments
-stripped.
+experiments section uses. :func:`resolve_route` is the one place that
+decides how a join runs — for ``temporal_join``, ``explain_analyze``,
+``parallel_temporal_join`` and ``run_batch`` alike: it validates the
+arguments, runs the Figure 7 planner when ``algorithm="auto"``, falls
+back to the universally applicable HYBRID (algorithm-specific keyword
+arguments stripped) when the planner's pick is structurally inapplicable
+to the instance (checked *up front*, never by catching mid-execution
+errors), and picks the engine. Its :class:`Route` record is what the
+callers execute and report.
 
 :func:`explain_analyze` is the observability entry point: it evaluates
 the query with an :class:`~repro.obs.ExecutionStats` attached and
@@ -25,6 +28,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..core.errors import QueryError
 from ..core.interval import Number
+from ..core.planner import Plan
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
@@ -213,13 +217,12 @@ def _check_engine(engine: str) -> None:
 def _engine_decision(
     name: str, engine: str, kwargs: Mapping
 ) -> Tuple[str, Optional[str]]:
-    """The one engine-selection rule, shared by every dispatch site.
+    """The one engine-selection rule, applied by :func:`resolve_route`.
 
     Returns ``(used_engine, fallback_reason)`` for the *post-fallback*
-    algorithm ``name``: serial dispatch, the parallel executor,
-    ``explain_analyze``'s report and the batch executor all call this
-    same function, so the engine that runs and the engine that is
-    reported cannot drift apart.
+    algorithm ``name``. Every entry point gets its engine through the
+    route, so the engine that runs and the engine that is reported cannot
+    drift apart.
 
     ``engine="auto"`` and ``engine="kernel"`` both pick the kernel
     whenever the resolved algorithm has a kernel implementation, no
@@ -288,25 +291,17 @@ def strip_unsupported_kwargs(fn: Algorithm, kwargs: Dict) -> Dict:
 
 
 def _resolve_auto(
-    query: JoinQuery, kwargs: Dict, choice=None, stats=None
+    query: JoinQuery, kwargs: Dict, choice: Plan
 ) -> Tuple[str, Algorithm, Dict]:
-    """Run the Figure 7 planner and validate its pick up front.
+    """Validate the Figure 7 planner's pick ``choice`` up front.
 
     Returns ``(name, fn, kwargs)``; when the planner's pick is
     structurally inapplicable to this instance the universally
     applicable HYBRID is substituted, with algorithm-specific kwargs
     stripped. Errors raised *during* the chosen algorithm's execution —
     including :class:`PlanError` from nested machinery — propagate to
-    the caller untouched. Callers that already hold the
-    :class:`~repro.core.planner.Plan` pass it as ``choice`` so the
-    planner runs once per call, not once per layer; ``stats`` (used only
-    when the planner actually runs here) collects the ``planner.*``
-    search counters.
+    the caller untouched.
     """
-    from ..core.planner import plan
-
-    if choice is None:
-        choice = plan(query, stats=stats)
     name = choice.algorithm
     if _applicable(name, query):
         return name, _REGISTRY[name], kwargs
@@ -314,50 +309,164 @@ def _resolve_auto(
     return "hybrid", fallback, strip_unsupported_kwargs(fallback, kwargs)
 
 
+#: The route name of a non-``overlaps`` predicate: the binary lazy sweep.
+LAZY_SWEEP = "lazy-sweep"
+
+
+@dataclass(frozen=True)
+class Route:
+    """One join's resolved route, built only by :func:`resolve_route`.
+
+    The entry points execute it and report from it, so the route that
+    runs and the route that is reported are one value.
+    """
+
+    name: str  # the algorithm after the Figure-7 fallback, or LAZY_SWEEP
+    fn: Optional[Algorithm]
+    kwargs: Dict
+    plan: Optional[Plan]  # None when no plan was needed
+    engine: str  # "kernel" or "object"
+    reason: Optional[str]  # why an explicit engine="kernel" degraded
+    prepared: Optional[object] = None  # the artifact the kernel reads, if any
+
+
+def resolve_route(
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    tau: Number = 0,
+    algorithm: str = "auto",
+    stats: Optional[ExecutionStats] = None,
+    workers: Optional[int] = None,
+    engine: str = "auto",
+    prepared=None,
+    predicate: str = "overlaps",
+    kwargs: Optional[Dict] = None,
+    explain: bool = False,
+) -> Route:
+    """The one route decision behind every join entry point.
+
+    Validates τ, ``engine``, ``workers`` and the ``prepared=`` artifact;
+    plans once, with ``stats``, when the algorithm is ``"auto"`` or
+    ``explain`` asks for the plan; applies the up-front Figure-7
+    fallback; picks the engine with :func:`_engine_decision` and notes
+    an explicit request's ``kernel.fallback_reason``. An artifact the
+    route does not read (the object engine, or a query that needs the
+    per-query r-hierarchical reduction, which also notes why) counts one
+    ``prepared.fallback_queries``. A non-``overlaps`` predicate resolves
+    to the binary lazy sweep: two edges, no workers, and algorithm
+    ``auto`` or ``baseline`` (both mean "the binary join" there).
+    """
+    from ..core.planner import plan
+    from .allen import parse_predicate
+    from .timefirst import needs_reduction
+
+    _ensure_loaded()
+    _check_tau(tau)
+    _check_engine(engine)
+    if workers is not None and workers < 1:
+        raise QueryError(f"workers must be >= 1, got {workers!r}")
+    if prepared is not None:
+        prepared.validate_against(database)
+    kwargs = {} if kwargs is None else kwargs
+    if parse_predicate(predicate) != ("overlaps",):
+        names = query.edge_names
+        if len(names) != 2:
+            raise QueryError(
+                f"predicate {predicate!r} requires a binary query (exactly two "
+                f"edges); got {len(names)} edges {list(names)}. Only the "
+                "default 'overlaps' predicate supports multiway queries."
+            )
+        if workers is not None and workers > 1:
+            raise QueryError(
+                f"predicate {predicate!r} does not support workers={workers}: "
+                "the sharded merge's ownership rule assumes overlap semantics"
+            )
+        if algorithm not in ("auto", "baseline"):
+            raise QueryError(
+                f"predicate {predicate!r} runs the lazy-sweep binary engine; "
+                f"algorithm must be 'auto' or 'baseline', got {algorithm!r}"
+            )
+        used = "object" if engine == "object" else "kernel"
+        reads = prepared if used == "kernel" else None
+        route = Route(LAZY_SWEEP, None, {}, None, used, None, reads)
+    else:
+        choice = None
+        if algorithm == "auto" or explain:
+            if prepared is not None:
+                choice = prepared.cached_plan(query, stats=stats)
+            else:
+                choice = plan(query, stats=stats)
+        if algorithm == "auto":
+            name, fn, kwargs = _resolve_auto(query, kwargs, choice)
+        else:
+            name, fn = algorithm, get_algorithm(algorithm)
+        used, reason = _engine_decision(name, engine, kwargs)
+        reads = None
+        if prepared is not None and used == "kernel" and not needs_reduction(query):
+            reads = prepared
+        route = Route(name, fn, kwargs, choice, used, reason, reads)
+    if stats is not None:
+        if route.reason is not None:
+            stats.note("kernel.fallback_reason", route.reason)
+        if prepared is not None and reads is None:
+            stats.incr("prepared.fallback_queries")
+            if used == "kernel":
+                stats.note(
+                    "kernel.fallback_reason",
+                    "r-hierarchical instance reduction is per-query; "
+                    "prepared columns cannot be shared, running cold",
+                )
+    return route
+
+
+def run_route(
+    route: Route,
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    stats: Optional[ExecutionStats] = None,
+    workers: Optional[int] = None,
+    parallel_mode: str = "process",
+    cuts=None,
+) -> JoinResultSet:
+    """Execute a resolved multiway route: sharded for ``workers >= 2``."""
+    if workers is not None and workers > 1:
+        from ..parallel.executor import run_sharded
+
+        return run_sharded(
+            route, query, database, tau, workers, parallel_mode, cuts, stats
+        )
+    if route.engine == "kernel":
+        from ..kernels.engine import kernel_columns, sweep_columns
+
+        run_query, columns = kernel_columns(
+            query, database, tau, stats=stats, prepared=route.prepared
+        )
+        return sweep_columns(run_query, columns, tau, stats=stats)
+    kwargs = route.kwargs if stats is None else dict(route.kwargs, stats=stats)
+    return route.fn(query, database, tau=tau, **kwargs)
+
+
 def _binary_predicate_join(
+    route: Route,
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number,
     predicate: str,
-    algorithm: str,
     stats: Optional[ExecutionStats],
-    workers: Optional[int],
-    engine: str,
-    prepared,
 ) -> JoinResultSet:
-    """Dispatch a non-``overlaps`` predicate to the lazy-sweep binary path.
+    """Run a non-``overlaps`` predicate on the lazy-sweep binary path.
 
-    Allen predicates are defined on a *pair* of intervals, so they apply
-    to binary queries only; the multiway machinery (attribute trees,
-    GHDs, shard-ownership merge) is all built on intersection semantics.
-    Hence the up-front :class:`QueryError` walls: exactly two edges, no
-    parallel workers, and only the ``auto``/``baseline`` algorithm names
-    (both of which mean "the binary join" on a two-edge query anyway).
-
-    τ filters the *emitted* pair interval — the intersection, or the gap
+    Allen predicates are defined on a *pair* of intervals, hence the
+    route's binary-only walls: the multiway machinery is all built on
+    intersection semantics. τ filters the *emitted* pair interval — the intersection, or the gap
     for ``before`` — by duration, consistent with the shrink/expand
     durability semantics of the overlaps path (where the emitted
     interval is always the intersection).
     """
     names = query.edge_names
-    if len(names) != 2:
-        raise QueryError(
-            f"predicate {predicate!r} requires a binary query (exactly two "
-            f"edges); got {len(names)} edges {list(names)}. Only the "
-            "default 'overlaps' predicate supports multiway queries."
-        )
-    if workers is not None and workers > 1:
-        raise QueryError(
-            f"predicate {predicate!r} does not support workers={workers}: "
-            "the sharded merge's ownership rule assumes overlap semantics"
-        )
-    if algorithm not in ("auto", "baseline"):
-        raise QueryError(
-            f"predicate {predicate!r} runs the lazy-sweep binary engine; "
-            f"algorithm must be 'auto' or 'baseline', got {algorithm!r}"
-        )
     query.validate(database)
-    if engine == "object":
+    if route.engine == "object":
         from .binary import binary_temporal_join
 
         joined = binary_temporal_join(
@@ -375,13 +484,47 @@ def _binary_predicate_join(
         from ..kernels.allen import kernel_predicate_join
 
         out = kernel_predicate_join(
-            query, database, predicate, stats=stats, prepared=prepared
+            query, database, predicate, stats=stats, prepared=route.prepared
         )
     if tau:
         out = out.filter_durable(tau)
     if stats is not None:
         stats.incr("results", len(out))
     return out
+
+
+def _join(
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    algorithm: str,
+    stats: Optional[ExecutionStats],
+    workers: Optional[int],
+    parallel_mode: str,
+    engine: str,
+    prepared,
+    predicate: str,
+    kwargs: Dict,
+    explain: bool = False,
+) -> Tuple[JoinResultSet, Route]:
+    """Resolve the route and run it: the call behind both public entry points."""
+    cuts = None
+    if workers is not None and workers > 1:
+        # ``cuts=`` is the sharded executor's own argument (as in
+        # ``parallel_temporal_join``), never the algorithm's.
+        cuts = kwargs.pop("cuts", None)
+    route = resolve_route(
+        query, database, tau, algorithm, stats=stats, workers=workers,
+        engine=engine, prepared=prepared, predicate=predicate, kwargs=kwargs,
+        explain=explain,
+    )
+    if route.name == LAZY_SWEEP:
+        result = _binary_predicate_join(route, query, database, tau, predicate, stats)
+    else:
+        result = run_route(
+            route, query, database, tau, stats, workers, parallel_mode, cuts
+        )
+    return result, route
 
 
 def temporal_join(
@@ -443,7 +586,9 @@ def temporal_join(
         (validated up front, :class:`QueryError` on any drift); on the
         kernel path the call then skips interning, ranking and the
         event sort entirely, sweeping the artifact's cached columns.
-        Ignored by the object path. See also
+        The object path, and a query that needs the per-query
+        r-hierarchical reduction, run cold and count one
+        ``prepared.fallback_queries``. See also
         :func:`repro.kernels.prepared.run_batch` for whole-fleet
         amortization.
     predicate:
@@ -470,75 +615,11 @@ def temporal_join(
         Result tuples in ``query.attrs`` order with their valid intervals
         (the original, un-shrunk intervals even when ``tau > 0``).
     """
-    _ensure_loaded()
-    _check_tau(tau)
-    _check_engine(engine)
-    if workers is not None and workers < 1:
-        raise QueryError(f"workers must be >= 1, got {workers!r}")
-    if prepared is not None:
-        prepared.validate_against(database)
-    from .allen import parse_predicate
-
-    if parse_predicate(predicate) != ("overlaps",):
-        return _binary_predicate_join(
-            query, database, tau, predicate, algorithm, stats, workers,
-            engine, prepared,
-        )
-    if workers is not None and workers > 1:
-        from ..parallel import parallel_temporal_join
-
-        return parallel_temporal_join(
-            query,
-            database,
-            tau=tau,
-            algorithm=algorithm,
-            workers=workers,
-            mode=parallel_mode,
-            stats=stats,
-            engine=engine,
-            prepared=prepared,
-            **kwargs,
-        )
-    if algorithm == "auto":
-        if prepared is not None:
-            choice = prepared.cached_plan(query, stats=stats)
-            name, fn, kwargs = _resolve_auto(query, kwargs, choice=choice)
-        else:
-            name, fn, kwargs = _resolve_auto(query, kwargs, stats=stats)
-    else:
-        name = algorithm
-        fn = get_algorithm(algorithm)
-    return _dispatch_serial(
-        name, fn, query, database, tau, stats, engine, kwargs,
-        prepared=prepared,
+    result, _ = _join(
+        query, database, tau, algorithm, stats, workers, parallel_mode,
+        engine, prepared, predicate, kwargs,
     )
-
-
-def _dispatch_serial(
-    name: str,
-    fn: Algorithm,
-    query: JoinQuery,
-    database: Mapping[str, TemporalRelation],
-    tau: Number,
-    stats: Optional[ExecutionStats],
-    engine: str,
-    kwargs: Dict,
-    prepared=None,
-) -> JoinResultSet:
-    """Run one resolved algorithm serially, kernel fast path included."""
-    used_engine, fallback_reason = _engine_decision(name, engine, kwargs)
-    if fallback_reason is not None and stats is not None:
-        stats.note("kernel.fallback_reason", fallback_reason)
-    if used_engine == "kernel":
-        from ..kernels.engine import kernel_timefirst_join
-        from ..kernels.prepared import needs_reduction, prepared_kernel_join
-
-        if prepared is not None and not needs_reduction(query):
-            return prepared_kernel_join(query, prepared, tau=tau, stats=stats)
-        return kernel_timefirst_join(query, database, tau=tau, stats=stats)
-    if stats is not None:
-        kwargs = dict(kwargs, stats=stats)
-    return fn(query, database, tau=tau, **kwargs)
+    return result
 
 
 @dataclass
@@ -617,89 +698,38 @@ def explain_analyze(
     cache exactly as ``temporal_join`` would, and the report's counters
     include the ``prepared.*`` rows (cache hits, reuse, time saved).
     """
-    _ensure_loaded()
-    _check_tau(tau)
-    _check_engine(engine)
-    from .allen import parse_predicate
-
-    if parse_predicate(predicate) != ("overlaps",):
+    if stats is None:
+        # Created before the route is resolved so the ``planner.*``
+        # search counters land in the report alongside the execution
+        # counters.
+        stats = ExecutionStats()
+    start = time.perf_counter()
+    result, route = _join(
+        query, database, tau, algorithm, stats, workers, parallel_mode,
+        engine, prepared, predicate, kwargs, explain=True,
+    )
+    seconds = time.perf_counter() - start
+    name, choice = route.name, route.plan
+    if choice is None:
         # Non-overlaps predicates bypass the Figure-7 planner entirely:
         # the binary lazy-sweep path is the plan.
-        if prepared is not None:
-            prepared.validate_against(database)
-        if stats is None:
-            stats = ExecutionStats()
-        start = time.perf_counter()
-        result = _binary_predicate_join(
-            query, database, tau, predicate, algorithm, stats, workers,
-            engine, prepared,
+        explanation = (
+            f"binary Allen-predicate join (predicate={predicate!r}): "
+            "one lazy endpoint sweep per shared-attribute key group; "
+            "no multiway plan applies"
         )
-        seconds = time.perf_counter() - start
-        return ExplainAnalyze(
-            algorithm="lazy-sweep",
-            plan_explanation=(
-                f"binary Allen-predicate join (predicate={predicate!r}): "
-                "one lazy endpoint sweep per shared-attribute key group; "
-                "no multiway plan applies"
-            ),
-            stats=stats,
-            result=result,
-            seconds=seconds,
-            tau=tau,
-            input_size=sum(len(rel) for rel in database.values()),
-            engine="object" if engine == "object" else "kernel",
-            kernel_fallback=None,
-        )
-    if stats is None:
-        # Created before the planner runs so the ``planner.*`` search
-        # counters land in the report alongside the execution counters.
-        stats = ExecutionStats()
-    if prepared is not None:
-        prepared.validate_against(database)
-        choice = prepared.cached_plan(query, stats=stats)
-    else:
-        from ..core.planner import plan
-
-        choice = plan(query, stats=stats)
-    if algorithm == "auto":
-        # The planner already ran above; reuse its plan rather than
-        # re-deriving it inside the resolver.
-        name, fn, kwargs = _resolve_auto(query, kwargs, choice=choice)
-    else:
-        name = algorithm
-        fn = get_algorithm(algorithm)
-    # The decision for the *post-fallback* algorithm, from the same
-    # helper the dispatch sites use — the reported engine is the engine
-    # that runs, by construction rather than by synchronized duplicates.
-    used_engine, kernel_fallback = _engine_decision(name, engine, kwargs)
-    start = time.perf_counter()
-    if workers is not None and workers > 1:
-        from ..parallel import parallel_temporal_join
-
-        result = parallel_temporal_join(
-            query, database, tau=tau, algorithm=name,
-            workers=workers, mode=parallel_mode, stats=stats,
-            engine=engine, prepared=prepared, **kwargs,
+    elif name == choice.algorithm:
+        explanation = choice.explain()
+    elif algorithm != "auto":
+        explanation = choice.explain() + (
+            f"\n(algorithm forced to {name!r} by caller; the planner "
+            f"would have picked {choice.algorithm!r})"
         )
     else:
-        result = _dispatch_serial(
-            name, fn, query, database, tau, stats, engine, kwargs,
-            prepared=prepared,
-        )
-    seconds = time.perf_counter() - start
-    explanation = choice.explain()
-    if algorithm != "auto":
-        if name != choice.algorithm:
-            explanation += (
-                f"\n(algorithm forced to {name!r} by caller; the planner "
-                f"would have picked {choice.algorithm!r})"
-            )
-    elif name != choice.algorithm:
-        explanation += (
+        explanation = choice.explain() + (
             f"\n(auto fallback: planner picked {choice.algorithm!r}, "
             f"inapplicable to this instance; ran {name!r})"
         )
-    input_size = sum(len(rel) for rel in database.values())
     return ExplainAnalyze(
         algorithm=name,
         plan_explanation=explanation,
@@ -707,7 +737,7 @@ def explain_analyze(
         result=result,
         seconds=seconds,
         tau=tau,
-        input_size=input_size,
-        engine=used_engine,
-        kernel_fallback=kernel_fallback,
+        input_size=sum(len(rel) for rel in database.values()),
+        engine=route.engine,
+        kernel_fallback=route.reason,
     )

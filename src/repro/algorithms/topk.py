@@ -19,7 +19,7 @@ exactly k.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional
 
 from ..core.interval import Number
 from ..core.query import JoinQuery

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from fnmatch import fnmatchcase
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .engine import Finding, ProjectRule
 from .project import FileSummary, ProjectModel

@@ -686,6 +686,69 @@ class CheckedIntervalInLoop(Rule):
 
 
 # ----------------------------------------------------------------------
+class UnusedImport(Rule):
+    """An imported name the module never reads (ruff's F401, stdlib-only).
+
+    Lets ``make analyze`` catch what CI's ``ruff`` lint job checks, also
+    where ruff is not installed. A name listed in ``__all__`` is a
+    re-export, and names inside quoted annotations count as reads.
+    ``__future__`` and star imports are never findings.
+    """
+
+    id = "unused-import"
+    severity = "error"
+    description = "imported name never used in the module"
+    hint = "delete the import, or list a deliberate re-export in __all__"
+
+    @staticmethod
+    def _reads(tree: ast.Module) -> Set[str]:
+        reads: Set[str] = set()
+        quoted: List[ast.AST] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.add(node.id)
+            elif isinstance(node, ast.arg) and node.annotation is not None:
+                quoted.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                quoted.append(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                quoted.append(node.annotation)
+            elif (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))
+            ):
+                reads.update(
+                    e.value for e in node.value.elts if isinstance(e, ast.Constant)
+                )
+        for annotation in quoted:
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    try:
+                        parsed = ast.parse(sub.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    reads.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+        return reads
+
+    def check(self, sf: SourceFile) -> List[Finding]:
+        reads = self._reads(sf.tree)
+        out = []
+        for node in ast.walk(sf.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if alias.name != "*" and bound not in reads:
+                    out.append(
+                        sf.finding(self, node, f"{bound!r} is imported but never used")
+                    )
+        return out
+
+
+# ----------------------------------------------------------------------
 def default_rules() -> List[Rule]:
     """The registered rule set, in reporting order."""
     return [
@@ -699,4 +762,5 @@ def default_rules() -> List[Rule]:
         StatsContract(),
         KernelNoObjectRows(),
         CheckedIntervalInLoop(),
+        UnusedImport(),
     ]

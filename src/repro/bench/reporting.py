@@ -8,7 +8,7 @@ Figure 10 does ("we report running time as a ratio to that of BASELINE").
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from .harness import Measurement
 

@@ -28,8 +28,8 @@ dangling-heavy data, JOINFIRST on small non-temporal outputs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..nontemporal.cover import agm_bound
 from ..nontemporal.ghd import fhtw_ghd, find_guarded_partition, hhtw_ghd

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import pathlib
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Mapping, Optional, Union
 
 from .errors import IntervalError, SchemaError
 from .interval import Interval, Number

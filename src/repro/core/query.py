@@ -15,7 +15,7 @@ the query families used throughout the paper (Figure 3):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .classification import QueryClass, classify, is_hierarchical, is_r_hierarchical
 from .errors import QueryError, SchemaError

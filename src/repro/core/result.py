@@ -11,7 +11,7 @@ plain list).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import SchemaError
 from .interval import Interval, Number

@@ -14,8 +14,9 @@ Layout:
 * :mod:`~repro.kernels.hierarchy` / :mod:`~repro.kernels.generic` —
   row-id driven sweep states (Theorem 6 / Theorem 9 structures); the
   hierarchical one can emit final rows, decoded and widened by τ/2.
-* :mod:`~repro.kernels.engine` — the τ-aware driver, the one sweep
-  every kernel route runs (``sweep_columns``), and the
+* :mod:`~repro.kernels.engine` — the one column read every kernel
+  route starts from (``kernel_columns``), the one sweep it runs
+  (``sweep_columns``), and the
   ``supports_kernel`` capability probe used by the dispatch layer.
 * :mod:`~repro.kernels.prepared` — pay the ingest once per *database*:
   :func:`prepare` / :class:`PreparedDatabase` /
@@ -35,8 +36,8 @@ from .columns import (
 from .prepared import PreparedDatabase, prepare, run_batch
 from .engine import (
     KERNEL_ALGORITHMS,
+    kernel_columns,
     kernel_sweep,
-    kernel_timefirst_join,
     make_state,
     prepare_run,
     supports_kernel,
@@ -54,8 +55,8 @@ __all__ = [
     "build_columns",
     "deintern_expand",
     "deintern_results",
+    "kernel_columns",
     "kernel_sweep",
-    "kernel_timefirst_join",
     "key_shard_row_ids",
     "make_state",
     "prepare",

@@ -26,7 +26,7 @@ from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
-from .columns import KernelColumns, build_columns, deintern_results
+from .columns import build_columns, deintern_results
 
 Triple = Tuple[int, int, int]
 

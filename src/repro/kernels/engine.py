@@ -1,17 +1,20 @@
 """The kernel TIMEFIRST route: one interning pass, one flat sweep.
 
-:func:`kernel_timefirst_join` computes what
+The kernel engine computes what
 :func:`repro.algorithms.timefirst.timefirst_join` computes, on
-:class:`~repro.kernels.columns.KernelColumns`: the τ/2 shrink happens in
-rank space, once per distinct endpoint (a query that needs the
+:class:`~repro.kernels.columns.KernelColumns`. :func:`kernel_columns`
+is the one answer to which columns a kernel read sweeps: a prepared
+artifact's τ-view, or a cold read whose τ/2 shrink happens in rank
+space, once per distinct endpoint (a query that needs the
 r-hierarchical reduction goes through the shared
-:func:`~repro.algorithms.timefirst.prepare_run` on object rows instead),
-the event codes are sorted once per call, the dynamic structure is keyed
-on interned ints, and the sweep is the shared
-:func:`~repro.algorithms.timefirst.drive` loop.
+:func:`~repro.algorithms.timefirst.prepare_run` on object rows instead)
+and whose event codes are sorted once per call. :func:`sweep_columns`
+then runs the shared :func:`~repro.algorithms.timefirst.drive` loop
+over a dynamic structure keyed on interned ints.
 
-Every kernel route — cold, prepared, and both worker shard paths —
-sweeps through :func:`sweep_columns`. On hierarchical queries REPORT
+The serial, shard and batch routes read through :func:`kernel_columns`
+(the batch fan-out shards the prepared τ-view itself), and every kernel
+route sweeps through :func:`sweep_columns`. On hierarchical queries REPORT
 builds each result once, final: de-interned and widened back by τ/2
 inside the sweep. The GHD state emits interned rows, which one pass
 (:func:`~repro.kernels.columns.deintern_expand`) turns into final rows.
@@ -27,7 +30,6 @@ from __future__ import annotations
 from typing import Mapping, Optional, Tuple
 
 from ..algorithms.timefirst import drive, needs_reduction, prepare_run
-from ..core.errors import InvariantError
 from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
@@ -53,25 +55,54 @@ def supports_kernel(algorithm: str) -> bool:
     return algorithm in KERNEL_ALGORITHMS
 
 
-def cold_columns(
+def kernel_columns(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
     stats: Optional[ExecutionStats] = None,
+    prepared=None,
 ) -> Tuple[JoinQuery, KernelColumns]:
-    """The run query and its columns for a kernel call without prepared columns.
+    """The run query and the columns a kernel read of ``query`` sweeps.
 
-    Validates ``query`` against ``database`` and τ/2-shrinks in rank
-    space (:func:`~repro.kernels.columns.build_shrunk_columns`). A query
-    that needs the r-hierarchical instance reduction shrinks and reduces
-    object rows instead (:func:`prepare_run`), since the reduction reads
+    The one answer for the serial, shard and batch routes. ``prepared``
+    is the artifact the route reads
+    (:attr:`repro.algorithms.registry.Route.prepared`, which is ``None``
+    for a query that needs the r-hierarchical reduction): its cached
+    τ-view restricted to the query's relations, with no interning and no
+    sort (``prepared.reuse``). Without one the read is cold: validate
+    ``query`` against ``database`` and τ/2-shrink in rank space
+    (:func:`~repro.kernels.columns.build_shrunk_columns`), or, when the
+    query needs the reduction, shrink and reduce object rows
+    (:func:`prepare_run`) and intern those, since the reduction reads
     the shrunk rows.
     """
+    if prepared is not None:
+        query.validate(database)
+        columns = prepared.columns_for(query, tau, stats=stats)
+        record_reuse(prepared, columns, stats)
+        return query, columns
     if needs_reduction(query):
         run_query, run_db = prepare_run(query, database, tau, stats=stats)
         return run_query, build_columns(run_db, stats=stats)
     query.validate(database)
     return query, build_shrunk_columns(database, tau, stats=stats)
+
+
+def record_reuse(prepared, columns: KernelColumns, stats: Optional[ExecutionStats]) -> None:
+    """Count one read of ``prepared`` and the ingest time it saved.
+
+    ``phase.prepared.saved`` pro-rates the artifact's build time by the
+    fraction of its rows ``columns`` holds.
+    """
+    if stats is None:
+        return
+    stats.incr("prepared.reuse")
+    total = prepared.columns.n_rows
+    if prepared.build_seconds and total:
+        stats.add_time(
+            "phase.prepared.saved",
+            prepared.build_seconds * (columns.n_rows / total),
+        )
 
 
 def make_state(
@@ -132,22 +163,3 @@ def sweep_columns(
     state = make_state(run_query, columns, stats=stats)
     result = kernel_sweep(run_query, columns, state, stats=stats)
     return deintern_expand(columns.domains, result, half)
-
-
-def kernel_timefirst_join(
-    query: JoinQuery,
-    database: Mapping[str, TemporalRelation],
-    tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
-) -> JoinResultSet:
-    """τ-durable TIMEFIRST on the columnar kernel substrate.
-
-    Drop-in equivalent of the object path's ``timefirst_join`` (modulo
-    ``state_factory``, which forces the object engine): same counters,
-    same normalized results, one event sort per call.
-    """
-    run_query, columns = cold_columns(query, database, tau, stats=stats)
-    result = sweep_columns(run_query, columns, tau, stats=stats)
-    if tuple(result.attrs) != tuple(query.attrs):  # pragma: no cover - defensive
-        raise InvariantError("kernel sweep returned unexpected attribute layout")
-    return result

@@ -54,7 +54,9 @@ from .columns import (
     build_columns,
     shrink_columns,
 )
-from .engine import needs_reduction, sweep_columns
+from .engine import needs_reduction, record_reuse
+
+__all__ = ["PreparedDatabase", "needs_reduction", "prepare", "run_batch"]
 
 Database = Mapping[str, TemporalRelation]
 
@@ -232,40 +234,6 @@ def prepare(
     )
 
 
-def _record_reuse(
-    prepared: PreparedDatabase,
-    columns: KernelColumns,
-    stats: Optional[ExecutionStats],
-) -> None:
-    if stats is None:
-        return
-    stats.incr("prepared.reuse")
-    total = prepared.columns.n_rows
-    if prepared.build_seconds and total:
-        stats.add_time(
-            "phase.prepared.saved",
-            prepared.build_seconds * (columns.n_rows / total),
-        )
-
-
-def prepared_kernel_join(
-    query: JoinQuery,
-    prepared: PreparedDatabase,
-    tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
-) -> JoinResultSet:
-    """TIMEFIRST over prepared columns: no interning, no event sort.
-
-    The caller (the dispatch layer) has already validated the artifact
-    against the live database and checked that ``query`` does not need
-    the r-hierarchical instance reduction.
-    """
-    query.validate(prepared.database)
-    columns = prepared.columns_for(query, tau, stats=stats)
-    _record_reuse(prepared, columns, stats)
-    return sweep_columns(query, columns, tau, stats=stats)
-
-
 # ----------------------------------------------------------------------
 # Batch execution
 # ----------------------------------------------------------------------
@@ -273,13 +241,12 @@ def prepared_kernel_join(
 class _Evaluation:
     """One distinct (hypergraph, algorithm) sweep shared by ≥1 queries."""
 
-    __slots__ = ("query", "name", "indices", "kernel", "result")
+    __slots__ = ("query", "route", "indices", "result")
 
-    def __init__(self, query: JoinQuery, name: str) -> None:
+    def __init__(self, query: JoinQuery, route) -> None:
         self.query = query          # canonical query (first seen)
-        self.name = name            # resolved algorithm name
+        self.route = route          # its resolved registry Route
         self.indices: List[int] = []  # positions in the caller's list
-        self.kernel = False
         self.result: Optional[JoinResultSet] = None
 
 
@@ -310,54 +277,27 @@ def run_batch(
 
     Queries the kernel cannot serve from the artifact — non-kernel
     algorithms, or r-hierarchical queries needing the per-query instance
-    reduction — fall back to cold ``temporal_join`` on the relations
-    they touch (``prepared.fallback_queries``).
+    reduction — run their route cold on the relations they touch; the
+    route counts each such query in ``prepared.fallback_queries``.
     """
-    from ..algorithms.registry import (
-        _check_engine,
-        _check_tau,
-        _engine_decision,
-        _ensure_loaded,
-        _resolve_auto,
-        get_algorithm,
-        temporal_join,
-    )
-
-    _ensure_loaded()
-    _check_tau(tau)
-    _check_engine(engine)
-    if workers is not None and workers < 1:
-        raise QueryError(f"workers must be >= 1, got {workers!r}")
-    n_workers = workers if workers is not None else 1
+    from ..algorithms.registry import resolve_route, run_route
 
     # ------------------------------------------------------------------
     # Resolve + dedup: one _Evaluation per distinct (hypergraph, algo).
     # ------------------------------------------------------------------
+    database = prepared.database
     evaluations: Dict[Tuple, _Evaluation] = {}
     order: List[_Evaluation] = []
     for index, query in enumerate(queries):
-        query.validate(prepared.database)
-        if algorithm == "auto":
-            choice = prepared.cached_plan(query, stats=stats)
-            name, _, _ = _resolve_auto(query, {}, choice=choice)
-        else:
-            name = algorithm
-            get_algorithm(algorithm)  # raises on unknown names up front
-        key = (hypergraph_signature(query), name)
+        query.validate(database)
+        route = resolve_route(
+            query, database, tau, algorithm, stats=stats, workers=workers,
+            engine=engine, prepared=prepared,
+        )
+        key = (hypergraph_signature(query), route.name)
         evaluation = evaluations.get(key)
         if evaluation is None:
-            evaluation = _Evaluation(query, name)
-            used_engine, reason = _engine_decision(name, engine, {})
-            evaluation.kernel = used_engine == "kernel"
-            if evaluation.kernel and needs_reduction(query):
-                evaluation.kernel = False
-                reason = (
-                    "r-hierarchical instance reduction is per-query; "
-                    "prepared columns cannot be shared, running cold"
-                )
-            if reason is not None and stats is not None:
-                stats.note("kernel.fallback_reason", reason)
-            evaluations[key] = evaluation
+            evaluation = evaluations[key] = _Evaluation(query, route)
             order.append(evaluation)
         evaluation.indices.append(index)
     if stats is not None:
@@ -365,37 +305,22 @@ def run_batch(
         stats.incr("prepared.batch_evaluations", len(order))
 
     # ------------------------------------------------------------------
-    # Execute each distinct evaluation once.
+    # Execute each distinct evaluation once: the artifact's readers over
+    # one shard fan-out when parallel, the rest as their routes say.
     # ------------------------------------------------------------------
-    kernel_evals = [e for e in order if e.kernel]
-    if n_workers > 1 and kernel_evals:
+    readers = [e for e in order if e.route.prepared is not None]
+    if workers is not None and workers > 1 and readers:
         _run_kernel_batch_parallel(
-            kernel_evals, prepared, tau, n_workers, parallel_mode, stats
+            readers, prepared, tau, workers, parallel_mode, stats
         )
-    else:
-        for evaluation in kernel_evals:
-            evaluation.result = prepared_kernel_join(
-                evaluation.query, prepared, tau=tau, stats=stats
-            )
     for evaluation in order:
-        if evaluation.kernel:
-            continue
-        sub_db = {
-            name: prepared.database[name]
-            for name in evaluation.query.edge_names
-        }
-        evaluation.result = temporal_join(
-            evaluation.query,
-            sub_db,
-            tau=tau,
-            algorithm=evaluation.name,
-            engine=engine,
-            stats=stats,
-            workers=workers,
-            parallel_mode=parallel_mode,
-        )
-        if stats is not None:
-            stats.incr("prepared.fallback_queries", len(evaluation.indices))
+        if evaluation.result is None:
+            query = evaluation.query
+            sub_db = {name: database[name] for name in query.edge_names}
+            evaluation.result = run_route(
+                evaluation.route, query, sub_db, tau, stats, workers,
+                parallel_mode,
+            )
 
     # ------------------------------------------------------------------
     # Distribute: shared rows, projected into each requested attr order.
@@ -444,7 +369,8 @@ def _run_kernel_batch_parallel(
     exactly-once merge rule of :mod:`repro.parallel` intact, so results
     equal the serial prepared path up to row order.
     """
-    from ..parallel.executor import MODES, run_batch_tasks
+    from ..parallel.executor import MODES, fan_out
+    from ..parallel.merge import record_shards
     from ..parallel.partition import partition_timeline
     from ..parallel.worker import BatchShardTask
     from .columns import shard_row_ids
@@ -452,7 +378,7 @@ def _run_kernel_batch_parallel(
     if mode not in MODES:
         raise QueryError(f"unknown parallel mode {mode!r}; expected {MODES}")
     view = prepared.view(tau, stats=stats)
-    _record_reuse(prepared, view, stats)
+    record_reuse(prepared, view, stats)
     partition = partition_timeline(prepared.database, workers)
     assignments = shard_row_ids(view, partition.cuts, tau)
     replicated = sum(len(rids) for rids in assignments) - view.n_rows
@@ -469,7 +395,7 @@ def _run_kernel_batch_parallel(
         for shard, rids in enumerate(assignments)
     ]
     n_procs = min(workers, len(tasks))
-    outcomes = run_batch_tasks(tasks, n_procs, mode, stats=stats)
+    outcomes = fan_out(tasks, n_procs, mode, stats)
     outcomes = sorted(outcomes, key=lambda outcome: outcome.shard)
     for position, evaluation in enumerate(kernel_evals):
         rows = [
@@ -479,20 +405,4 @@ def _run_kernel_batch_parallel(
         ]
         evaluation.result = JoinResultSet(evaluation.query.attrs, rows)
     if stats is not None:
-        for outcome in outcomes:
-            if outcome.stats is not None:
-                stats.merge(outcome.stats)
-        stats.incr("parallel.shards", len(outcomes))
-        stats.incr("parallel.workers", n_procs)
-        stats.incr("parallel.replicated", replicated)
-        times = []
-        for outcome in outcomes:
-            stats.observe("parallel.shard_input", outcome.input_size)
-            stats.add_time(
-                f"phase.parallel.shard{outcome.shard:02d}", outcome.seconds
-            )
-            times.append(outcome.seconds)
-        stats.add_time("phase.parallel.workers", sum(times))
-        mean = sum(times) / len(times) if times else 0.0
-        skew = round(100 * max(times) / mean) if mean > 0 else 100
-        stats.peak("parallel.skew_pct_peak", skew)
+        record_shards(stats, outcomes, n_procs, replicated)

@@ -13,8 +13,7 @@ bench harness and for cost estimates.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 from scipy.optimize import linprog

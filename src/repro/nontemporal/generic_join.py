@@ -16,7 +16,7 @@ instances built per (relation, attribute-order) pair.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import InvariantError
 from ..core.hypergraph import Hypergraph
@@ -171,9 +171,3 @@ def generic_join_with_order(
     extend(0)
     return results, attr_order
 
-
-def count_generic_join(
-    hg: Hypergraph, database: Mapping[str, TemporalRelation]
-) -> int:
-    """Result count without materialization (used by cost probes)."""
-    return len(generic_join(hg, database))

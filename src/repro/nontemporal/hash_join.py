@@ -11,7 +11,7 @@ used where the paper's algorithms explicitly ignore temporal predicates
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.interval import Interval
 from ..core.relation import TemporalRelation

@@ -56,14 +56,7 @@ from .partition import (
     shard_databases,
 )
 from .pool import resident_pool
-from .worker import (
-    BatchShardOutcome,
-    BatchShardTask,
-    ShardOutcome,
-    ShardTask,
-    run_batch_shard,
-    run_shard,
-)
+from .worker import ShardTask, run_task
 
 #: Execution modes accepted by :func:`parallel_temporal_join`.
 MODES = ("process", "inline")
@@ -106,44 +99,41 @@ def parallel_temporal_join(
     prepared:
         Optional :class:`~repro.kernels.prepared.PreparedDatabase`
         matching ``database``. On the kernel path shard columns are
-        sliced from the prepared τ-view instead of re-interning; the
-        caller (``temporal_join``) has already validated the artifact.
+        sliced from the prepared τ-view instead of re-interning. The
+        artifact is validated against ``database`` up front, as in
+        ``temporal_join``.
 
     Returns the same :class:`JoinResultSet` (up to row order) as the
     serial ``temporal_join`` with the same arguments; the merge path
     performs no deduplication, relying on key-disjoint shards or the
     ownership rule.
     """
-    from ..algorithms.registry import (
-        _check_engine,
-        _check_tau,
-        _engine_decision,
-        _ensure_loaded,
-        _resolve_auto,
-    )
+    from ..algorithms.registry import resolve_route
 
-    _ensure_loaded()
-    _check_tau(tau)
-    _check_engine(engine)
+    route = resolve_route(
+        query, database, tau, algorithm, stats=stats, workers=workers,
+        engine=engine, prepared=prepared, kwargs=kwargs,
+    )
+    return run_sharded(route, query, database, tau, workers, mode, cuts, stats)
+
+
+def run_sharded(
+    route,
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    workers: int,
+    mode: str = "process",
+    cuts: Optional[Sequence[Number]] = None,
+    stats: Optional[ExecutionStats] = None,
+) -> JoinResultSet:
+    """Shard, fan out and merge one :class:`~repro.algorithms.registry.Route`."""
     query.validate(database)
     if mode not in MODES:
         raise QueryError(f"unknown parallel mode {mode!r}; expected {MODES}")
-    if workers < 1:
-        raise QueryError(f"workers must be >= 1, got {workers}")
-    if algorithm == "auto":
-        if prepared is not None:
-            choice = prepared.cached_plan(query, stats=stats)
-            algorithm, _, kwargs = _resolve_auto(query, kwargs, choice=choice)
-        else:
-            algorithm, _, kwargs = _resolve_auto(query, kwargs)
-
-    used_engine, fallback_reason = _engine_decision(algorithm, engine, kwargs)
-    if fallback_reason is not None and stats is not None:
-        stats.note("kernel.fallback_reason", fallback_reason)
-    if used_engine == "kernel":
+    if route.engine == "kernel":
         tasks, replicated, choice = _kernel_shard_tasks(
-            query, database, tau, algorithm, workers, cuts, stats,
-            prepared=prepared,
+            query, database, tau, route, workers, cuts, stats
         )
     else:
         choice = "time: explicit cuts" if cuts is not None else "time: object engine"
@@ -156,9 +146,9 @@ def parallel_temporal_join(
                 query=query,
                 database=shard_db,
                 tau=tau,
-                algorithm=algorithm,
+                algorithm=route.name,
                 cuts=partition.cuts,
-                kwargs=dict(kwargs),
+                kwargs=dict(route.kwargs),
                 collect_stats=stats is not None,
             )
             for i, shard_db in enumerate(shard_dbs)
@@ -167,11 +157,7 @@ def parallel_temporal_join(
     if stats is not None:
         stats.note("parallel.partition", choice)
     n_procs = min(workers, len(tasks))
-    if mode == "process" and n_procs > 1:
-        outcomes = _run_pool(tasks, n_procs, stats)
-    else:
-        outcomes = [run_shard(task) for task in tasks]
-
+    outcomes = fan_out(tasks, n_procs, mode, stats)
     return merge_outcomes(
         query,
         outcomes,
@@ -202,22 +188,19 @@ def _kernel_shard_tasks(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number,
-    algorithm: str,
+    route,
     workers: int,
     cuts: Optional[Sequence[Number]],
     stats: Optional[ExecutionStats],
-    prepared=None,
 ):
     """Build kernel-engine shard tasks: interned columns, no object rows.
 
     Returns ``(tasks, replicated, choice)``, ``choice`` being the
-    ``parallel.partition`` note. The instance is prepared (validated,
-    τ/2-shrunk in rank space, reduced) and interned *once* in the parent
-    by :func:`~repro.kernels.engine.cold_columns` — or, with a
-    :class:`~repro.kernels.prepared.PreparedDatabase`, not at all: the
-    artifact's cached τ-view restricted to the query's relations stands
-    in for it (queries needing the per-query r-hierarchical reduction
-    take the cold branch regardless).
+    ``parallel.partition`` note. The parent reads the columns *once*,
+    through :func:`~repro.kernels.engine.kernel_columns`: the route's
+    prepared τ-view restricted to the query's relations, or the instance
+    validated, τ/2-shrunk in rank space (reduced if it must be) and
+    interned.
 
     **Key shards** come first: when an attribute occurs in every
     relation of the run query, rows are split by its interned code
@@ -234,15 +217,11 @@ def _kernel_shard_tasks(
     endpoint).
     """
     from ..kernels import key_shard_row_ids, shard_row_ids
-    from ..kernels.engine import cold_columns, needs_reduction
-    from ..kernels.prepared import _record_reuse
+    from ..kernels.engine import kernel_columns
 
-    if prepared is not None and not needs_reduction(query):
-        run_query = query
-        columns = prepared.columns_for(query, tau, stats=stats)
-        _record_reuse(prepared, columns, stats)
-    else:
-        run_query, columns = cold_columns(query, database, tau, stats=stats)
+    run_query, columns = kernel_columns(
+        query, database, tau, stats=stats, prepared=route.prepared
+    )
 
     assignments = None
     if cuts is not None:
@@ -272,7 +251,7 @@ def _kernel_shard_tasks(
             query=run_query,
             database=None,
             tau=tau,
-            algorithm=algorithm,
+            algorithm=route.name,
             cuts=shard_cuts,
             kwargs={},
             collect_stats=stats is not None,
@@ -283,44 +262,25 @@ def _kernel_shard_tasks(
     return tasks, replicated, choice
 
 
-def _run_pool(
-    tasks: Sequence[ShardTask], n_procs: int, stats: Optional[ExecutionStats]
-) -> Sequence[ShardOutcome]:
-    """Fan shard tasks out to ``n_procs`` resident spawn workers.
+def fan_out(
+    tasks: Sequence, n_procs: int, mode: str, stats: Optional[ExecutionStats] = None
+) -> Sequence:
+    """Run shard tasks on ``n_procs`` resident spawn workers, or inline.
 
-    ``spawn`` starts each worker from a fresh interpreter, so
-    :func:`run_shard` must stay importable as
-    ``repro.parallel.worker.run_shard`` — the test suite's process-mode
-    smoke test guards that. Worker exceptions re-raise here unchanged.
+    The one fan-out behind :func:`run_sharded` (:class:`ShardTask`) and
+    :func:`repro.kernels.prepared.run_batch`
+    (:class:`~repro.parallel.worker.BatchShardTask`, one task per shard
+    carrying the whole query fleet). ``spawn`` starts each worker from a
+    fresh interpreter, so the payload :func:`run_task` must stay
+    importable as ``repro.parallel.worker.run_task`` — the test suite's
+    process-mode smoke test guards that. Worker exceptions re-raise
+    here unchanged. ``"inline"`` mode, and a single process, run the
+    tasks in order in the calling process.
     """
+    if mode != "process" or n_procs <= 1:
+        return [run_task(task) for task in tasks]
     with resident_pool(n_procs) as pool:
-        outcomes = pool.map(run_shard, tasks)
-    _count_pool_start(pool.started, stats)
-    return outcomes
-
-
-def run_batch_tasks(
-    tasks: Sequence[BatchShardTask],
-    n_procs: int,
-    mode: str,
-    stats: Optional[ExecutionStats] = None,
-) -> Sequence[BatchShardOutcome]:
-    """Execute a prepared batch's shard tasks (pool or inline).
-
-    The batch counterpart of the fan-out inside
-    :func:`parallel_temporal_join`: same resident workers, same inline
-    debugging mode, one task per shard — but each task carries the whole
-    query fleet, so the shard columns cross the process boundary once
-    per *batch*. Called by :func:`repro.kernels.prepared.run_batch`.
-    """
-    if mode == "process" and n_procs > 1:
-        with resident_pool(n_procs) as pool:
-            outcomes = pool.map(run_batch_shard, tasks)
-        _count_pool_start(pool.started, stats)
-        return outcomes
-    return [run_batch_shard(task) for task in tasks]
-
-
-def _count_pool_start(started: int, stats: Optional[ExecutionStats]) -> None:
+        outcomes = pool.map(run_task, tasks)
     if stats is not None:
-        stats.incr("parallel.pool_started", int(started > 0))
+        stats.incr("parallel.pool_started", int(pool.started > 0))
+    return outcomes

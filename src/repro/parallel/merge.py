@@ -49,22 +49,34 @@ def merge_outcomes(
         result.extend(outcome.rows)
 
     if stats is not None:
-        for outcome in ordered:
-            if outcome.stats is not None:
-                stats.merge(outcome.stats)
-        stats.incr("parallel.shards", len(ordered))
-        stats.incr("parallel.workers", workers)
-        stats.incr("parallel.replicated", replicated)
-        times = []
-        for outcome in ordered:
-            stats.observe("parallel.shard_input", outcome.input_size)
-            stats.observe("parallel.shard_results", outcome.owned_results)
-            stats.add_time(
-                f"phase.parallel.shard{outcome.shard:02d}", outcome.seconds
-            )
-            times.append(outcome.seconds)
-        stats.add_time("phase.parallel.workers", sum(times))
-        mean = sum(times) / len(times) if times else 0.0
-        skew = round(100 * max(times) / mean) if mean > 0 else 100
-        stats.peak("parallel.skew_pct_peak", skew)
+        record_shards(stats, ordered, workers, replicated)
     return result
+
+
+def record_shards(
+    stats: ExecutionStats,
+    outcomes: Sequence,
+    workers: int,
+    replicated: int,
+) -> None:
+    """Fold shard-ordered ``outcomes`` and the counters above into ``stats``.
+
+    The one telemetry fold, for :func:`merge_outcomes` and the prepared
+    batch fan-out alike.
+    """
+    for outcome in outcomes:
+        if outcome.stats is not None:
+            stats.merge(outcome.stats)
+    stats.incr("parallel.shards", len(outcomes))
+    stats.incr("parallel.workers", workers)
+    stats.incr("parallel.replicated", replicated)
+    times = []
+    for outcome in outcomes:
+        stats.observe("parallel.shard_input", outcome.input_size)
+        stats.observe("parallel.shard_results", outcome.owned_results)
+        stats.add_time(f"phase.parallel.shard{outcome.shard:02d}", outcome.seconds)
+        times.append(outcome.seconds)
+    stats.add_time("phase.parallel.workers", sum(times))
+    mean = sum(times) / len(times) if times else 0.0
+    skew = round(100 * max(times) / mean) if mean > 0 else 100
+    stats.peak("parallel.skew_pct_peak", skew)

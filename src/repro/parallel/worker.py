@@ -1,7 +1,9 @@
 """Shard worker: runs one serial algorithm on one shard.
 
-:func:`run_shard` is the function shipped to worker processes. It is a
-plain module-level function over picklable dataclasses, so it works
+:func:`run_task` is the function shipped to worker processes; it runs
+a :class:`ShardTask` through :func:`run_shard` and a
+:class:`BatchShardTask` through :func:`run_batch_shard`. All three are
+plain module-level functions over picklable dataclasses, so they work
 under every ``multiprocessing`` start method including ``spawn`` (where
 the child interpreter imports this module fresh and receives the task by
 pickle — nothing may depend on inherited parent state).
@@ -91,6 +93,11 @@ class BatchShardOutcome:
     input_size: int
     seconds: float
     stats: Optional[ExecutionStats] = None
+
+    @property
+    def owned_results(self) -> int:
+        """Rows this shard owns, summed over the batch's queries."""
+        return sum(len(rows) for rows in self.rows_per_query)
 
 
 @dataclass
@@ -193,6 +200,13 @@ def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
         seconds=time.perf_counter() - start,
         stats=stats,
     )
+
+
+def run_task(task):
+    """The one pool payload: run a :class:`ShardTask` or a :class:`BatchShardTask`."""
+    if isinstance(task, BatchShardTask):
+        return run_batch_shard(task)
+    return run_shard(task)
 
 
 def _run_kernel_shard(task: ShardTask, stats: Optional[ExecutionStats]):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 from ..core.interval import Interval
 from ..core.query import JoinQuery

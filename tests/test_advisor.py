@@ -1,7 +1,5 @@
 """Tests for the cost-based advisor (the paper's §6.3 future work)."""
 
-import pytest
-
 from repro.core.advisor import advise
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery

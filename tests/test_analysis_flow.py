@@ -4,8 +4,6 @@ the matching rule fires (and that the pristine sources stay clean)."""
 
 import os
 
-import pytest
-
 from repro.analysis.engine import SourceFile, lint_project
 from repro.analysis.flow_rules import (
     CounterGlossaryDrift,
@@ -242,18 +240,15 @@ class TestSpawnShipsModuleLevel:
         })
         assert findings == []
 
-    def test_both_executor_dispatch_sites_are_harvested(self):
-        """The resident-pool dispatches stay visible to the spawn rules."""
+    def test_executor_dispatch_site_is_harvested(self):
+        """The one resident-pool dispatch stays visible to the spawn rules."""
         path = "src/repro/parallel/executor.py"
         summary = summarize_file(SourceFile(_read(path), path))
         payloads = sorted(
             (submit["method"], submit["payload"]["kind"], submit["payload"]["name"])
             for submit in summary.pool_submits
         )
-        assert payloads == [
-            ("map", "import", "run_batch_shard"),
-            ("map", "import", "run_shard"),
-        ]
+        assert payloads == [("map", "import", "run_task")]
 
 
 # ----------------------------------------------------------------------

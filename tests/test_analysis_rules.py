@@ -3,8 +3,6 @@ plus suppression, baseline and engine-level behavior."""
 
 import textwrap
 
-import pytest
-
 from repro.analysis.engine import Baseline, BaselineEntry, lint_source, run_lint
 from repro.analysis.rules import default_rules
 
@@ -438,6 +436,40 @@ class TestCheckedIntervalInLoop:
         assert [f for f in report.findings if f.rule == self.RULE] == []
 
 
+class TestUnusedImport:
+    def test_bad(self):
+        src = """
+        import math
+        from typing import Dict, List
+
+        def f(xs: List[int]) -> int:
+            return len(xs)
+        """
+        found = findings_for(src, CORE, "unused-import")
+        assert sorted(f.message for f in found) == [
+            "'Dict' is imported but never used",
+            "'math' is imported but never used",
+        ]
+        assert {f.line for f in found} == {2, 3}
+
+    def test_good(self):
+        src = """
+        from __future__ import annotations
+
+        import os.path
+        from typing import Optional
+        from .engine import KernelColumns, prepare_run
+        from .helpers import *
+        from .errors import QueryError  # repro-lint: disable=unused-import
+
+        __all__ = ["prepare_run"]
+
+        def f(columns: "Optional[KernelColumns]") -> str:
+            return os.path.join("a", "b")
+        """
+        assert findings_for(src, CORE, "unused-import") == []
+
+
 class TestEngineBehavior:
     def test_inline_suppression(self):
         src = """
@@ -497,7 +529,7 @@ class TestEngineBehavior:
 
     def test_every_rule_has_identity(self):
         rules = default_rules()
-        assert len(rules) == 10
-        assert len({r.id for r in rules}) == 10
+        assert len(rules) == 11
+        assert len({r.id for r in rules}) == 11
         for rule in rules:
             assert rule.description and rule.hint and rule.severity == "error"

@@ -1,7 +1,5 @@
 """Tests for the durability transforms (paper §2.1 remarks)."""
 
-import random
-
 import pytest
 
 from repro.algorithms.naive import naive_join

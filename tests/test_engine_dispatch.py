@@ -20,6 +20,7 @@ from repro.algorithms.registry import (
     explain_analyze,
     temporal_join,
 )
+from repro.core.errors import QueryError
 from repro.core.query import JoinQuery
 from repro.obs import ExecutionStats
 from repro.workloads.synthetic import SyntheticConfig, generate
@@ -215,3 +216,24 @@ class TestExplainAnalyzeEngine:
         for engine in ("auto", "kernel", "object"):
             report = explain_analyze(query, db, algorithm="auto", engine=engine)
             self._engine_agrees_with_counters(report)
+
+
+class TestOneRouteDecision:
+    """Every entry point validates and plans through the same route."""
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_explain_analyze_rejects_workers_below_one(self, star3, workers):
+        query, db = star3
+        with pytest.raises(QueryError, match="workers must be >= 1"):
+            explain_analyze(query, db, workers=workers)
+
+    def test_parallel_call_records_the_serial_planner_counters(self, line3):
+        query, db = line3
+        serial, sharded = ExecutionStats(), ExecutionStats()
+        temporal_join(query, db, stats=serial)
+        temporal_join(query, db, workers=2, parallel_mode="inline", stats=sharded)
+        planner = {k: v for k, v in serial.counters.items() if k.startswith("planner.")}
+        assert planner
+        for name, value in planner.items():
+            assert sharded[name] == value
+        assert "phase.planner.search" in sharded.timers

@@ -9,8 +9,6 @@ Figure 6 gives three queries and their widths:
    4-attribute bag and has hhtw = 2.
 """
 
-import pytest
-
 from repro.analysis.plans import verify_ghd, verify_plan
 from repro.core.classification import classify
 from repro.core.query import JoinQuery

@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 import repro.kernels
 import repro.kernels.columns
 import repro.kernels.engine
-import repro.kernels.prepared
 from repro import prepare, run_batch, temporal_join
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.kernels import deintern_expand, kernel_sweep, make_state, sweep_columns
-from repro.kernels.engine import cold_columns
+from repro.kernels.engine import kernel_columns
 from repro.obs import ExecutionStats
 
 INF = float("inf")
@@ -124,7 +123,7 @@ ROUTES = {
 
 
 def _patch_sweep(patch, replacement):
-    for module in (repro.kernels, repro.kernels.engine, repro.kernels.prepared):
+    for module in (repro.kernels, repro.kernels.engine):
         patch.setattr(module, "sweep_columns", replacement)
 
 
@@ -135,7 +134,7 @@ def _patch_sweep(patch, replacement):
 @given(case=instances(HIERARCHICAL + [LINE3]), tau=st.sampled_from(TAUS))
 def test_sweep_columns_equals_interned_pair(case, tau):
     query, database = case
-    run_query, columns = cold_columns(query, database, tau)
+    run_query, columns = kernel_columns(query, database, tau)
     got = sweep_columns(run_query, columns, tau)
     want = two_pass(run_query, columns, tau)
     assert got.attrs == want.attrs == query.attrs
@@ -146,7 +145,7 @@ def test_sweep_columns_equals_interned_pair(case, tau):
 @given(case=instances(HIERARCHICAL), tau=st.sampled_from(TAUS))
 def test_cold_and_prepared_routes_equal_interned_pair(case, tau):
     query, database = case
-    _, columns = cold_columns(query, database, tau)
+    _, columns = kernel_columns(query, database, tau)
     assert exact(ROUTES["cold"](query, database, tau)) == exact(
         two_pass(query, columns, tau)
     )
@@ -189,7 +188,7 @@ def test_counters_equal_interned_pair():
 
     database = generate(STAR3, SyntheticConfig(n_dangling=40, n_results=30, seed=5))
     for tau in TAUS:
-        run_query, columns = cold_columns(STAR3, database, tau)
+        run_query, columns = kernel_columns(STAR3, database, tau)
         fused, interned = ExecutionStats(), ExecutionStats()
         got = sweep_columns(run_query, columns, tau, stats=fused)
         want = two_pass(run_query, columns, tau, stats=interned)

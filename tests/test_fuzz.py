@@ -14,7 +14,7 @@ import pytest
 
 from repro.algorithms.naive import naive_join
 from repro.algorithms.registry import temporal_join
-from repro.core.errors import PlanError, QueryError
+from repro.core.errors import PlanError
 from repro.core.query import JoinQuery
 
 from conftest import random_relation

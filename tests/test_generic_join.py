@@ -1,7 +1,5 @@
 """Tests for the worst-case optimal GenericJoin."""
 
-import random
-
 import pytest
 
 from repro.algorithms.naive import naive_nontemporal_join

@@ -9,7 +9,6 @@ from repro.nontemporal.cover import rho
 from repro.nontemporal.ghd import (
     enumerate_partition_ghds,
     fhtw,
-    fhtw_ghd,
     find_guarded_partition,
     hhtw,
     hhtw_ghd,

@@ -4,8 +4,6 @@ import pytest
 
 from repro.core.query import JoinQuery
 from repro.nontemporal.ghd import (
-    GHD,
-    fhtw_ghd,
     ghd_from_partition,
     guarded_ghd,
     hhtw_ghd,

@@ -1,6 +1,5 @@
 """Tests for the §5 hardness constructions."""
 
-import itertools
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from repro.algorithms.hardness import (
 )
 from repro.algorithms.naive import naive_nontemporal_join
 from repro.algorithms.registry import temporal_join
-from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.core.errors import QueryError

@@ -10,7 +10,6 @@ from repro.core.errors import QueryError
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
-from repro.core.result import JoinResultSet
 
 from conftest import random_database
 

@@ -1,7 +1,5 @@
 """White-box tests for the §3.2 hierarchical sweep structure."""
 
-import random
-
 import pytest
 
 from repro.algorithms.hierarchical import HierarchicalState

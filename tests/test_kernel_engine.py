@@ -22,13 +22,20 @@ from repro.core.timeline import concurrency_timeline, timeline_from_sorted_event
 from repro.kernels import (
     KernelColumns,
     build_columns,
-    kernel_timefirst_join,
+    kernel_columns,
     shard_row_ids,
     supports_kernel,
+    sweep_columns,
 )
 from repro.algorithms.registry import available_algorithms
 
 from conftest import random_database
+
+
+def _cold_kernel_join(query, db):
+    """The serial kernel route without an artifact: read, then sweep."""
+    run_query, columns = kernel_columns(query, db)
+    return sweep_columns(run_query, columns)
 
 
 @pytest.fixture
@@ -186,7 +193,7 @@ class TestColumns:
         assert columns.rank_times[0] == -inf
         assert columns.rank_times[-1] == inf
         ref = temporal_join(query, db, algorithm="timefirst", engine="object")
-        got = kernel_timefirst_join(query, db)
+        got = _cold_kernel_join(query, db)
         assert got.normalized() == ref.normalized()
 
     def test_deintern_restores_original_objects(self):
@@ -197,7 +204,7 @@ class TestColumns:
             "S": TemporalRelation("S", ("b", "c"),
                                   [((("t", 1), None), (2, 6))]),
         }
-        out = kernel_timefirst_join(query, db)
+        out = _cold_kernel_join(query, db)
         assert out.normalized() == [(("x", ("t", 1), None), Interval(2, 4))]
 
     def test_subset_reranks_locally(self, line3):
@@ -245,7 +252,7 @@ class TestDuplicateActiveTuples:
         with pytest.raises(QueryError, match="duplicate active tuple"):
             temporal_join(query, db, algorithm="timefirst", engine="object")
         with pytest.raises(QueryError, match="duplicate active tuple"):
-            kernel_timefirst_join(query, db)
+            _cold_kernel_join(query, db)
 
     @staticmethod
     def _overlapping(query, name, values, others):

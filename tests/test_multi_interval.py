@@ -1,14 +1,9 @@
 """Tests for the end-to-end multi-interval join wrapper."""
 
-import random
-
-import pytest
-
 from repro.algorithms.naive import naive_join
 from repro.core.durability import temporal_join_multi
 from repro.core.interval import Interval, IntervalSet
 from repro.core.query import JoinQuery
-from repro.core.relation import TemporalRelation
 
 
 class TestTemporalJoinMulti:
@@ -101,7 +96,6 @@ class TestTemporalJoinMulti:
                 dbs[name] = list(seen.items())
             out = temporal_join_multi(q, dbs)
             # Reference: brute force over episode choices, then coalesce.
-            from repro.core.durability import coalesce_results
             from repro.core.result import JoinResultSet
 
             ref_rows = []

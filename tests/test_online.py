@@ -1,7 +1,5 @@
 """Tests for the online (streaming) temporal join operator."""
 
-import random
-
 import pytest
 
 from repro.algorithms.naive import naive_join
@@ -13,7 +11,6 @@ from repro.algorithms.online import (
 from repro.core.errors import QueryError
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
-from repro.core.relation import TemporalRelation
 from repro.core.result import JoinResultSet
 from repro.obs import ExecutionStats
 

@@ -1,6 +1,7 @@
 """Tests for the prepared-columns multi-query engine (kernels.prepared)."""
 
 import pickle
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.kernels.prepared import PreparedDatabase, needs_reduction
 from repro.obs import ExecutionStats
+from repro.testing import random_instance
 from repro.workloads.synthetic import SyntheticConfig, generate
 
 CONFIG = SyntheticConfig(n_dangling=25, n_results=8)
@@ -398,10 +400,28 @@ class TestNeedsReduction:
             [query], artifact, algorithm="timefirst", stats=stats
         )
         assert results[0].normalized() == want
-        # The batch ran it cold (the per-query instance reduction cannot
-        # share prepared columns) and said why.
-        assert stats["prepared.fallback_queries"] == 1
+        # Both entry points ran it cold (the per-query instance reduction
+        # cannot share prepared columns), each counted it and said why.
+        assert stats["prepared.fallback_queries"] == 2
         assert "reduction" in stats.notes.get("kernel.fallback_reason", "")
+
+    def test_single_query_and_batch_account_fallback_alike(self):
+        """``temporal_join(prepared=)`` notes and counts the cold run as
+        ``run_batch`` does, also under ``engine="auto"``."""
+        query = JoinQuery({"R": ("a", "b", "c"), "S": ("a", "b"), "T": ("b", "c")})
+        db = random_instance(query, random.Random(5), n=20, domain=3)
+        artifact = prepare(db)
+        single, batch = ExecutionStats(), ExecutionStats()
+        got = temporal_join(query, db, prepared=artifact, stats=single)
+        (batched,) = run_batch([query], artifact, engine="auto", stats=batch)
+        assert len(got) > 0
+        assert got.normalized() == batched.normalized()
+        for stats in (single, batch):
+            assert stats["prepared.fallback_queries"] == 1
+            assert "prepared.reuse" not in stats
+        note = batch.notes["kernel.fallback_reason"]
+        assert "reduction" in note
+        assert single.notes.get("kernel.fallback_reason") == note
 
 
 class TestRestrict:

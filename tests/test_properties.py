@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from repro.algorithms.interval_join import forward_scan_join
 from repro.algorithms.naive import naive_join
 from repro.algorithms.registry import temporal_join
-from repro.core.errors import PlanError
 from repro.core.interval import Interval, IntervalSet, intersect_all
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation

@@ -2,9 +2,7 @@
 
 import random
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 from repro.algorithms.naive import naive_nontemporal_join
 from repro.core.hypergraph import Hypergraph

@@ -1,7 +1,5 @@
 """Tests for top-k durable joins and the durability histogram."""
 
-import pytest
-
 from repro.algorithms.naive import naive_join
 from repro.algorithms.topk import durability_histogram, top_k_durable
 from repro.core.interval import Interval

@@ -1,7 +1,5 @@
 """Tests for the workload characterization module."""
 
-import pytest
-
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
