@@ -345,7 +345,8 @@ def resolve_route(
 ) -> Route:
     """The one route decision behind every join entry point.
 
-    Validates τ, ``engine``, ``workers`` and the ``prepared=`` artifact;
+    Validates τ, ``engine``, ``workers`` (``cuts=`` needs two or more)
+    and the ``prepared=`` artifact;
     plans once, with ``stats``, when the algorithm is ``"auto"`` or
     ``explain`` asks for the plan; applies the up-front Figure-7
     fallback; picks the engine with :func:`_engine_decision` and notes
@@ -368,6 +369,13 @@ def resolve_route(
     if prepared is not None:
         prepared.validate_against(database)
     kwargs = {} if kwargs is None else kwargs
+    if "cuts" in kwargs:
+        # The sharded executor's own argument; _join hands it there
+        # when workers >= 2, so here it would reach the algorithm.
+        raise QueryError(
+            f"cuts= needs workers >= 2 (got workers={workers!r}): it places "
+            "the time cuts of a sharded run"
+        )
     if parse_predicate(predicate) != ("overlaps",):
         names = query.edge_names
         if len(names) != 2:

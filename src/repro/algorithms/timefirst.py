@@ -166,11 +166,13 @@ def prepare_run(
     Returns the (query, database) pair the sweep actually runs on. The
     one shrink-and-reduce step of TIMEFIRST: :func:`timefirst_join`
     calls it, and so does the kernel engine for queries that need the
-    reduction, which reads shrunk object rows.
+    reduction, which reads shrunk object rows. Relations of ``database``
+    that the query does not use are not read.
     """
     from ..core.classification import reduce_instance
 
     query.validate(database)
+    database = query.relations_of(database)
     tracer = NULL_TRACER if stats is None else stats
     with tracer.timer("phase.shrink"):
         db = shrink_database(database, tau)

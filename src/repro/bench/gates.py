@@ -184,6 +184,7 @@ def kernels_cell(cell: str, repeat: int) -> dict:
                      "input_tuples": query.input_size(database),
                      "results": len(out["kernel"]),
                      "rows": stats.get("kernel.rows"),
+                     "semijoin_dropped": stats.get("kernel.semijoin_dropped"),
                      "interned_values": stats.get("kernel.interned_values"),
                      "distinct_endpoints": stats.get("kernel.distinct_endpoints"),
                      "sort_calls": stats.get("kernel.sort_calls"),

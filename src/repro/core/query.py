@@ -115,6 +115,17 @@ class JoinQuery:
                     f"expects {self.edge(name)}"
                 )
 
+    def relations_of(self, database: Database) -> Database:
+        """The query's relations of ``database``, in database order.
+
+        ``database`` itself when it holds no other relation. Row ids
+        follow database order, so keeping it keeps event tie order.
+        """
+        edges = set(self.edge_names)
+        if edges.issuperset(database):
+            return database
+        return {name: database[name] for name in database if name in edges}
+
     def input_size(self, database: Database) -> int:
         """The paper's ``N``: total number of input tuples."""
         return sum(len(database[name]) for name in self.edge_names)

@@ -9,8 +9,8 @@ Layout:
 
 * :mod:`~repro.kernels.columns` — the only module that touches object
   rows: interning, rank compression, the τ/2 shrink in rank space, the
-  single per-call event sort, de-interning, shard subsetting, timeline
-  bridging.
+  temporal semijoin pass, the single per-call event sort, de-interning,
+  shard subsetting, timeline bridging.
 * :mod:`~repro.kernels.hierarchy` / :mod:`~repro.kernels.generic` —
   row-id driven sweep states (Theorem 6 / Theorem 9 structures); the
   hierarchical one can emit final rows, decoded and widened by τ/2.

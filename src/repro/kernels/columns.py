@@ -42,6 +42,14 @@ bundle once per ``temporal_join`` call — or once per *database* via
   per distinct rank, rows are remapped and dropped with int64 numpy
   work, and only the cold route's surviving rows are interned. The
   event codes are sorted once, after the shrink.
+* **Temporal semijoin** — a query read (:func:`query_columns`, and
+  :func:`semijoin_columns` over a prepared view) keeps a row only if,
+  in every relation sharing attributes with its own, a row with the
+  same shared values meets its shrunk interval (:func:`semijoin_keep`,
+  repeated until nothing drops). The test runs on int64 codes of the
+  shared attributes and on rank arrays; cold reads then encode, re-rank
+  and sort the kept rows only. Domain tables still see every row, so
+  codes and representatives are the unreduced read's.
 
 Emission intervals are **not** pickled: :func:`build_columns` seeds the
 per-process cache behind :meth:`KernelColumns.intervals` with the ingest
@@ -67,6 +75,7 @@ from ..algorithms.events import _rank_endpoints, _sorted_event_codes
 from ..core.durability import check_threshold, shrink_database
 from ..core.errors import InvariantError
 from ..core.interval import Interval, Number
+from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..core.timeline import Timeline, timeline_from_sorted_events
@@ -95,6 +104,7 @@ class KernelColumns:
         "domains",
         "n_rows",
         "_interval_cache",
+        "_code_cache",
     )
 
     #: Pickled fields — everything except the lazy interval cache, which
@@ -133,6 +143,7 @@ class KernelColumns:
         self.domains = domains
         self.n_rows = len(row_values)
         self._interval_cache: Optional[List[Interval]] = None
+        self._code_cache: Optional[Dict[str, Tuple[int, np.ndarray]]] = None
 
     # Explicit state plumbing: the interval cache must never cross a
     # process boundary (its Interval objects are exactly the payload the
@@ -145,6 +156,7 @@ class KernelColumns:
         for name, value in zip(self._STATE, state):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_interval_cache", None)
+        object.__setattr__(self, "_code_cache", None)
 
     # ------------------------------------------------------------------
     def intervals(self) -> List[Interval]:
@@ -180,6 +192,26 @@ class KernelColumns:
                 ]
                 cached = list(map(built.__getitem__, which.tolist()))
             self._interval_cache = cached
+        return cached
+
+    def relation_codes(self) -> Dict[str, Tuple[int, np.ndarray]]:
+        """Per relation with rows: its first row id and its code matrix.
+
+        The matrix holds one int64 column per attribute, in the
+        relation's attribute order — what :func:`semijoin_columns` keys
+        on. Built from ``row_values`` on first use and cached per
+        process, like the intervals; the cache is not pickled.
+        """
+        cached = self._code_cache
+        if cached is None:
+            cached = {}
+            start = 0
+            for name, block in groupby(self.row_relation):
+                count = sum(1 for _ in block)
+                matrix = np.array(self.row_values[start:start + count], dtype=np.int64)
+                cached[name] = (start, matrix.reshape(count, -1))
+                start += count
+            self._code_cache = cached
         return cached
 
     def subset(self, row_ids: Sequence[int]) -> "KernelColumns":
@@ -233,21 +265,13 @@ class KernelColumns:
         row_values = list(map(self.row_values.__getitem__, id_list))
         row_relation = list(map(self.row_relation.__getitem__, id_list))
         del id_list
-        lo = np.frombuffer(self.row_lo, dtype=np.int64)[ids]
-        hi = np.frombuffer(self.row_hi, dtype=np.int64)[ids]
         # Local rank of every parent rank a kept row uses: the kept
         # ranks, renumbered densely in parent order (a monotone remap).
-        used = np.zeros(len(self.rank_times), dtype=bool)
-        used[lo] = True
-        used[hi] = True
-        remap = np.cumsum(used, dtype=np.int64) - 1
-        kept_ranks = np.flatnonzero(used).tolist()
-        del used
-        rank_times = list(map(self.rank_times.__getitem__, kept_ranks))
-        del kept_ranks
-        row_lo = array("q", remap[lo].tobytes())
-        row_hi = array("q", remap[hi].tobytes())
-        del lo, hi
+        rank_times, row_lo, row_hi, remap = _compact_ranks(
+            self.rank_times,
+            np.frombuffer(self.row_lo, dtype=np.int64)[ids],
+            np.frombuffer(self.row_hi, dtype=np.int64)[ids],
+        )
         event_codes = self._derive_event_codes(ids, remap) if k else []
         return KernelColumns(
             relations=relations,
@@ -328,23 +352,7 @@ def build_columns(
     ``phase.kernel.intern`` / ``phase.kernel.rank`` timers, all nested
     under the object path's ``phase.events`` for comparability.
     """
-    tracer = NULL_TRACER if stats is None else stats
-    with tracer.timer("phase.events"):
-        row_intervals = _row_intervals(database)
-        with tracer.timer("phase.kernel.rank"):
-            ranks = _rank_endpoints(
-                list(map(_lo_of, row_intervals)), list(map(_hi_of, row_intervals))
-            )
-        columns = _ingest(
-            database,
-            ((name, database[name].attrs, database[name].rows) for name in database),
-            *ranks,
-            tracer,
-        )
-    # The ingest rows' own intervals are the emission intervals: seed
-    # this process's cache with them instead of rebuilding from ranks.
-    columns._interval_cache = row_intervals
-    return columns
+    return _read(database, 0, None, stats)
 
 
 def build_shrunk_columns(
@@ -354,16 +362,16 @@ def build_shrunk_columns(
 ) -> KernelColumns:
     """``build_columns(shrink_database(database, tau))``, shrunk in rank space.
 
-    The cold kernel route's ingest. Rather than build one shrunk
-    :class:`Interval` per row and intern the shrunk database, it ranks
-    the *unshrunk* endpoints, shrinks once per distinct endpoint
-    (:func:`_shrink_ranks`), drops the vanished rows in rank space, and
-    only then interns the surviving rows' values — so a dropped row
-    never supplies a domain representative, exactly as in the shrunk
-    database. Every field equals the object composition's: codes and
-    domains, row order, ``row_lo``/``row_hi``, ``rank_times`` values and
-    types, event codes. Emission intervals are built lazily by
-    :meth:`KernelColumns.intervals`, once per distinct endpoint pair.
+    :func:`query_columns` without the semijoin pass. Rather than build one shrunk :class:`Interval` per row and intern
+    the shrunk database, it ranks the *unshrunk* endpoints, shrinks once
+    per distinct endpoint (:func:`_shrink_ranks`), drops the vanished
+    rows in rank space, and only then interns the surviving rows' values
+    — so a dropped row never supplies a domain representative, exactly
+    as in the shrunk database. Every field equals the object
+    composition's: codes and domains, row order, ``row_lo``/``row_hi``,
+    ``rank_times`` values and types, event codes. Emission intervals are
+    built lazily by :meth:`KernelColumns.intervals`, once per distinct
+    endpoint pair.
 
     Images computed once per distinct endpoint are exact when equal
     endpoints have identical images, which holds for a float ``τ/2``
@@ -377,9 +385,56 @@ def build_shrunk_columns(
     database, ``kernel.shrink_dropped`` (rows the shrink removed, for
     ``tau > 0``) and the ``phase.shrink`` timer around the shrink.
     """
-    if tau == 0:
-        return build_columns(database, stats)
+    return _read(database, tau, None, stats)
+
+
+def query_columns(
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    stats: Optional[ExecutionStats] = None,
+) -> KernelColumns:
+    """The cold kernel read of ``query``: shrunk, reduced, then interned.
+
+    :func:`build_shrunk_columns` over the query's relations (in database
+    order; other relations are not read), with the temporal semijoin
+    pass (:func:`semijoin_keep`) between ranking and ingest: only the
+    rows it keeps get row tuples, ranks and event codes. Domain tables
+    still see every shrunk row, so codes, domains and representatives
+    equal the unreduced read's, and the kept rows' fields equal its
+    fields at those rows. Records ``kernel.semijoin_dropped`` and the
+    ``phase.kernel.semijoin`` timer besides :func:`build_shrunk_columns`'
+    telemetry.
+    """
+    return _read(query.relations_of(database), tau, query, stats)
+
+
+def _read(
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    query: Optional[JoinQuery],
+    stats: Optional[ExecutionStats],
+) -> KernelColumns:
+    """The one ingest behind the three builders above."""
     tracer = NULL_TRACER if stats is None else stats
+    if tau == 0:
+        with tracer.timer("phase.events"):
+            row_intervals = _row_intervals(database)
+            with tracer.timer("phase.kernel.rank"):
+                ranks = _rank_endpoints(
+                    list(map(_lo_of, row_intervals)), list(map(_hi_of, row_intervals))
+                )
+            relations = [
+                (name, database[name].attrs, database[name].rows) for name in database
+            ]
+            columns, keep = _ingest(relations, *ranks, tracer, query)
+        # The ingest rows' own intervals are the emission intervals: seed
+        # this process's cache with them instead of rebuilding from ranks.
+        columns._interval_cache = (
+            row_intervals if keep is None
+            else list(compress(row_intervals, keep.tolist()))
+        )
+        return columns
     with tracer.timer("phase.shrink"):
         check_threshold(tau)
         half = tau / 2
@@ -398,34 +453,58 @@ def build_shrunk_columns(
             shrunk_db = shrink_database(database, tau)
     if plain:
         with tracer.timer("phase.events"):
-            columns = _ingest(
-                database, _surviving_rows(database, keep.tolist()), *ranks, tracer
-            )
+            relations = list(_surviving_rows(database, keep.tolist()))
+            columns, _ = _ingest(relations, *ranks, tracer, query)
+        shrunk = len(ranks[1])
     else:
-        columns = build_columns(shrunk_db, stats)
-    tracer.incr("kernel.shrink_dropped", len(los) - columns.n_rows)
+        columns = _read(shrunk_db, 0, query, stats)
+        shrunk = sum(len(relation.rows) for relation in shrunk_db.values())
+    tracer.incr("kernel.shrink_dropped", len(los) - shrunk)
     return columns
 
 
 def _ingest(
-    database: Mapping[str, TemporalRelation],
-    relations,
+    relations: List[Tuple[str, Tuple[str, ...], list]],
     rank_times: List[Number],
     row_lo: array,
     row_hi: array,
     tracer,
-) -> KernelColumns:
-    """Intern ``relations`` and sort the event codes of ranked rows."""
+    query: Optional[JoinQuery] = None,
+) -> Tuple[KernelColumns, Optional[np.ndarray]]:
+    """Intern ``(name, attrs, rows)`` relations and sort their event codes.
+
+    With a ``query``, the semijoin pass runs on the shared attributes'
+    codes first, and only the rows it keeps get row tuples, ranks and
+    event codes. Returns the columns and the keep mask over the input
+    rows (``None`` when every row is kept).
+    """
+    shared = frozenset() if query is None else _shared_attributes(query)
     with tracer.timer("phase.kernel.intern"):
-        domains, row_relation, row_values = _intern_columns(relations)
+        domains, tables, blocks, value_columns = _intern_tables(relations, shared)
+    keep = None
+    if query is not None:
+        n_rows = len(row_lo)
+        with tracer.timer("phase.kernel.semijoin"):
+            keep = semijoin_keep(query, blocks, row_lo, row_hi, len(rank_times))
+            if keep is not None:
+                rank_times, row_lo, row_hi, _ = _compact_ranks(
+                    rank_times,
+                    np.frombuffer(row_lo, dtype=np.int64)[keep],
+                    np.frombuffer(row_hi, dtype=np.int64)[keep],
+                )
+        tracer.incr("kernel.semijoin_dropped", n_rows - len(row_lo))
+    with tracer.timer("phase.kernel.intern"):
+        row_relation, row_values = _encode_rows(
+            relations, blocks, value_columns, tables, keep
+        )
     with tracer.timer("phase.kernel.rank"):
         event_codes = _sorted_event_codes(row_lo, row_hi)
     tracer.incr("kernel.rows", len(row_values))
     tracer.incr("kernel.interned_values", sum(map(len, domains.values())))
     tracer.incr("kernel.distinct_endpoints", len(rank_times))
     tracer.incr("kernel.sort_calls")
-    return KernelColumns(
-        relations=tuple(database),
+    columns = KernelColumns(
+        relations=tuple(name for name, _, _ in relations),
         row_relation=row_relation,
         row_values=row_values,
         row_lo=row_lo,
@@ -434,6 +513,7 @@ def _ingest(
         event_codes=event_codes,
         domains=domains,
     )
+    return columns, keep
 
 
 def _surviving_rows(database: Mapping[str, TemporalRelation], flags: List[bool]):
@@ -454,37 +534,278 @@ def _row_intervals(database: Mapping[str, TemporalRelation]) -> List[Interval]:
     return out
 
 
-def _intern_columns(relations):
-    """Intern ``(name, attrs, rows)`` relations one attribute column at a time.
+#: Per relation: ``(name, first row id, row count, codes)``, ``codes``
+#: mapping attributes to int64 code arrays over the relation's rows.
+Block = Tuple[str, int, int, Dict[str, np.ndarray]]
 
-    Returns ``(domains, row_relation, row_values)``. Each domain sees its
-    values in (relation, row) order, exactly as a row-by-row loop would,
-    so codes and first-appearance order match it; values that compare
-    equal (``1``, ``1.0``, ``True``) share the slot of the first one
-    seen. Empty relations still register their domains.
+
+def _intern_tables(relations, shared: frozenset):
+    """Domain tables for ``(name, attrs, rows)`` relations, one column at a time.
+
+    Returns ``(domains, tables, blocks, value_columns)``: the inverse
+    tables, the value-to-code dicts, a :data:`Block` per relation with
+    int64 codes of its ``shared`` attributes, and per relation its value
+    columns (transposed with ``itemgetter`` rather than ``zip(*rows)``,
+    which allocates one iterator per row and wakes the cyclic GC). Each
+    domain sees every row's value in (relation, row) order, exactly as a
+    row-by-row loop would, so codes and first-appearance order match it;
+    values that compare equal (``1``, ``1.0``, ``True``) share the slot
+    of the first one seen. Empty relations still register their domains.
     """
     domains: Domains = {}
-    row_relation: List[str] = []
-    row_values: List[Tuple[int, ...]] = []
-    interners: Dict[str, Dict[object, int]] = {}
+    tables: Dict[str, Dict[object, int]] = {}
+    blocks: List[Block] = []
+    value_columns: List[List[list]] = []
+    start = 0
     for name, attrs, rows in relations:
-        tables = [interners.setdefault(a, {}) for a in attrs]
-        rel_domains = [domains.setdefault(a, []) for a in attrs]
-        if not rows:
-            continue
-        # Transpose with itemgetter rather than ``zip(*rows)``, which
-        # allocates one iterator per row and wakes the cyclic GC.
+        count = len(rows)
         value_tuples = list(map(itemgetter(0), rows))
-        code_columns = []
-        for position, (table, domain) in enumerate(zip(tables, rel_domains)):
+        columns = []
+        codes = {}
+        for position, attr in enumerate(attrs):
+            table = tables.setdefault(attr, {})
+            domain = domains.setdefault(attr, [])
             column = list(map(itemgetter(position), value_tuples))
-            fresh = [v for v in dict.fromkeys(column) if v not in table]
+            fresh = dict.fromkeys(column)
+            if table:
+                fresh = [v for v in fresh if v not in table]
             table.update(zip(fresh, range(len(domain), len(domain) + len(fresh))))
             domain.extend(fresh)
-            code_columns.append(map(table.__getitem__, column))
+            columns.append(column)
+            if attr in shared:
+                codes[attr] = np.fromiter(
+                    map(table.__getitem__, column), dtype=np.int64, count=count
+                )
+        blocks.append((name, start, count, codes))
+        value_columns.append(columns)
+        start += count
+    return domains, tables, blocks, value_columns
+
+
+def _encode_rows(relations, blocks, value_columns, tables, keep):
+    """``(row_relation, row_values)``: code tuples of the rows ``keep`` marks.
+
+    ``keep`` is a boolean mask over all rows, or ``None`` for every row.
+    """
+    row_relation: List[str] = []
+    row_values: List[Tuple[int, ...]] = []
+    for (name, attrs, _), (_, start, count, codes), columns in zip(
+        relations, blocks, value_columns
+    ):
+        mask = None if keep is None else keep[start:start + count]
+        code_columns = []
+        for attr, column in zip(attrs, columns):
+            if attr in codes:
+                shared = codes[attr] if mask is None else codes[attr][mask]
+                code_columns.append(shared.tolist())
+            elif mask is None:
+                code_columns.append(map(tables[attr].__getitem__, column))
+            else:
+                kept = compress(column, mask.tolist())
+                code_columns.append(map(tables[attr].__getitem__, kept))
+        size = len(row_values)
         row_values.extend(zip(*code_columns))
-        row_relation.extend([name] * len(rows))
-    return domains, row_relation, row_values
+        row_relation.extend([name] * (len(row_values) - size))
+    return row_relation, row_values
+
+
+def _shared_attributes(query: JoinQuery) -> frozenset:
+    """Attributes of ``query`` that occur in two or more of its relations."""
+    hypergraph = query.hypergraph
+    return frozenset(a for a in query.attrs if len(hypergraph.edges_of(a)) > 1)
+
+
+def semijoin_keep(
+    query: JoinQuery,
+    blocks: Sequence[Block],
+    row_lo: array,
+    row_hi: array,
+    n_ranks: int,
+) -> Optional[np.ndarray]:
+    """The temporal semijoin pass: which rows can be in a result of ``query``.
+
+    A row of relation R is in some result only if, for every relation S
+    sharing attributes with R, an S row has the same shared values and
+    an interval that meets R's (in τ/2-shrunk rank space; the rows of a
+    result meet pairwise). Each relation is filtered against each such
+    neighbour, in rounds, until a round drops no row — the interval form
+    of a Yannakakis semijoin. It is exact, but not a full reducer:
+    pairwise meeting does not imply a common point, so some kept rows
+    can still dangle.
+
+    ``blocks`` covers the rows ``row_lo``/``row_hi`` describe, relation
+    by relation, with int64 codes of every shared attribute. Returns the
+    boolean keep mask over those rows, or ``None`` when every row stays.
+    A round sorts each neighbour once per shared-attribute set
+    (:func:`_probe`) and tests every row against it with one
+    ``searchsorted`` (:func:`_meets`); a neighbour that lost rows later
+    in the round is only probed wider than needed, and the next round
+    sees its loss.
+    """
+    spans = {name: (start, count) for name, start, count, _ in blocks}
+    pairs = []
+    for r_name, _, _, r_codes in blocks:
+        for s_name, _, _, s_codes in blocks:
+            common = tuple(a for a in query.attrs if a in r_codes and a in s_codes)
+            if s_name != r_name and common:
+                pairs.append((r_name, s_name, common))
+    if not pairs:
+        return None
+    keys = _shared_keys(blocks, {common for _, _, common in pairs})
+    lo = np.frombuffer(row_lo, dtype=np.int64)
+    hi = np.frombuffer(row_hi, dtype=np.int64)
+    keep = np.ones(len(lo), dtype=bool)
+    dropped = True
+    while dropped:
+        dropped = False
+        probes = {}
+        for r_name, s_name, common in pairs:
+            start, count = spans[r_name]
+            alive = np.flatnonzero(keep[start:start + count])
+            if not alive.size:
+                continue
+            probe = probes.get((s_name, common))
+            if probe is None:
+                s_start, s_count = spans[s_name]
+                rows = s_start + np.flatnonzero(keep[s_start:s_start + s_count])
+                probe = probes[s_name, common] = _probe(
+                    keys[s_name, common][rows - s_start], lo[rows], hi[rows], n_ranks
+                )
+            rows = start + alive
+            meets = _meets(probe, keys[r_name, common][alive], lo[rows], hi[rows], n_ranks)
+            if not meets.all():
+                keep[rows[~meets]] = False
+                dropped = True
+    return None if keep.all() else keep
+
+
+def _shared_keys(blocks: Sequence[Block], attr_sets) -> Dict[Tuple, np.ndarray]:
+    """``(relation, attrs) -> `` one dense int64 key per row of the relation.
+
+    For one attribute the key is its code; for several, the rank of the
+    code tuple among all tuples of every relation holding those
+    attributes, so equal tuples get equal keys across relations.
+    """
+    keys: Dict[Tuple, np.ndarray] = {}
+    for attrs in attr_sets:
+        holders = [b for b in blocks if all(a in b[3] for a in attrs)]
+        if len(attrs) == 1:
+            for name, _, _, codes in holders:
+                keys[name, attrs] = codes[attrs[0]]
+            continue
+        stacked = np.concatenate([
+            np.stack([codes[a] for a in attrs], axis=1) for _, _, _, codes in holders
+        ])
+        if len(stacked):
+            _, dense = np.unique(stacked, axis=0, return_inverse=True)
+            dense = dense.reshape(-1).astype(np.int64, copy=False)
+        else:
+            dense = np.empty(0, dtype=np.int64)
+        at = 0
+        for name, _, count, _ in holders:
+            keys[name, attrs] = dense[at:at + count]
+            at += count
+    return keys
+
+
+def _probe(s_key, s_lo, s_hi, n_ranks: int):
+    """A neighbour's rows sorted for :func:`_meets`: ``(starts, base, reach)``.
+
+    Keys are dense and ranks below ``n_ranks``, so ``key * n_ranks +
+    rank`` is one int64 that orders by key, then rank. ``starts`` is
+    that code of each row's lo, sorted; ``base`` the row's key code; and
+    ``reach`` the running maximum of ``hi`` within the key — since keys
+    ascend, one running maximum of ``base + hi`` restarts at every key by
+    itself.
+    """
+    starts = s_key * n_ranks + s_lo
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    base = starts - s_lo[order]
+    reach = np.maximum.accumulate(base + s_hi[order]) - base
+    return starts, base, reach
+
+
+def _meets(probe, r_key, r_lo, r_hi, n_ranks: int) -> np.ndarray:
+    """Per row: does a probed neighbour row with its key meet its interval?
+
+    The last neighbour row of the row's key that starts at or before the
+    row's ``hi`` (one ``searchsorted``) carries the largest ``hi`` of all
+    such neighbour rows; closed intervals meet iff that ``hi`` reaches
+    the row's ``lo``.
+    """
+    starts, base, reach = probe
+    if not len(starts):
+        return np.zeros(len(r_key), dtype=bool)
+    r_base = r_key * n_ranks
+    at = np.searchsorted(starts, r_base + r_hi, side="right") - 1
+    found = at >= 0
+    at[~found] = 0
+    return found & (base[at] == r_base) & (reach[at] >= r_lo)
+
+
+def _compact_ranks(
+    rank_times: List[Number], lo: np.ndarray, hi: np.ndarray
+) -> Tuple[List[Number], array, array, np.ndarray]:
+    """Keep only the ranks ``lo``/``hi`` use, renumbered densely in order.
+
+    Returns the kept ``rank_times``, the remapped ``lo``/``hi`` and the
+    remap itself (old rank -> new rank, meaningful at used ranks).
+    """
+    used = np.zeros(len(rank_times), dtype=bool)
+    used[lo] = True
+    used[hi] = True
+    remap = np.cumsum(used, dtype=np.int64) - 1
+    kept_times = list(map(rank_times.__getitem__, np.flatnonzero(used).tolist()))
+    return (
+        kept_times,
+        array("q", remap.take(lo).tobytes()),
+        array("q", remap.take(hi).tobytes()),
+        remap,
+    )
+
+
+def semijoin_columns(
+    query: JoinQuery, columns: KernelColumns, stats: Optional[ExecutionStats] = None
+) -> KernelColumns:
+    """``columns`` without the rows the semijoin pass drops for ``query``.
+
+    The prepared read's pass: ``columns`` (a τ-view restricted to the
+    query's relations) keeps its int64 code matrices
+    (:meth:`KernelColumns.relation_codes`) across reads, and the kept
+    rows' columns are derived with :meth:`KernelColumns.subset` — no
+    sort — carrying whatever emission intervals ``columns`` holds.
+    Returns ``columns`` itself when nothing drops. Records
+    ``kernel.semijoin_dropped`` and, around the pass and the subset,
+    ``phase.kernel.semijoin``.
+    """
+    tracer = NULL_TRACER if stats is None else stats
+    with tracer.timer("phase.kernel.semijoin"):
+        codes = columns.relation_codes()
+        shared = _shared_attributes(query)
+        blocks = []
+        for name in columns.relations:
+            attrs = query.edge(name)
+            start, matrix = codes.get(
+                name, (0, np.empty((0, len(attrs)), dtype=np.int64))
+            )
+            blocks.append((
+                name, start, len(matrix),
+                {a: matrix[:, p] for p, a in enumerate(attrs) if a in shared},
+            ))
+        keep = semijoin_keep(
+            query, blocks, columns.row_lo, columns.row_hi, len(columns.rank_times)
+        )
+        if keep is not None:
+            ids = np.flatnonzero(keep)
+            reduced = columns.subset(ids)
+            cached = columns._interval_cache
+            if cached is not None:
+                reduced._interval_cache = list(map(cached.__getitem__, ids.tolist()))
+    tracer.incr(
+        "kernel.semijoin_dropped", 0 if keep is None else columns.n_rows - reduced.n_rows
+    )
+    return columns if keep is None else reduced
 
 
 def _shrink_ranks(
@@ -516,19 +837,7 @@ def _shrink_ranks(
         np.frombuffer(row_hi, dtype=np.int64)
     )
     keep = lo <= hi
-    lo = lo[keep]
-    hi = hi[keep]
-    used = np.zeros(len(merged), dtype=bool)
-    used[lo] = True
-    used[hi] = True
-    remap = np.cumsum(used, dtype=np.int64) - 1
-    kept_times = list(map(merged.__getitem__, np.flatnonzero(used).tolist()))
-    return (
-        keep,
-        kept_times,
-        array("q", remap.take(lo).tobytes()),
-        array("q", remap.take(hi).tobytes()),
-    )
+    return (keep, *_compact_ranks(merged, lo[keep], hi[keep])[:3])
 
 
 def shrink_columns(
@@ -662,6 +971,21 @@ def shard_row_ids(
         for shard in range(first, last + 1):
             shards[shard].append(rid)
     return shards
+
+
+def column_endpoints(columns: KernelColumns, tau: Number = 0) -> List[Number]:
+    """Sorted finite endpoints of the rows' original (τ/2-expanded) intervals.
+
+    The endpoints :func:`shard_row_ids` assigns by, for placing time cuts
+    over the rows the columns hold.
+    """
+    half = tau / 2 if tau else 0
+    rank_times = columns.rank_times
+    out = [rank_times[rank] - half for rank in columns.row_lo]
+    out.extend(rank_times[rank] + half for rank in columns.row_hi)
+    out = [t for t in out if _NEG_INF < t < _POS_INF]
+    out.sort()
+    return out
 
 
 def key_shard_row_ids(

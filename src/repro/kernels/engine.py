@@ -12,6 +12,15 @@ and whose event codes are sorted once per call. :func:`sweep_columns`
 then runs the shared :func:`~repro.algorithms.timefirst.drive` loop
 over a dynamic structure keyed on interned ints.
 
+* **Temporal semijoin.** Every read :func:`kernel_columns` returns has
+  been through one query-aware pass on integer arrays: a row stays only
+  if, in every relation sharing attributes with its own, some row with
+  the same shared values meets its τ/2-shrunk interval. Cold reads run
+  it before the kept rows are encoded and their event codes sorted;
+  prepared reads derive the kept rows with ``subset``. The rows a
+  Figure-8 instance dangles on never reach the sweep. The object engine
+  sweeps unreduced, as the paper's TIMEFIRST does.
+
 The serial, shard and batch routes read through :func:`kernel_columns`
 (the batch fan-out shards the prepared τ-view itself), and every kernel
 route sweeps through :func:`sweep_columns`. On hierarchical queries REPORT
@@ -37,9 +46,9 @@ from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
 from .columns import (
     KernelColumns,
-    build_columns,
-    build_shrunk_columns,
     deintern_expand,
+    query_columns,
+    semijoin_columns,
 )
 
 _POS_INF = float("inf")
@@ -71,21 +80,28 @@ def kernel_columns(
     τ-view restricted to the query's relations, with no interning and no
     sort (``prepared.reuse``). Without one the read is cold: validate
     ``query`` against ``database`` and τ/2-shrink in rank space
-    (:func:`~repro.kernels.columns.build_shrunk_columns`), or, when the
-    query needs the reduction, shrink and reduce object rows
+    (:func:`~repro.kernels.columns.query_columns`), or, when the query
+    needs the reduction, shrink and reduce object rows
     (:func:`prepare_run`) and intern those, since the reduction reads
-    the shrunk rows.
+    the shrunk rows. Only the query's relations are read.
+
+    Every read ends with the temporal semijoin pass
+    (:func:`~repro.kernels.columns.semijoin_keep`): rows with no
+    same-key partner meeting their shrunk interval in some neighbouring
+    relation are dropped — on cold reads before they are encoded and
+    sorted, on prepared reads by a sort-free
+    :func:`~repro.kernels.columns.semijoin_columns`.
     """
     if prepared is not None:
         query.validate(database)
         columns = prepared.columns_for(query, tau, stats=stats)
         record_reuse(prepared, columns, stats)
-        return query, columns
+        return query, semijoin_columns(query, columns, stats)
     if needs_reduction(query):
         run_query, run_db = prepare_run(query, database, tau, stats=stats)
-        return run_query, build_columns(run_db, stats=stats)
+        return run_query, query_columns(run_query, run_db, 0, stats=stats)
     query.validate(database)
-    return query, build_shrunk_columns(database, tau, stats=stats)
+    return query, query_columns(query, database, tau, stats=stats)
 
 
 def record_reuse(prepared, columns: KernelColumns, stats: Optional[ExecutionStats]) -> None:

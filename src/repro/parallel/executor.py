@@ -51,6 +51,7 @@ from ..obs import ExecutionStats
 from .merge import merge_outcomes
 from .partition import (
     TimePartition,
+    partition_endpoints,
     partition_timeline,
     replication_factor,
     shard_databases,
@@ -137,7 +138,10 @@ def run_sharded(
         )
     else:
         choice = "time: explicit cuts" if cuts is not None else "time: object engine"
-        partition = _time_partition(database, workers, cuts)
+        if cuts is not None:
+            partition = TimePartition(tuple(cuts))
+        else:
+            partition = partition_timeline(database, workers)
         shard_dbs = shard_databases(database, partition)
         _, replicated = replication_factor(database, shard_dbs)
         tasks = [
@@ -167,17 +171,6 @@ def run_sharded(
     )
 
 
-def _time_partition(
-    database: Mapping[str, TemporalRelation],
-    workers: int,
-    cuts: Optional[Sequence[Number]],
-) -> TimePartition:
-    """The caller's ``cuts``, else endpoint-balanced cuts of ``database``."""
-    if cuts is not None:
-        return TimePartition(tuple(cuts))
-    return partition_timeline(database, workers)
-
-
 def _key_attributes(query: JoinQuery) -> List[str]:
     """Attributes occurring in every relation of ``query``, in output order."""
     hypergraph = query.hypergraph
@@ -200,7 +193,8 @@ def _kernel_shard_tasks(
     through :func:`~repro.kernels.engine.kernel_columns`: the route's
     prepared τ-view restricted to the query's relations, or the instance
     validated, τ/2-shrunk in rank space (reduced if it must be) and
-    interned.
+    interned — both after the temporal semijoin pass, so key weights and
+    time cuts see only the rows it keeps.
 
     **Key shards** come first: when an attribute occurs in every
     relation of the run query, rows are split by its interned code
@@ -209,14 +203,17 @@ def _kernel_shard_tasks(
     results' rows, no row is copied, and the tasks carry no cuts (no
     ownership filter). **Time shards** are the fallback — no such
     attribute, one key heavier than ``1/workers`` of the rows, or
-    explicit ``cuts``: each shard receives the column subset of every
-    row whose expanded (original) interval overlaps its window.
+    explicit ``cuts``: the cuts balance the kept rows' expanded
+    (original) endpoints (:func:`~repro.kernels.columns.column_endpoints`),
+    and each shard receives the column subset of every row whose
+    expanded interval overlaps its window.
     Assignment by expanded intervals is what makes ownership exact: a
     result's endpoint owner sees all of the result's constituent rows
     (their expanded intervals each contain the expanded result
     endpoint).
     """
     from ..kernels import key_shard_row_ids, shard_row_ids
+    from ..kernels.columns import column_endpoints
     from ..kernels.engine import kernel_columns
 
     run_query, columns = kernel_columns(
@@ -242,7 +239,10 @@ def _kernel_shard_tasks(
         shard_cuts = None
         replicated = 0
     else:
-        shard_cuts = _time_partition(database, workers, cuts).cuts
+        if cuts is None:
+            shard_cuts = partition_endpoints(column_endpoints(columns, tau), workers).cuts
+        else:
+            shard_cuts = TimePartition(tuple(cuts)).cuts
         assignments = shard_row_ids(columns, shard_cuts, tau)
         replicated = sum(len(rids) for rids in assignments) - columns.n_rows
     tasks = [

@@ -118,8 +118,17 @@ def partition_timeline(database: Database, shards: int) -> TimePartition:
         raise QueryError(f"shard count must be >= 1, got {shards}")
     if shards == 1:
         return TimePartition(())
-    endpoints = collect_endpoints(database)
-    if not endpoints:
+    return partition_endpoints(collect_endpoints(database), shards)
+
+
+def partition_endpoints(endpoints: Sequence[Number], shards: int) -> TimePartition:
+    """Endpoint-balanced cuts over a sorted multiset of finite ``endpoints``.
+
+    The quantile rule of :func:`partition_timeline`, for callers that
+    hold the endpoints already (the kernel shard route takes them from
+    the columns its semijoin pass kept).
+    """
+    if shards <= 1 or not endpoints:
         return TimePartition(())
     cuts: List[Number] = []
     n = len(endpoints)

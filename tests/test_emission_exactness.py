@@ -203,11 +203,15 @@ GOLDEN = {
     ("star3", "timefirst-cm", 0): ("431280c4a8a23895", 47, {"results": 47}),
     ("star3", "timefirst-cm", 3): ("a59b58d32ec94edc", 4, {"results": 4}),
     ("star3", "timefirst-cm", 0.3): ("d97354a35d60a954", 20, {"results": 20}),
+    # Kernel shard counters count each shard's rows before the ownership
+    # filter. Time cuts are placed over the rows the semijoin pass keeps,
+    # so replication moved them: 56 -> 58 and 6 -> 5 here, and line3's
+    # 56 -> 58 and 39 -> 31 below. Rows and digests did not move.
     ("star3", "kernel-workers3", 0): (
-        "4b1736d576b6ac0e", 47, {"hier.report_fragments": 56, "results": 56},
+        "4b1736d576b6ac0e", 47, {"hier.report_fragments": 58, "results": 58},
     ),
     ("star3", "kernel-workers3", 3): (
-        "f74601279b294f79", 4, {"hier.report_fragments": 6, "results": 6},
+        "f74601279b294f79", 4, {"hier.report_fragments": 5, "results": 5},
     ),
     ("star3", "kernel-workers3", 0.3): (
         "c21da8410e232b5d", 20, {"hier.report_fragments": 32, "results": 32},
@@ -235,9 +239,9 @@ GOLDEN = {
     ("line3", "object", 0): ("d531d1c278493bb6", 42, {"results": 42}),
     ("line3", "object", 3): ("9f550af01eb94690", 2, {"results": 2}),
     ("line3", "object", 0.3): ("e26eefe265109ded", 22, {"results": 22}),
-    ("line3", "kernel-workers3", 0): ("6958a2ebc9e6471d", 42, {"results": 56}),
+    ("line3", "kernel-workers3", 0): ("6958a2ebc9e6471d", 42, {"results": 58}),
     ("line3", "kernel-workers3", 3): ("9f550af01eb94690", 2, {"results": 2}),
-    ("line3", "kernel-workers3", 0.3): ("8bd09c3b47df8196", 22, {"results": 39}),
+    ("line3", "kernel-workers3", 0.3): ("8bd09c3b47df8196", 22, {"results": 31}),
     ("line3", "batch", 0): ("fd78f979bc862d14", 84, {}),
     ("line3", "batch", 3): ("ee5d1c88ab66c293", 4, {}),
     ("line3", "batch", 0.3): ("9b3e3a27b3cfe993", 44, {}),

@@ -237,3 +237,46 @@ class TestOneRouteDecision:
         for name, value in planner.items():
             assert sharded[name] == value
         assert "phase.planner.search" in sharded.timers
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    @pytest.mark.parametrize("algorithm", ["auto", "timefirst", "hybrid"])
+    def test_cuts_without_workers_is_a_query_error(self, star3, algorithm, workers):
+        query, db = star3
+        with pytest.raises(QueryError, match=r"cuts= needs workers >= 2"):
+            temporal_join(query, db, algorithm=algorithm, workers=workers, cuts=[3])
+        with pytest.raises(QueryError, match=r"cuts= needs workers >= 2"):
+            explain_analyze(query, db, algorithm=algorithm, workers=workers, cuts=[3])
+
+    def test_cuts_with_workers_reach_the_sharded_run(self, star3):
+        query, db = star3
+        stats = ExecutionStats()
+        got = temporal_join(
+            query, db, algorithm="timefirst", workers=2, parallel_mode="inline",
+            cuts=[3], stats=stats,
+        )
+        assert got.normalized() == temporal_join(query, db, algorithm="naive").normalized()
+        assert stats.notes["parallel.partition"] == "time: explicit cuts"
+
+
+#: Every route against the oracle on a database holding a relation the
+#: query does not use.
+SUBQUERY = JoinQuery({"R1": ("x1", "y"), "R2": ("x2", "y")})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("engine", ["auto", "kernel", "object"])
+@pytest.mark.parametrize(
+    "algorithm",
+    ["timefirst", "timefirst-cm", "hybrid", "hybrid-interval", "baseline",
+     "joinfirst", "naive"],
+)
+def test_relations_outside_the_query_are_ignored(algorithm, engine, workers):
+    db = generate(JoinQuery.star(3), SyntheticConfig(n_dangling=25, n_results=8))
+    assert set(db) == {"R1", "R2", "R3"}
+    want = temporal_join(SUBQUERY, {n: db[n] for n in ("R1", "R2")}, algorithm="naive")
+    got = temporal_join(
+        SUBQUERY, db, algorithm=algorithm, engine=engine, workers=workers,
+        parallel_mode="inline",
+    )
+    assert len(want) > 0
+    assert got.normalized() == want.normalized()

@@ -52,15 +52,19 @@ def run(instance, algorithm):
 class TestCounterExactness:
     def test_timefirst(self, instance):
         stats = run(instance, "timefirst")
-        # One event per endpoint of every input interval.
-        assert stats["sweep.events"] == 2 * N
-        assert stats["sweep.inserts"] == N
+        # The kernel route's semijoin pass drops (a3,b2) and (b2,c2):
+        # the only rows with b2 never meet.
+        assert stats["kernel.semijoin_dropped"] == 2
+        kept = N - 2
+        # One event per endpoint of every kept interval.
+        assert stats["sweep.events"] == 2 * kept
+        assert stats["sweep.inserts"] == kept
         # ENUMERATE fires once per expiring tuple (Algorithm 1, line 6).
-        assert stats["sweep.enumerate_calls"] == N
+        assert stats["sweep.enumerate_calls"] == kept
         # At t=5: (a1,b1), (a2,b1), (b1,c1) are simultaneously active.
         assert stats["sweep.active_peak"] == 3
-        assert stats["hier.inserts"] == N
-        assert stats["hier.deletes"] == N
+        assert stats["hier.inserts"] == kept
+        assert stats["hier.deletes"] == kept
 
     def test_timefirst_cm(self, instance):
         stats = run(instance, "timefirst-cm")
@@ -138,7 +142,8 @@ class TestExplainAnalyzeApi:
         stats = ExecutionStats()
         explain_analyze(query, db, algorithm="timefirst", stats=stats)
         explain_analyze(query, db, algorithm="timefirst", stats=stats)
-        assert stats["sweep.events"] == 4 * N
+        # Two reads of the N - 2 rows the semijoin pass keeps.
+        assert stats["sweep.events"] == 4 * (N - 2)
 
     def test_timers_recorded(self, instance):
         query, db = instance

@@ -50,6 +50,19 @@ def star3(rng):
     return query, random_database(query, rng, n=15, domain=4)
 
 
+@pytest.fixture
+def joining_star3():
+    """A star whose every row is in a result: the semijoin pass drops none."""
+    query = JoinQuery.star(3)
+    return query, {
+        name: TemporalRelation(
+            name, query.edge(name),
+            [((f"{name}-{k}-{i}", k), (k + i, k + 10)) for k in range(5) for i in range(3)],
+        )
+        for name in query.edge_names
+    }
+
+
 class TestDispatch:
     def test_engine_values_accepted(self, line3):
         query, db = line3
@@ -129,36 +142,54 @@ class TestCounters:
         n = sum(len(rel) for rel in db.values())
         stats = ExecutionStats()
         temporal_join(query, db, algorithm="timefirst", stats=stats)
-        assert stats["kernel.rows"] == n
+        # Every input row is either swept or dropped by the semijoin pass.
+        assert stats["kernel.rows"] + stats["kernel.semijoin_dropped"] == n
         assert stats["kernel.interned_values"] >= 1
         assert stats["kernel.distinct_endpoints"] >= 1
         assert "phase.kernel.intern" in stats.timers
         assert "phase.kernel.rank" in stats.timers
+        assert "phase.kernel.semijoin" in stats.timers
         assert "phase.events" in stats.timers
         assert "phase.sweep" in stats.timers
 
-    def test_sweep_counters_match_object_engine(self, line3, star3):
-        for query, db in (line3, star3):
-            kernel, obj = ExecutionStats(), ExecutionStats()
-            temporal_join(query, db, algorithm="timefirst",
-                          engine="kernel", stats=kernel)
-            temporal_join(query, db, algorithm="timefirst",
-                          engine="object", stats=obj)
-            for key in ("sweep.events", "sweep.inserts",
-                        "sweep.enumerate_calls", "sweep.active_peak",
-                        "results"):
-                assert kernel[key] == obj[key], key
-
-    def test_hier_counters_match_object_engine(self, star3):
-        query, db = star3
+    @staticmethod
+    def _both_engines(query, db):
         kernel, obj = ExecutionStats(), ExecutionStats()
-        temporal_join(query, db, algorithm="timefirst",
-                      engine="kernel", stats=kernel)
-        temporal_join(query, db, algorithm="timefirst",
-                      engine="object", stats=obj)
-        for key in ("hier.inserts", "hier.deletes", "hier.support_updates",
-                    "hier.report_fragments"):
-            assert kernel.get(key) == obj.get(key), key
+        temporal_join(query, db, algorithm="timefirst", engine="kernel", stats=kernel)
+        temporal_join(query, db, algorithm="timefirst", engine="object", stats=obj)
+        return kernel, obj
+
+    def test_sweep_counters_match_object_engine(self, line3, star3, joining_star3):
+        for query, db in (line3, star3, joining_star3):
+            kernel, obj = self._both_engines(query, db)
+            dropped = kernel["kernel.semijoin_dropped"]
+            assert kernel["results"] == obj["results"]
+            if dropped == 0:
+                for key in ("sweep.events", "sweep.inserts",
+                            "sweep.enumerate_calls", "sweep.active_peak"):
+                    assert kernel[key] == obj[key], key
+                continue
+            # The kernel sweeps every row but the ones the pass drops.
+            assert obj["sweep.events"] - kernel["sweep.events"] == 2 * dropped
+            assert obj["sweep.inserts"] - kernel["sweep.inserts"] == dropped
+            assert obj["sweep.enumerate_calls"] - kernel["sweep.enumerate_calls"] == dropped
+            assert kernel["sweep.active_peak"] <= obj["sweep.active_peak"]
+        # The fixtures cover both cases.
+        assert self._both_engines(*joining_star3)[0]["kernel.semijoin_dropped"] == 0
+        assert self._both_engines(*star3)[0]["kernel.semijoin_dropped"] > 0
+
+    def test_hier_counters_match_object_engine(self, star3, joining_star3):
+        for query, db in (star3, joining_star3):
+            kernel, obj = self._both_engines(query, db)
+            dropped = kernel["kernel.semijoin_dropped"]
+            assert kernel["hier.report_fragments"] == obj["hier.report_fragments"]
+            if dropped == 0:
+                for key in ("hier.inserts", "hier.deletes", "hier.support_updates"):
+                    assert kernel.get(key) == obj.get(key), key
+                continue
+            assert obj["hier.inserts"] - kernel["hier.inserts"] == dropped
+            assert obj["hier.deletes"] - kernel["hier.deletes"] == dropped
+            assert kernel["hier.support_updates"] <= obj["hier.support_updates"]
 
 
 class TestColumns:

@@ -120,3 +120,111 @@ def test_engine_kwarg_uniform_across_registry(instance, tau):
             query, database, tau=tau, algorithm=algorithm, engine="kernel"
         ).normalized()
         assert got == want, algorithm
+
+
+# ----------------------------------------------------------------------
+# The temporal semijoin pass of kernel reads.
+# ----------------------------------------------------------------------
+#: REPORT enumerates insertion-ordered leaf buckets on these shapes, so
+#: the reduced read emits the unreduced read's rows in its order.
+ORDER_STABLE = (
+    JoinQuery.star(2),
+    JoinQuery.star(3),
+    JoinQuery({"R0": ("y",), "R1": ("x1", "y"), "R2": ("x2", "y")}),
+)
+#: A case-3 member set, GHD key sets and the r-hierarchical reduction:
+#: the same rows, in an order that may follow hash-table history.
+ANY_ORDER = (
+    JoinQuery.line(3),
+    JoinQuery.triangle(),
+    JoinQuery({"R1": ("a", "b", "c"), "R2": ("a", "b"), "R3": ("a", "d")}),
+    JoinQuery({"Big": ("a", "b", "c"), "Left": ("a", "b"), "Right": ("b", "c")}),
+)
+
+#: Values and endpoints that compare equal across types.
+_value = st.sampled_from([0, 1, 1.0, True, 2, 2.0])
+_start = st.one_of(st.sampled_from([-2, 0, 1, 1.0, 2, 3, 3.0, 5]), st.just(-_INF))
+_length = st.one_of(st.sampled_from([0, 0, 1, 2, 2.0, 4]), st.just(_INF))
+
+
+@st.composite
+def _semijoin_instance(draw):
+    query = draw(st.sampled_from(ORDER_STABLE + ANY_ORDER))
+    database = {}
+    for name in query.edge_names:
+        attrs = query.edge(name)
+        raw = draw(st.lists(
+            st.tuples(st.tuples(*[_value for _ in attrs]), _start, _length),
+            max_size=7,
+        ))
+        rows, seen = [], set()
+        for values, lo, length in raw:
+            if values in seen:
+                continue
+            seen.add(values)
+            hi = _INF if length == _INF else (length if lo == -_INF else lo + length)
+            rows.append((values, Interval(lo, hi)))
+        database[name] = TemporalRelation(name, attrs, rows)
+    return query, database
+
+
+def _typed(rows):
+    return [(tuple(map(repr, values)), repr(iv.lo), repr(iv.hi)) for values, iv in rows]
+
+
+def _unreduced(query, database, tau):
+    """The kernel read without the pass: the route before it existed."""
+    from repro.algorithms.timefirst import needs_reduction, prepare_run
+    from repro.kernels.columns import build_columns, build_shrunk_columns
+    from repro.kernels.engine import sweep_columns
+
+    if needs_reduction(query):
+        run_query, run_db = prepare_run(query, database, tau)
+        return sweep_columns(run_query, build_columns(run_db), tau)
+    return sweep_columns(query, build_shrunk_columns(database, tau), tau)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_semijoin_instance(), tau=st.sampled_from([0, 0, 1, 3]))
+def test_semijoin_pass_is_exact_and_keeps_rows_and_order(instance, tau):
+    from repro import ExecutionStats, prepare
+    from repro.algorithms.naive import naive_join
+    from repro.algorithms.timefirst import needs_reduction
+    from repro.kernels.engine import kernel_columns, sweep_columns
+
+    query, database = instance
+    want = naive_join(query, database, tau=tau)
+    stats = ExecutionStats()
+    got = temporal_join(query, database, tau, algorithm="timefirst",
+                        engine="kernel", stats=stats)
+    assert got.normalized() == want.normalized()
+
+    # No dropped row is a constituent of any result.
+    if not needs_reduction(query):
+        run_query, columns = kernel_columns(query, database, tau)
+        kept = {
+            (name, tuple(columns.domains[a][c] for a, c in zip(query.edge(name), values)))
+            for name, values in zip(columns.row_relation, columns.row_values)
+        }
+        for values, _ in want:
+            row = dict(zip(want.attrs, values))
+            for name in query.edge_names:
+                assert (name, tuple(row[a] for a in query.edge(name))) in kept
+
+    # The unreduced read's rows, with its value and endpoint types; in
+    # its order where REPORT's enumeration does not depend on history.
+    parent = _typed(_unreduced(query, database, tau))
+    if query in ORDER_STABLE:
+        assert _typed(got) == parent
+    else:
+        assert sorted(_typed(got)) == sorted(parent)
+    # Likewise for a prepared read against its unreduced τ-view sweep.
+    if not needs_reduction(query):
+        artifact = prepare(database)
+        warm = _typed(temporal_join(query, database, tau, prepared=artifact,
+                                    algorithm="timefirst"))
+        view = _typed(sweep_columns(query, artifact.columns_for(query, tau), tau))
+        if query in ORDER_STABLE:
+            assert warm == view
+        else:
+            assert sorted(warm) == sorted(view)

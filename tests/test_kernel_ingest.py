@@ -5,7 +5,8 @@ event codes as one numpy array. These tests pin both to plain per-row
 references written here: the same codes, domains (first-appearance
 order, equal values of different types sharing one slot), row order,
 event order and emission intervals as a row-by-row loop and a Python
-``sorted()`` would give.
+``sorted()`` would give. The temporal semijoin pass of query reads is
+held to a plain-loop reference pass the same way.
 """
 
 import pickle
@@ -223,3 +224,238 @@ class TestEventCodeSort:
             _sorted_event_codes(array("q", [0]), array("q", [2**62]))
         with pytest.raises(InvariantError, match="overflow int64"):
             _sorted_event_codes(array("q", [2**40, 0, 0]), array("q", [2**61, 1, 1]))
+
+
+# ----------------------------------------------------------------------
+# The temporal semijoin pass of query reads, against a plain loop.
+# ----------------------------------------------------------------------
+def reference_semijoin(query, columns):
+    """Row ids of ``columns`` the pairwise pass keeps, by a plain loop."""
+    rows = {}
+    for rid in range(columns.n_rows):
+        rows.setdefault(columns.row_relation[rid], []).append(rid)
+    alive = set(range(columns.n_rows))
+
+    def value(rid, attr):
+        attrs = query.edge(columns.row_relation[rid])
+        return columns.row_values[rid][attrs.index(attr)]
+
+    changed = True
+    while changed:
+        changed = False
+        for r in query.edge_names:
+            for s in query.edge_names:
+                common = [a for a in query.edge(r) if a in query.edge(s)]
+                if r == s or not common:
+                    continue
+                for rid in rows.get(r, []):
+                    if rid not in alive:
+                        continue
+                    met = any(
+                        sid in alive
+                        and all(value(rid, a) == value(sid, a) for a in common)
+                        and columns.row_lo[sid] <= columns.row_hi[rid]
+                        and columns.row_hi[sid] >= columns.row_lo[rid]
+                        for sid in rows.get(s, [])
+                    )
+                    if not met:
+                        alive.discard(rid)
+                        changed = True
+    return sorted(alive)
+
+
+def typed_intervals(intervals):
+    return [(repr(iv.lo), repr(iv.hi)) for iv in intervals]
+
+
+def events(columns):
+    """The event stream as ``(time, kind, row)`` with the times themselves."""
+    n = columns.n_rows
+    return [
+        (columns.rank_times[code // (2 * n)], (code // n) & 1, code % n)
+        for code in columns.event_codes
+    ]
+
+
+def assert_reduced(reduced, full, kept):
+    """``reduced`` holds exactly rows ``kept`` of ``full``, field by field."""
+    assert reduced.row_values == [full.row_values[i] for i in kept]
+    assert reduced.row_relation == [full.row_relation[i] for i in kept]
+    assert reduced.domains == full.domains
+    assert typed_intervals(reduced.intervals()) == typed_intervals(
+        [full.intervals()[i] for i in kept]
+    )
+    local = {rid: i for i, rid in enumerate(kept)}
+    assert events(reduced) == [
+        (t, kind, local[rid]) for t, kind, rid in events(full) if rid in local
+    ]
+
+
+def decoded(query, columns):
+    return {
+        (name, tuple(columns.domains[a][c] for a, c in zip(query.edge(name), values)))
+        for name, values in zip(columns.row_relation, columns.row_values)
+    }
+
+
+def assert_pass_matches_reference(query, database, tau=0):
+    """Cold and prepared reduced reads equal the loop pass over unreduced reads.
+
+    Returns how many rows the pass dropped.
+    """
+    from repro.kernels import prepare
+    from repro.kernels.columns import (
+        build_shrunk_columns,
+        query_columns,
+        semijoin_columns,
+    )
+
+    used = {name: database[name] for name in database if name in query.edge_names}
+    full = build_shrunk_columns(used, tau)
+    kept = reference_semijoin(query, full)
+    cold = query_columns(query, database, tau)
+    assert_reduced(cold, full, kept)
+    # A prepared τ-view keeps the unshrunk database's codes and domains.
+    view = prepare(used).columns_for(query, tau)
+    warm = semijoin_columns(query, view)
+    assert_reduced(warm, view, reference_semijoin(query, view))
+    assert decoded(query, warm) == decoded(query, cold)
+    return full.n_rows - len(kept)
+
+
+class TestSemijoinPass:
+    """Edge cases of the pass; each also checks the loop reference."""
+
+    @staticmethod
+    def star2(r1, r2):
+        from repro.core.query import JoinQuery
+
+        query = JoinQuery.star(2)
+        return query, make_database({
+            "R1": (("x1", "y"), r1),
+            "R2": (("x2", "y"), r2),
+        })
+
+    @staticmethod
+    def join(query, database, tau=0):
+        from repro import ExecutionStats, temporal_join
+        from repro.algorithms.naive import naive_join
+
+        stats = ExecutionStats()
+        got = temporal_join(query, database, tau, algorithm="timefirst",
+                            engine="kernel", stats=stats)
+        assert got.normalized() == naive_join(query, database, tau=tau).normalized()
+        return got, stats
+
+    def test_touching_closed_intervals_survive(self):
+        query, db = self.star2(
+            [(("a", 1), (0, 5)), (("b", 1), (6, 9))],
+            [(("c", 1), (5, 5)), (("d", 2), (0, 9))],
+        )
+        assert assert_pass_matches_reference(query, db) == 2
+        got, stats = self.join(query, db)
+        row = dict(zip(query.attrs, next(iter(got))[0]))
+        assert row == {"x1": "a", "x2": "c", "y": 1}
+        assert [(iv.lo, iv.hi) for _, iv in got] == [(5, 5)]
+        assert stats["kernel.semijoin_dropped"] == 2
+        assert stats["kernel.rows"] == 2
+
+    def test_zero_length_and_infinite_endpoints(self):
+        query, db = self.star2(
+            [(("a", 1), (3, 3)), (("b", 2), (3, 3)), (("c", 3), (-_INF, _INF))],
+            [(("d", 1), (-_INF, _INF)), (("e", 2), (4, _INF)), (("f", 3), (_INF, _INF))],
+        )
+        # (b, 2) ends before (e, 2) starts; (c, 3) meets (f, 3) at +inf.
+        assert assert_pass_matches_reference(query, db) == 2
+        got, _ = self.join(query, db)
+        assert len(got) == 2
+
+    def test_duplicate_endpoints(self):
+        query, db = self.star2(
+            [((f"a{i}", i % 2), (2, 4)) for i in range(6)],
+            [((f"b{i}", i % 3), (4, 7)) for i in range(6)],
+        )
+        # Key 2 occurs only in R2.
+        assert assert_pass_matches_reference(query, db) == 2
+        self.join(query, db)
+
+    def test_empty_relation_drops_every_row(self):
+        query, db = self.star2([(("a", 1), (0, 5)), (("b", 2), (1, 2))], [])
+        assert assert_pass_matches_reference(query, db) == 2
+        got, stats = self.join(query, db)
+        assert len(got) == 0
+        assert stats["kernel.rows"] == 0
+        assert stats.get("sweep.events") == 0
+
+    def test_tau_that_empties_one_relation(self):
+        query, db = self.star2(
+            [(("a", 1), (0, 50)), (("b", 2), (10, 60))],
+            [(("c", 1), (0, 3)), (("d", 2), (20, 22))],
+        )
+        assert assert_pass_matches_reference(query, db, 10) == 2
+        got, stats = self.join(query, db, 10)
+        assert len(got) == 0
+        assert stats["kernel.shrink_dropped"] == 2
+        assert stats["kernel.semijoin_dropped"] == 2
+
+    @pytest.mark.parametrize("tau", [0, 1])
+    def test_mixed_type_values_keep_the_unreduced_representatives(self, tau):
+        from repro.kernels.columns import build_shrunk_columns
+        from repro.kernels.engine import sweep_columns
+
+        # The dangling rows come first: 1 (not the kept row's 1.0) is
+        # x1's representative and True is y's; endpoints mix 4 and 4.0.
+        query, db = self.star2(
+            [((1, True), (0, 2)), ((1.0, 2), (4.0, 9)), ((2, 1.0), (10, 12.0))],
+            [((True, 1), (4, 20)), ((5, 2.0), (5, 6)), ((7, 3), (0, 1))],
+        )
+        assert assert_pass_matches_reference(query, db, tau) == 2
+        got, _ = self.join(query, db, tau)
+        want = sweep_columns(query, build_shrunk_columns(db, tau), tau)
+        typed = lambda rows: [  # noqa: E731
+            (tuple(map(repr, v)), repr(iv.lo), repr(iv.hi)) for v, iv in rows
+        ]
+        assert typed(got) == typed(want)
+        x1, y = query.attrs.index("x1"), query.attrs.index("y")
+        assert sorted(repr(v[x1]) for v, _ in got) == ["1", "2"]
+        assert {repr(v[y]) for v, _ in got} == {"True", "2"}
+
+
+    def test_prepared_reads_add_no_sort(self):
+        from repro import ExecutionStats, prepare, temporal_join
+
+        query, db = self.star2(
+            [(("a", 1), (0, 5)), (("b", 2), (1, 2))],
+            [(("c", 1), (3, 4)), (("d", 3), (0, 9))],
+        )
+        stats = ExecutionStats()
+        artifact = prepare(db, stats=stats)
+        for _ in range(2):
+            got = temporal_join(query, db, prepared=artifact, stats=stats)
+            assert len(got) == 1
+        assert stats["kernel.sort_calls"] == 1
+        assert stats["kernel.semijoin_dropped"] == 4
+        assert "phase.kernel.semijoin" in stats.timers
+
+    def test_a_view_that_keeps_every_row_is_returned_itself(self):
+        from repro.kernels import prepare
+        from repro.kernels.columns import semijoin_columns
+
+        query, db = self.star2([(("a", 1), (0, 5))], [(("c", 1), (3, 4))])
+        view = prepare(db).columns_for(query, 0)
+        assert semijoin_columns(query, view) is view
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_instances(self, seed):
+        from repro.core.query import JoinQuery
+        from repro.testing import random_instance
+
+        rng = random.Random(seed)
+        query = rng.choice([
+            JoinQuery.star(3),
+            JoinQuery.line(3),
+            JoinQuery.triangle(),
+            JoinQuery({"R1": ("a", "b", "c"), "R2": ("a", "b"), "R3": ("a", "d")}),
+        ])
+        db = random_instance(query, rng, n=10, domain=3, time_span=30, max_duration=6)
+        assert_pass_matches_reference(query, db, rng.choice([0, 0, 2, 5]))

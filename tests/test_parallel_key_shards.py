@@ -108,18 +108,46 @@ def test_qs4_shaped_instance_takes_key_shards():
     assert stats.notes["parallel.partition"] == "key:y"
     assert stats["parallel.replicated"] == 0
     assert stats["parallel.shards"] == 2
-    assert stats["parallel.shard_input.total"] == query.input_size(db)
+    # Shards carry only the rows the semijoin pass keeps.
+    kept = query.input_size(db) - stats["kernel.semijoin_dropped"]
+    assert stats["parallel.shard_input.total"] == kept < query.input_size(db)
     assert stats["kernel.sort_calls"] == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
 def test_every_worker_count_gets_key_shards(workers):
+    # 60 keys of three rows each, every key's rows meet: no key is heavy.
     query = JoinQuery.star(3)
-    db = random_database(query, random.Random(5), n=80, domain=60)
+    db = {
+        name: TemporalRelation(
+            name, query.edge(name),
+            [((f"{name}-{k}", k), (k, k + 10)) for k in range(60)],
+        )
+        for name in query.edge_names
+    }
     stats = _sharded(query, db, workers=workers)
     assert stats.notes["parallel.partition"] == "key:y"
     assert stats["parallel.shards"] == workers
     assert stats["parallel.replicated"] == 0
+
+
+def test_key_weights_see_only_the_kept_rows():
+    # Key "H" holds most rows, but its R1 and R2 rows never meet: the
+    # semijoin pass drops them before the key weights are taken.
+    query = JoinQuery.star(2)
+    light = [((f"x{k}", k), (k, k + 5)) for k in range(12)]
+    db = {
+        "R1": TemporalRelation(
+            "R1", ("x1", "y"), light + [((f"h{i}", "H"), (0, 1)) for i in range(40)]
+        ),
+        "R2": TemporalRelation(
+            "R2", ("x2", "y"), light + [((f"h{i}", "H"), (5, 6)) for i in range(40)]
+        ),
+    }
+    stats = _sharded(query, db, workers=2)
+    assert stats["kernel.semijoin_dropped"] == 80
+    assert stats.notes["parallel.partition"] == "key:y"
+    assert stats["parallel.shard_input.total"] == 24
 
 
 def _star2(y_values):

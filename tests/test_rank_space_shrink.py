@@ -198,19 +198,22 @@ def test_shrink_columns_rejects_what_shrink_database_rejects(tau):
 #: ``kernel.*`` counters of the cold τ>0 kernel route, recorded with the
 #: object shrink (``prepare_run`` -> ``build_columns``) on the same
 #: instances; ``kernel.shrink_dropped`` is new with the rank-space shrink.
+#: ``kernel.semijoin_dropped`` is new with the semijoin pass, which keeps
+#: ``kernel.rows`` of the shrunk rows (153 and 144 before it on star3)
+#: and only the endpoints they use (202 and 193 before it).
 PINNED = {
-    ("star3", 3): (11, {"kernel.distinct_endpoints": 202, "kernel.interned_values": 168,
-                        "kernel.rows": 153, "kernel.shrink_dropped": 3,
-                        "kernel.sort_calls": 1}),
-    ("star3", 40): (8, {"kernel.distinct_endpoints": 193, "kernel.interned_values": 156,
-                        "kernel.rows": 144, "kernel.shrink_dropped": 12,
-                        "kernel.sort_calls": 1}),
+    ("star3", 3): (11, {"kernel.distinct_endpoints": 22, "kernel.interned_values": 168,
+                        "kernel.rows": 33, "kernel.semijoin_dropped": 120,
+                        "kernel.shrink_dropped": 3, "kernel.sort_calls": 1}),
+    ("star3", 40): (8, {"kernel.distinct_endpoints": 16, "kernel.interned_values": 156,
+                        "kernel.rows": 24, "kernel.semijoin_dropped": 120,
+                        "kernel.shrink_dropped": 12, "kernel.sort_calls": 1}),
     ("line3", 0.3): (12, {"kernel.distinct_endpoints": 201, "kernel.interned_values": 140,
-                          "kernel.rows": 152, "kernel.shrink_dropped": 0,
-                          "kernel.sort_calls": 1}),
+                          "kernel.rows": 152, "kernel.semijoin_dropped": 0,
+                          "kernel.shrink_dropped": 0, "kernel.sort_calls": 1}),
     ("line3", 40): (8, {"kernel.distinct_endpoints": 189, "kernel.interned_values": 124,
-                        "kernel.rows": 140, "kernel.shrink_dropped": 12,
-                        "kernel.sort_calls": 1}),
+                        "kernel.rows": 140, "kernel.semijoin_dropped": 0,
+                        "kernel.shrink_dropped": 12, "kernel.sort_calls": 1}),
 }
 QUERIES = {"star3": STAR3, "line3": LINE3}
 

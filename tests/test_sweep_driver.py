@@ -63,6 +63,13 @@ PINNED = {
     ("inf", 2): (12, 6, 6, 4, 4),
 }
 PINNED_HYBRID = {**PINNED, ("instant", 2): (4, 2, 2, 2, 1)}
+#: The kernel sweeps only the rows its semijoin pass keeps: one row
+#: fewer on these two instances at tau=2 (before the pass they read as
+#: PINNED: (6, 3, 3, 2, 1) and (10, 5, 5, 2, 2)).
+PINNED_KERNEL = {
+    **PINNED, ("instant", 2): (4, 2, 2, 2, 1), ("touching", 2): (8, 4, 4, 2, 2),
+}
+PINNED_BY_ROUTE = {"hybrid": PINNED_HYBRID, "kernel": PINNED_KERNEL}
 
 SWEEP_COUNTERS = (
     "sweep.events",
@@ -81,8 +88,12 @@ def test_sweep_counters_pinned(instance, tau, route):
     db = INSTANCES[instance]
     stats = ExecutionStats()
     got = temporal_join(q, db, tau=tau, stats=stats, **ROUTES[route])
-    pinned = (PINNED_HYBRID if route == "hybrid" else PINNED)[instance, tau]
+    pinned = PINNED_BY_ROUTE.get(route, PINNED)[instance, tau]
     assert tuple(stats.get(name) for name in SWEEP_COUNTERS) == pinned
+    if route == "kernel":
+        # Each row the pass drops is one INSERT and one EXPIRE event fewer.
+        dropped = stats.get("kernel.semijoin_dropped")
+        assert PINNED[instance, tau][0] - pinned[0] == 2 * dropped
     assert got.normalized() == naive_join(q, db, tau=tau).normalized()
 
 
