@@ -55,17 +55,19 @@ endpoints into locals once per item and compare those.
 
 Telemetry (``stats=``): ``allen.events``, ``allen.pairs``,
 ``allen.active_peak``, ``allen.expiries``, ``allen.atoms`` — see the
-DESIGN.md counter glossary.
+DESIGN.md counter glossary. The sweeps themselves record nothing: they
+return their peak, and the entry points record once per call
+(:func:`record_sweeps`).
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from ..core.errors import QueryError
 from ..core.interval import Interval, Number
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -186,15 +188,18 @@ def _unpack(items: Sequence[Item]) -> List[_Unpacked]:
 # ----------------------------------------------------------------------
 # The hot path: pure "overlaps" via the lazy arrival sweep
 # ----------------------------------------------------------------------
-def _overlap_sweep(
+def overlap_sweep(
     ls: List[Tuple[object, Number, Number, Interval]],
     rs: List[Tuple[object, Number, Number, Interval]],
     out: List[Pair],
-    stats: Optional[ExecutionStats] = None,
-) -> None:
-    """All intersecting pairs from two ``(lo, hi)``-sorted 4-tuple lists.
+) -> Tuple[int, int, int]:
+    """Append all intersecting pairs of two ``(lo, hi)``-sorted lists to ``out``.
 
-    Inputs are ``(payload, lo, hi, interval)`` sorted by ``(lo, hi)``.
+    Inputs are ``(payload, lo, hi, interval)`` 4-tuples sorted by
+    ``(lo, hi)`` (``_BY_LO_HI``), so a caller that keeps its rows in that
+    shape (HYBRID-INTERVAL's residual groups) joins without re-sorting
+    or re-unpacking per call.
+
     Merge by start; an arriving item is paired against the other side's
     active set in one forward pass that *compacts as it scans*: an entry
     whose ``hi`` precedes the newcomer's ``lo`` is swap-removed (last
@@ -209,10 +214,14 @@ def _overlap_sweep(
     truncated case builds the interval inline without ``__init__``
     validation (safe: both endpoints come from validated intervals and
     ``lo <= hi`` holds because the pair intersects).
+
+    Returns ``(items, remaining, active_peak)``: the input items, those
+    still active at the end (the rest expired), and the largest combined
+    active-set size after any step. Each step adds one entry and a
+    compaction only removes, so the size peaks just before a compaction
+    or at the end: it is read there, never per step. Records nothing.
     """
-    track = stats is not None
     peak = 0
-    expiries = 0
     active_l: List[Tuple[Number, object]] = []
     active_r: List[Tuple[Number, object]] = []
     append_l = active_l.append
@@ -228,7 +237,7 @@ def _overlap_sweep(
             lpay, llo, lhi, livl = ls[i]
             i += 1
             k = 0
-            end = len(active_r)
+            end = size = len(active_r)
             while k < end:
                 rhi, rpay = active_r[k]
                 if rhi < llo:
@@ -243,16 +252,17 @@ def _overlap_sweep(
                     put(iv, "hi", rhi)
                     emit((lpay, rpay, iv))
                 k += 1
-            if end != len(active_r):
-                if track:
-                    expiries += len(active_r) - end
+            if end != size:
+                depth = len(active_l) + size
+                if depth > peak:
+                    peak = depth
                 del active_r[end:]
             append_l((lhi, lpay))
         elif j < nr:
             rpay, rlo, rhi, rivl = rs[j]
             j += 1
             k = 0
-            end = len(active_l)
+            end = size = len(active_l)
             while k < end:
                 lhi, lpay = active_l[k]
                 if lhi < rlo:
@@ -267,122 +277,16 @@ def _overlap_sweep(
                     put(iv, "hi", lhi)
                     emit((lpay, rpay, iv))
                 k += 1
-            if end != len(active_l):
-                if track:
-                    expiries += len(active_l) - end
+            if end != size:
+                depth = size + len(active_r)
+                if depth > peak:
+                    peak = depth
                 del active_l[end:]
             append_r((rhi, rpay))
         else:
             break
-        if track:
-            depth = len(active_l) + len(active_r)
-            if depth > peak:
-                peak = depth
-    if track:
-        stats.incr("allen.events", 2 * (nl + nr))
-        stats.incr("allen.expiries", expiries)
-        stats.peak("allen.active_peak", peak)
-
-
-def _overlap_sweep_ranked(
-    ls: List[Tuple[object, int, int]],
-    rs: List[Tuple[object, int, int]],
-    times: Sequence[Number],
-    out: List[Pair],
-    stats: Optional[ExecutionStats] = None,
-) -> None:
-    """The overlap sweep over *rank-space* endpoints (kernel fast path).
-
-    Identical control flow to :func:`_overlap_sweep`, but ``lo``/``hi``
-    are endpoint ranks (dense ints from
-    :class:`~repro.kernels.columns.KernelColumns`) and the emitted
-    interval endpoints are looked up in ``times`` at the last moment.
-    Rank compression is order- and equality-preserving, so every
-    comparison is exact; integer compares keep the inner loop branchier-
-    friendly than float/object compares — this is what lets the kernel
-    and prepared engines run the predicate join without materializing a
-    single object row.
-    """
-    track = stats is not None
-    peak = 0
-    expiries = 0
-    active_l: List[Tuple[int, object]] = []
-    active_r: List[Tuple[int, object]] = []
-    append_l = active_l.append
-    append_r = active_r.append
-    emit = out.append
-    new = _object_new
-    put = _object_setattr
-    cls = Interval
-    i = j = 0
-    nl, nr = len(ls), len(rs)
-    while True:
-        if i < nl and (j >= nr or ls[i][1] <= rs[j][1]):
-            lpay, llo, lhi = ls[i]
-            i += 1
-            # The newcomer's own interval, built once and shared by every
-            # partner that outlives it.
-            livl = new(cls)
-            put(livl, "lo", times[llo])
-            put(livl, "hi", times[lhi])
-            k = 0
-            end = len(active_r)
-            while k < end:
-                rhi, rpay = active_r[k]
-                if rhi < llo:
-                    end -= 1
-                    active_r[k] = active_r[end]
-                    continue
-                if rhi >= lhi:
-                    emit((lpay, rpay, livl))
-                else:
-                    iv = new(cls)
-                    put(iv, "lo", times[llo])
-                    put(iv, "hi", times[rhi])
-                    emit((lpay, rpay, iv))
-                k += 1
-            if end != len(active_r):
-                if track:
-                    expiries += len(active_r) - end
-                del active_r[end:]
-            append_l((lhi, lpay))
-        elif j < nr:
-            rpay, rlo, rhi = rs[j]
-            j += 1
-            rivl = new(cls)
-            put(rivl, "lo", times[rlo])
-            put(rivl, "hi", times[rhi])
-            k = 0
-            end = len(active_l)
-            while k < end:
-                lhi, lpay = active_l[k]
-                if lhi < rlo:
-                    end -= 1
-                    active_l[k] = active_l[end]
-                    continue
-                if lhi >= rhi:
-                    emit((lpay, rpay, rivl))
-                else:
-                    iv = new(cls)
-                    put(iv, "lo", times[rlo])
-                    put(iv, "hi", times[lhi])
-                    emit((lpay, rpay, iv))
-                k += 1
-            if end != len(active_l):
-                if track:
-                    expiries += len(active_l) - end
-                del active_l[end:]
-            append_r((rhi, rpay))
-        else:
-            break
-        if track:
-            depth = len(active_l) + len(active_r)
-            if depth > peak:
-                peak = depth
-    if track:
-        stats.incr("allen.events", 2 * (nl + nr))
-        stats.incr("allen.expiries", expiries)
-        stats.peak("allen.active_peak", peak)
+    depth = len(active_l) + len(active_r)
+    return nl + nr, depth, peak if peak > depth else depth
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +296,7 @@ def _event_sweep(
     ls: List[_Unpacked],
     rs: List[_Unpacked],
     atoms: Sequence[str],
-    stats: Optional[ExecutionStats] = None,
-) -> List[Tuple[object, object, Number, Number]]:
+) -> Tuple[List[Tuple[object, object, Number, Number]], int]:
     """Raw pairs ``(lpay, rpay, lo, hi)`` for a set of atomic predicates.
 
     One endpoint-sorted event pass shared by every requested atom.
@@ -418,9 +321,9 @@ def _event_sweep(
     a seen-hash over the output.
 
     Works unchanged over real endpoints and over rank-space ints — the
-    caller maps emitted endpoints to intervals.
+    caller maps emitted endpoints to intervals. Returns the raw pairs and
+    the largest combined active-set size; every item expires once.
     """
-    track = stats is not None
     want = [ATOMS[name] for name in atoms]
     earlier = {
         name: [ATOMS[prev].holds for prev in atoms[:idx]]
@@ -449,7 +352,6 @@ def _event_sweep(
 
     names = frozenset(atoms)
     peak = 0
-    expiries = 0
 
     def emit(atom_name: str, lpay, llo, lhi, rpay, slo, shi) -> None:
         for holds in earlier[atom_name]:
@@ -551,10 +453,10 @@ def _event_sweep(
                         if scan_contains and llo < slo and shi < lhi:
                             emit("contains", lpay, llo, lhi, rpay, slo, shi)
 
-        if track:
-            depth = len(active_l) + len(active_r)
-            if depth > peak:
-                peak = depth
+        # The arrivals of a position without expiries only grow the next
+        # position's size, so the peak is read where items expire.
+        if (le_batch or re_batch) and len(active_l) + len(active_r) > peak:
+            peak = len(active_l) + len(active_r)
 
         # -- expiries leave via swap-remove; lefts join the retired list --
         for lidx in le_batch:
@@ -566,8 +468,6 @@ def _event_sweep(
             pos_l[lidx] = -1
             if "before" in names:
                 retired_l.append((ls[lidx][0], ls[lidx][1], ls[lidx][2]))
-            if track:
-                expiries += 1
         for ridx in re_batch:
             slot = pos_r[ridx]
             last = active_r.pop()
@@ -575,25 +475,33 @@ def _event_sweep(
                 active_r[slot] = last
                 pos_r[last[0]] = slot
             pos_r[ridx] = -1
-            if track:
-                expiries += 1
-
-    if track:
-        stats.incr("allen.events", n_events)
-        stats.incr("allen.expiries", expiries)
-        stats.peak("allen.active_peak", peak)
-        stats.incr("allen.atoms", len(atoms))
-    return out
+    return out, peak
 
 
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
+def record_sweeps(
+    stats: Tracer, items: int, expiries: int, peak: int, atoms: int, pairs: int
+) -> None:
+    """Record the ``allen.*`` counters of sweeps over ``items`` input items.
+
+    Each item is two events; ``peak`` is the largest active-set size of
+    any of the sweeps, ``atoms`` the atomic predicates they answered
+    (summed over sweeps) and ``pairs`` the pairs they produced.
+    """
+    stats.incr("allen.events", 2 * items)
+    stats.incr("allen.expiries", expiries)
+    stats.peak("allen.active_peak", peak)
+    stats.incr("allen.atoms", atoms)
+    stats.incr("allen.pairs", pairs)
+
+
 def lazy_sweep_join(
     left: Sequence[Item],
     right: Sequence[Item],
     predicate: str = "overlaps",
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> List[Pair]:
     """All pairs satisfying ``predicate`` via the lazy endpoint sweep.
 
@@ -605,67 +513,43 @@ def lazy_sweep_join(
     endpoint-event sweep. Inputs need not be sorted.
     """
     atoms = parse_predicate(predicate)
+    items = len(left) + len(right)
     if atoms == ("overlaps",):
         ls4 = [(payload, ivl.lo, ivl.hi, ivl) for payload, ivl in left]
         rs4 = [(payload, ivl.lo, ivl.hi, ivl) for payload, ivl in right]
         ls4.sort(key=_BY_LO_HI)
         rs4.sort(key=_BY_LO_HI)
-        return overlap_pairs_sorted(ls4, rs4, stats=stats)
+        out: List[Pair] = []
+        _, remaining, peak = overlap_sweep(ls4, rs4, out)
+        record_sweeps(stats, items, items - remaining, peak, 1, len(out))
+        return out
     fast = Interval._fast
-    raw = _event_sweep(_unpack(left), _unpack(right), atoms, stats=stats)
-    if stats is not None:
-        stats.incr("allen.pairs", len(raw))
+    raw, peak = _event_sweep(_unpack(left), _unpack(right), atoms)
+    record_sweeps(stats, items, items, peak, len(atoms), len(raw))
     return [(a, b, fast(lo, hi)) for a, b, lo, hi in raw]
-
-
-def overlap_pairs_sorted(
-    left: List[Tuple[object, Number, Number, Interval]],
-    right: List[Tuple[object, Number, Number, Interval]],
-    stats: Optional[ExecutionStats] = None,
-) -> List[Pair]:
-    """The ``overlaps`` path of :func:`lazy_sweep_join`, on sorted input.
-
-    ``left``/``right`` are ``(payload, lo, hi, interval)`` 4-tuples
-    already sorted by ``(lo, hi)`` (``_BY_LO_HI``), so a caller that keeps
-    its rows in that shape (HYBRID-INTERVAL's residual groups) joins
-    without re-sorting or re-unpacking per call.
-    """
-    out: List[Pair] = []
-    _overlap_sweep(left, right, out, stats=stats)
-    if stats is not None:
-        stats.incr("allen.pairs", len(out))
-        stats.incr("allen.atoms")
-    return out
 
 
 def lazy_sweep_pairs_ranked(
     left: Sequence[Tuple[object, int, int]],
     right: Sequence[Tuple[object, int, int]],
     times: Sequence[Number],
-    predicate: str = "overlaps",
-    stats: Optional[ExecutionStats] = None,
-) -> List[Pair]:
+    atoms: Sequence[str],
+) -> Tuple[List[Pair], int]:
     """The sweep over rank-space endpoints (the kernel engines' path).
 
     ``left``/``right`` are ``(payload, lo_rank, hi_rank)`` triples over a
     shared endpoint rank space whose rank → time table is ``times``
-    (:attr:`~repro.kernels.columns.KernelColumns.rank_times`). Emitted
-    intervals carry the original times; all predicate comparisons happen
-    on the dense int ranks, which is exact because ranking preserves
-    order and equality.
+    (:attr:`~repro.kernels.columns.KernelColumns.rank_times`); ``atoms``
+    is a parsed predicate (:func:`parse_predicate`). Emitted intervals
+    carry the original times; all predicate comparisons happen on the
+    dense int ranks, which is exact because ranking preserves order and
+    equality. ``overlaps`` runs the shared :func:`_event_sweep` like
+    every other atom. Returns the pairs and the sweep's active peak and
+    records nothing: the caller runs one sweep per key group and
+    records their totals once (:func:`record_sweeps`).
     """
-    atoms = parse_predicate(predicate)
     ls = sorted(left, key=_BY_LO_HI)
     rs = sorted(right, key=_BY_LO_HI)
-    if atoms == ("overlaps",):
-        out: List[Pair] = []
-        _overlap_sweep_ranked(ls, rs, times, out, stats=stats)
-        if stats is not None:
-            stats.incr("allen.pairs", len(out))
-            stats.incr("allen.atoms")
-        return out
     fast = Interval._fast
-    raw = _event_sweep(ls, rs, atoms, stats=stats)
-    if stats is not None:
-        stats.incr("allen.pairs", len(raw))
-    return [(a, b, fast(times[lo], times[hi])) for a, b, lo, hi in raw]
+    raw, peak = _event_sweep(ls, rs, atoms)
+    return [(a, b, fast(times[lo], times[hi])) for a, b, lo, hi in raw], peak

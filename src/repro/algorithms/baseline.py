@@ -16,7 +16,6 @@ how much the order search buys.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.durability import shrink_database
@@ -25,7 +24,7 @@ from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .binary import binary_temporal_join
 from .interval_join import DEFAULT_STRATEGY
 
@@ -143,7 +142,7 @@ def baseline_join(
     order: Optional[Sequence[str]] = None,
     track_intermediates: Optional[List[int]] = None,
     binary_strategy: str = DEFAULT_STRATEGY,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> JoinResultSet:
     """Pairwise BASELINE evaluation of a τ-durable temporal join.
 
@@ -161,12 +160,11 @@ def baseline_join(
     materialized cardinality, the Figure 8 blow-up as a number — plus
     ``phase.order_search`` / ``phase.joins`` timers and ``results``.
     """
+    stats = NULL_TRACER if stats is None else stats
     query.validate(database)
     db = shrink_database(database, tau)
     if order is not None:
         join_order = list(order)
-    elif stats is None:
-        join_order = choose_join_order(query, db)
     else:
         with stats.timer("phase.order_search"):
             join_order = choose_join_order(query, db)
@@ -174,24 +172,21 @@ def baseline_join(
         raise QueryError(
             f"join order {join_order} must be a permutation of {query.edge_names}"
         )
-    joins_start = time.perf_counter()
-    current = db[join_order[0]]
-    for name in join_order[1:]:
-        current = binary_temporal_join(
-            current, db[name], strategy=binary_strategy, stats=stats
-        )
-        if stats is not None:
+    with stats.timer("phase.joins"):
+        current = db[join_order[0]]
+        for name in join_order[1:]:
+            current = binary_temporal_join(
+                current, db[name], strategy=binary_strategy, stats=stats
+            )
             stats.incr("bin.joins")
             stats.observe("bin.intermediate_rows", len(current))
-        if track_intermediates is not None:
-            track_intermediates.append(len(current))
-        if len(current) == 0:
-            break
-    out = JoinResultSet(query.attrs)
-    perm = current.positions(query.attrs) if len(current) else ()
-    for values, interval in current:
-        out.append(tuple(values[p] for p in perm), interval)
-    if stats is not None:
-        stats.add_time("phase.joins", time.perf_counter() - joins_start)
-        stats.incr("results", len(out))
+            if track_intermediates is not None:
+                track_intermediates.append(len(current))
+            if len(current) == 0:
+                break
+        out = JoinResultSet(query.attrs)
+        perm = current.positions(query.attrs) if len(current) else ()
+        for values, interval in current:
+            out.append(tuple(values[p] for p in perm), interval)
+    stats.incr("results", len(out))
     return out.expand_intervals(tau / 2 if tau else 0)

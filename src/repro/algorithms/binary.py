@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..core.interval import Interval
 from ..core.relation import TemporalRelation
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .interval_join import DEFAULT_STRATEGY, interval_join
 
 
@@ -24,7 +24,7 @@ def binary_temporal_join(
     name: Optional[str] = None,
     strategy: str = DEFAULT_STRATEGY,
     predicate: str = "overlaps",
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> TemporalRelation:
     """``left ⋈ right`` on shared attributes + an interval predicate.
 
@@ -38,6 +38,7 @@ def binary_temporal_join(
     an extended Allen predicate or ``-or-`` union (lazy-sweep only;
     default ``overlaps`` matches the paper's implicit join predicate).
     """
+    stats = NULL_TRACER if stats is None else stats
     shared = [a for a in left.attrs if a in set(right.attrs)]
     right_extra = [a for a in right.attrs if a not in set(left.attrs)]
     right_extra_pos = right.positions(right_extra)

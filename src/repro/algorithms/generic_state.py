@@ -28,7 +28,7 @@ from ..core.result import JoinResultSet
 from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GHD, fhtw_ghd, trivial_ghd
 from ..nontemporal.yannakakis import yannakakis
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .hierarchical import duplicate_tuple
 
 Values = Tuple[object, ...]
@@ -42,11 +42,12 @@ _ALWAYS = Interval.always()
 class GenericGHDState:
     """Sweep state implementing Theorem 9 / Corollary 10.
 
-    With a ``stats`` tracer attached, reports ``ghd.enumerations``
-    (expirations that survived the semijoin restriction),
-    ``ghd.restrict_pruned`` (expirations proven resultless before any
-    materialization), ``ghd.bag_rows`` (per-endpoint bag materialization
-    sizes, as an observe distribution) and ``ghd.yannakakis_passes``.
+    :meth:`record` reports ``ghd.enumerations`` (expirations that
+    survived the semijoin restriction), ``ghd.restrict_pruned``
+    (expirations proven resultless before any materialization),
+    ``ghd.bag_rows`` (per-endpoint bag materialization sizes, as an
+    observe distribution) and ``ghd.yannakakis_passes`` to the ``stats``
+    tracer; the state collects them in plain fields as it runs.
     """
 
     def __init__(
@@ -54,7 +55,7 @@ class GenericGHDState:
         query: JoinQuery,
         database: Optional[Dict[str, TemporalRelation]] = None,
         ghd: Optional[GHD] = None,
-        stats: Optional[ExecutionStats] = None,
+        stats: Tracer = NULL_TRACER,
     ) -> None:
         self.query = query
         hg = query.hypergraph
@@ -92,6 +93,9 @@ class GenericGHDState:
         self._bag_plans = self._build_bag_plans()
         self._bag_hg = self.ghd.bag_hypergraph()
         self._stats = stats
+        self._pruned = 0
+        self._bag_rows = [0, 0, 0]  # count, total, max of the bag sizes
+        self._passes = 0
 
     # ------------------------------------------------------------------
     # Plans
@@ -142,29 +146,49 @@ class GenericGHDState:
         interval: Interval,
         out: JoinResultSet,
     ) -> None:
-        st = self._stats
         restricted = self._restrict(relation, values)
         if restricted is None:
-            if st is not None:
-                st.incr("ghd.restrict_pruned")
+            self._pruned += 1
             return
-        if st is not None:
-            st.incr("ghd.enumerations")
         bag_db: Dict[str, TemporalRelation] = {}
+        bag_rows = self._bag_rows
         for bag, lam, sub_hg, projections in self._bag_plans:
             rel = self._materialize_bag(sub_hg, projections, restricted)
-            if st is not None:
-                st.observe("ghd.bag_rows", len(rel))
-            if len(rel) == 0:
+            size = len(rel)
+            bag_rows[0] += 1
+            bag_rows[1] += size
+            if size > bag_rows[2]:
+                bag_rows[2] = size
+            if size == 0:
                 return
             bag_db[bag] = rel
         results = yannakakis(
             self._bag_hg, bag_db, attr_order=self.query.attrs,
             intersect_intervals=True,
         )
-        if st is not None:
-            st.incr("ghd.yannakakis_passes")
+        self._passes += 1
         out.extend(results.rows)
+
+    def record(self, inserts: int, deletes: int, rows: int) -> None:
+        """Report the ``ghd.*`` counters since the last call (see the class).
+
+        ``deletes`` is the number of ENUMERATE calls; every one the
+        restriction did not prune was an enumeration.
+        """
+        stats = self._stats
+        if self._pruned:
+            stats.incr("ghd.restrict_pruned", self._pruned)
+        if deletes - self._pruned:
+            stats.incr("ghd.enumerations", deletes - self._pruned)
+        count, total, largest = self._bag_rows
+        if count:
+            stats.incr("ghd.bag_rows.count", count)
+            stats.incr("ghd.bag_rows.total", total)
+            stats.peak("ghd.bag_rows.max", largest)
+        if self._passes:
+            stats.incr("ghd.yannakakis_passes", self._passes)
+        self._pruned = self._passes = 0
+        self._bag_rows = [0, 0, 0]
 
     # ------------------------------------------------------------------
     # Restriction: semijoin cascade seeded at the expiring tuple

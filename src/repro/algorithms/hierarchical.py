@@ -44,7 +44,7 @@ from ..core.errors import QueryError
 from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 
 Values = Tuple[object, ...]
 #: ``(values, lo, hi)``: the values a subtree binds, in the node's
@@ -101,16 +101,16 @@ class _NodeState:
 class HierarchicalState:
     """Sweep state implementing Theorem 6 for hierarchical queries.
 
-    With a ``stats`` tracer attached the state reports ``hier.inserts`` /
-    ``hier.deletes`` (leaf ``X_u`` set operations), ``hier.support_updates``
-    (support-count transitions walked during upward propagation) and
-    ``hier.report_fragments`` (fragments returned by Algorithm 3). The
-    ``stats=None`` path adds only a predicate on a local per operation.
+    :meth:`record` reports ``hier.inserts`` / ``hier.deletes`` (leaf
+    ``X_u`` set operations), ``hier.support_updates`` (support-count
+    transitions walked during upward propagation) and
+    ``hier.report_fragments`` (fragments returned by Algorithm 3) to the
+    ``stats`` tracer. Only the support transitions are counted as the
+    state runs, one local per propagation; the rest are the caller's
+    totals: every fragment becomes one result row.
     """
 
-    def __init__(
-        self, query: JoinQuery, stats: Optional[ExecutionStats] = None
-    ) -> None:
+    def __init__(self, query: JoinQuery, stats: Tracer = NULL_TRACER) -> None:
         if not query.is_hierarchical:
             raise QueryError(
                 f"HierarchicalState requires a hierarchical query, got {query!r}; "
@@ -139,6 +139,7 @@ class HierarchicalState:
             pos = {a: i for i, a in enumerate(eattrs)}
             self._perm[name] = tuple(pos[a] for a in path)
         self._stats = stats
+        self._support_updates = 0
         # Compiled REPORT per leaf id, built on the leaf's first emit.
         self._programs: List[Optional[Program]] = [None] * len(nodes)
         # Emission mode of the programs: decode values through these
@@ -158,8 +159,6 @@ class HierarchicalState:
         pv = self._path_values(relation, values)
         gkey = pv[: self._parent_path_len[leaf]]
         groups = self._state[leaf].groups
-        if self._stats is not None:
-            self._stats.incr("hier.inserts")
         bucket = groups.get(gkey)
         if bucket is None:
             bucket = {pv: interval}
@@ -177,8 +176,6 @@ class HierarchicalState:
         pv = self._path_values(relation, values)
         gkey = pv[: self._parent_path_len[leaf]]
         groups = self._state[leaf].groups
-        if self._stats is not None:
-            self._stats.incr("hier.deletes")
         bucket = groups[gkey]
         del bucket[pv]
         if not bucket:
@@ -187,15 +184,14 @@ class HierarchicalState:
 
     def _signal_nonempty(self, node_id: Optional[int], key: Values) -> None:
         """A child's group ``key`` (a ``V_node`` tuple) became non-empty."""
-        st = self._stats
+        steps = 0
         while node_id is not None:
-            if st is not None:
-                st.incr("hier.support_updates")
+            steps += 1
             state = self._state[node_id]
             count = state.support.get(key, 0) + 1
             state.support[key] = count
             if count != self._nchildren[node_id]:
-                return
+                break
             # key joins X_node.
             gkey = key[: self._parent_path_len[node_id]]
             members = state.members.get(gkey)
@@ -207,14 +203,14 @@ class HierarchicalState:
                 key = gkey
                 continue  # group flipped non-empty: propagate
             members.add(key)
-            return
+            break
+        self._support_updates += steps
 
     def _signal_empty(self, node_id: Optional[int], key: Values) -> None:
         """A child's group ``key`` became empty."""
-        st = self._stats
+        steps = 0
         while node_id is not None:
-            if st is not None:
-                st.incr("hier.support_updates")
+            steps += 1
             state = self._state[node_id]
             count = state.support[key] - 1
             was_full = state.support[key] == self._nchildren[node_id]
@@ -223,15 +219,33 @@ class HierarchicalState:
             else:
                 state.support[key] = count
             if not was_full:
-                return
+                break
             gkey = key[: self._parent_path_len[node_id]]
             members = state.members[gkey]
             members.discard(key)
             if members:
-                return
+                break
             del state.members[gkey]
             node_id = self.tree.nodes[node_id].parent
             key = gkey
+        self._support_updates += steps
+
+    def record(self, inserts: int, deletes: int, rows: int) -> None:
+        """Report the ``hier.*`` counters since the last call (see the class).
+
+        A counter with nothing to add is not touched, as if it had been
+        counted operation by operation.
+        """
+        stats = self._stats
+        if inserts:
+            stats.incr("hier.inserts", inserts)
+        if deletes:
+            stats.incr("hier.deletes", deletes)
+        if self._support_updates:
+            stats.incr("hier.support_updates", self._support_updates)
+            self._support_updates = 0
+        if rows:
+            stats.incr("hier.report_fragments", rows)
 
     # ------------------------------------------------------------------
     # ENUMERATE (Algorithm 2) + REPORT (Algorithm 3)
@@ -290,14 +304,11 @@ class HierarchicalState:
         else:
             tables = [domains[attr] for attr in path]
             bound_of = lambda pv: tuple(map(_getitem, tables, pv))  # noqa: E731
-        stats = self._stats
         half = self._half
 
         if not half:
             def program(pv: Values, out: JoinResultSet) -> None:
                 fragments = report(pv, ())
-                if stats is not None:
-                    stats.incr("hier.report_fragments", len(fragments))
                 if not fragments:
                     return
                 bound = bound_of(pv)
@@ -313,8 +324,6 @@ class HierarchicalState:
 
         def widening_program(pv: Values, out: JoinResultSet) -> None:
             fragments = report(pv, ())
-            if stats is not None:
-                stats.incr("hier.report_fragments", len(fragments))
             if not fragments:
                 return
             bound = bound_of(pv)

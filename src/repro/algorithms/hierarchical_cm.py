@@ -38,7 +38,7 @@ from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
 from ..datastructures.heap import AddressableHeap
 from ..datastructures.sorted_list import SortedList
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .hierarchical import tuple_getter
 
 Values = Tuple[object, ...]
@@ -86,14 +86,15 @@ def _group_run(members: SortedList, prefix: Values) -> List:
 class ComparisonHierarchicalState:
     """Sweep state for Theorem 6 in the comparison model (O(log N) steps).
 
-    With a ``stats`` tracer attached, reports ``cm.heap_pushes`` /
-    ``cm.heap_removes`` (the paper's per-group t⁺ heaps),
-    ``cm.support_updates`` (sorted-multiset propagation steps) and
-    ``cm.report_fragments``.
+    :meth:`record` reports ``cm.heap_pushes`` / ``cm.heap_removes`` (the
+    paper's per-group t⁺ heaps: one per INSERT / DELETE),
+    ``cm.support_updates`` (sorted-multiset propagation steps, counted
+    in a local per propagation) and ``cm.report_fragments`` (one per
+    result row) to the ``stats`` tracer.
     """
 
     def __init__(
-        self, query: JoinQuery, stats: Optional[ExecutionStats] = None
+        self, query: JoinQuery, stats: Tracer = NULL_TRACER
     ) -> None:
         if not query.is_hierarchical:
             raise QueryError(
@@ -121,6 +122,7 @@ class ComparisonHierarchicalState:
         self._row_of = tuple_getter(query.attrs)
         self._seq = 0
         self._stats = stats
+        self._support_updates = 0
 
     # ------------------------------------------------------------------
     def _path_values(self, relation: str, values: Values) -> Values:
@@ -139,8 +141,6 @@ class ComparisonHierarchicalState:
             state.heaps[gkey] = heap
         heap.push((interval.hi, self._seq), pv)
         self._seq += 1
-        if self._stats is not None:
-            self._stats.incr("cm.heap_pushes")
         if was_empty:
             self._signal_nonempty(self.tree.nodes[leaf].parent, gkey)
 
@@ -152,8 +152,6 @@ class ComparisonHierarchicalState:
         state.members.remove(pv + (interval,))
         heap = state.heaps[gkey]
         heap.remove(pv)
-        if self._stats is not None:
-            self._stats.incr("cm.heap_removes")
         if not heap:
             del state.heaps[gkey]
             self._signal_empty(self.tree.nodes[leaf].parent, gkey)
@@ -188,40 +186,53 @@ class ComparisonHierarchicalState:
         )
 
     def _signal_nonempty(self, node_id: Optional[int], key: Values) -> None:
-        st = self._stats
+        steps = 0
         while node_id is not None:
-            if st is not None:
-                st.incr("cm.support_updates")
+            steps += 1
             state = self._state[node_id]
             state.support.add(key)
             if state.support.count_range(key, key) != self._nchildren[node_id]:
-                return
+                break
             gkey = key[: self._parent_path_len[node_id]]
             group_was_empty = not self._group_nonempty(node_id, gkey)
             state.members.add(key)
             if not group_was_empty:
-                return
+                break
             node_id = self.tree.nodes[node_id].parent
             key = gkey
+        self._support_updates += steps
 
     def _signal_empty(self, node_id: Optional[int], key: Values) -> None:
-        st = self._stats
+        steps = 0
         while node_id is not None:
-            if st is not None:
-                st.incr("cm.support_updates")
+            steps += 1
             state = self._state[node_id]
             was_full = (
                 state.support.count_range(key, key) == self._nchildren[node_id]
             )
             state.support.remove(key)
             if not was_full:
-                return
+                break
             state.members.remove(key)
             gkey = key[: self._parent_path_len[node_id]]
             if self._group_nonempty(node_id, gkey):
-                return
+                break
             node_id = self.tree.nodes[node_id].parent
             key = gkey
+        self._support_updates += steps
+
+    def record(self, inserts: int, deletes: int, rows: int) -> None:
+        """Report the ``cm.*`` counters since the last call (see the class)."""
+        stats = self._stats
+        if inserts:
+            stats.incr("cm.heap_pushes", inserts)
+        if deletes:
+            stats.incr("cm.heap_removes", deletes)
+        if self._support_updates:
+            stats.incr("cm.support_updates", self._support_updates)
+            self._support_updates = 0
+        if rows:
+            stats.incr("cm.report_fragments", rows)
 
     # ------------------------------------------------------------------
     def enumerate_results(
@@ -243,8 +254,6 @@ class ComparisonHierarchicalState:
             zip(self.tree.nodes[leaf].path_attrs, pv)
         )
         fragments = self._report(self.tree.root.node_id, binding)
-        if self._stats is not None:
-            self._stats.incr("cm.report_fragments", len(fragments))
         row_of = self._row_of
         for fragment, lo, hi in fragments:
             out.append(row_of({**binding, **fragment}), _fast(lo, hi))

@@ -24,7 +24,7 @@ from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GHD, fhtw_ghd, hhtw_ghd
-from ..obs import NULL_TRACER, ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .timefirst import sweep
 
 Values = Tuple[object, ...]
@@ -103,7 +103,7 @@ def hybrid_join(
     ghd: Optional[GHD] = None,
     mode: str = "auto",
     track_intermediates: Optional[List[int]] = None,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> JoinResultSet:
     """Evaluate a τ-durable temporal join with HYBRID (Theorem 12).
 
@@ -124,18 +124,18 @@ def hybrid_join(
         ``phase.materialize`` timer, plus the sweep counters of the
         time-first half over the derived bag query.
     """
+    stats = NULL_TRACER if stats is None else stats
     query.validate(database)
     hg = query.hypergraph
     if ghd is None:
         ghd = select_hybrid_ghd(hg, mode)
     db = shrink_database(database, tau)
-    tracer = NULL_TRACER if stats is None else stats
     bag_db: Dict[str, TemporalRelation] = {}
-    with tracer.timer("phase.materialize"):
+    with stats.timer("phase.materialize"):
         for bag, lam in ghd.bags.items():
             rel = materialize_bag(hg, db, lam, bag_name=bag)
-            tracer.incr("hybrid.bags")
-            tracer.observe("hybrid.bag_rows", len(rel))
+            stats.incr("hybrid.bags")
+            stats.observe("hybrid.bag_rows", len(rel))
             if track_intermediates is not None:
                 track_intermediates.append(len(rel))
             bag_db[bag] = rel
@@ -162,7 +162,7 @@ def select_hybrid_ghd(hg: Hypergraph, mode: str = "auto") -> GHD:
 def _bag_sweep_state(
     bag_query: JoinQuery,
     bag_db: Dict[str, TemporalRelation],
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer,
 ):
     from .generic_state import GenericGHDState
     from .hierarchical import HierarchicalState

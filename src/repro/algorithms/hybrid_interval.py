@@ -33,7 +33,6 @@ interval once.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -47,8 +46,8 @@ from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GuardedPartition, find_guarded_partition
-from ..obs import ExecutionStats
-from .allen import _BY_LO_HI, overlap_pairs_sorted
+from ..obs import NULL_TRACER, Tracer
+from .allen import _BY_LO_HI, Pair, overlap_sweep
 from .hierarchical import tuple_getter
 
 Values = Tuple[object, ...]
@@ -57,6 +56,8 @@ Row = Tuple[Values, Number, Number, Interval]
 #: ``(name, i_attrs, probe, groups)``; a group is ``(rows, los)``.
 Plan = Tuple[str, Tuple[str, ...], Callable, Dict[Values, Tuple[List[Row], List[Number]]]]
 Emit = Callable[[Values, Number, Number, List[List[Row]]], None]
+#: ``record(stats, calls)``: a strategy's counters after ``calls`` emits.
+Record = Callable[[Tracer, int], None]
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -73,7 +74,7 @@ def hybrid_interval_join(
     tau: Number = 0,
     partition: Optional[GuardedPartition] = None,
     residual_strategy: str = "auto",
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> JoinResultSet:
     """Evaluate a τ-durable temporal join with HybridGuarded.
 
@@ -94,6 +95,7 @@ def hybrid_interval_join(
     Raises :class:`PlanError` when the query admits no guarded partition
     (e.g. cycle joins) — the planner falls back to HYBRID there.
     """
+    stats = NULL_TRACER if stats is None else stats
     if residual_strategy not in ("auto", "sweep"):
         raise PlanError(f"unknown residual strategy {residual_strategy!r}")
     query.validate(database)
@@ -121,12 +123,9 @@ def hybrid_interval_join(
         sub = TemporalRelation(name, restricted, check_distinct=False)
         sub._rows = [(k, always) for k in dict.fromkeys(key(v) for v, _ in db[name])]
         qj_db[name] = sub
-    if stats is None:
+    with stats.timer("phase.core_join"):
         core_tuples, j_order = generic_join_with_order(Hypergraph(qj_edges), qj_db)
-    else:
-        with stats.timer("phase.core_join"):
-            core_tuples, j_order = generic_join_with_order(Hypergraph(qj_edges), qj_db)
-        stats.incr("hi.core_tuples", len(core_tuples))
+    stats.incr("hi.core_tuples", len(core_tuples))
     j_pos = {a: i for i, a in enumerate(j_order)}
 
     # Interval lookup for core edges (fully inside J): line 4.
@@ -157,35 +156,36 @@ def hybrid_interval_join(
         strategy = _residual_timefirst
     else:
         strategy = _interval_join if len(plans) == 2 else _product_sweep
-    emit = strategy(query, j_order, plans, out, tau / 2 if tau else 0, stats)
+    emit, record = strategy(query, j_order, plans, out, tau / 2 if tau else 0)
 
     # ------------------------------------------------------------------
     # Lines 3-8: per core tuple, solve the residual join.
     # ------------------------------------------------------------------
-    residuals_start = time.perf_counter()
-    for a in core_tuples:
-        clo, chi = _NEG_INF, _POS_INF
-        for key, index in core_lookups:
-            lo, hi = index[key(a)]
-            clo, chi = (lo if lo > clo else clo), (hi if hi < chi else chi)
-        kept_groups: List[List[Row]] = []
-        if clo <= chi:
-            for _, _, probe, groups in plans:
-                # Keep the rows that meet [clo, chi], unclipped (Helly).
-                rows, los = groups.get(probe(a), _NO_GROUP)
-                kept = [row for row in rows[: bisect_right(los, chi)] if row[2] >= clo]
-                if not kept:
-                    break
-                kept_groups.append(kept)
-        if clo > chi or len(kept_groups) < len(plans):
-            if stats is not None:
-                stats.incr("hi.core_pruned")
-            continue
-        emit(a, clo, chi, kept_groups)
+    pruned = 0
+    with stats.timer("phase.residuals"):
+        for a in core_tuples:
+            clo, chi = _NEG_INF, _POS_INF
+            for key, index in core_lookups:
+                lo, hi = index[key(a)]
+                clo, chi = (lo if lo > clo else clo), (hi if hi < chi else chi)
+            kept_groups: List[List[Row]] = []
+            if clo <= chi:
+                for _, _, probe, groups in plans:
+                    # Keep the rows that meet [clo, chi], unclipped (Helly).
+                    rows, los = groups.get(probe(a), _NO_GROUP)
+                    kept = [row for row in rows[: bisect_right(los, chi)] if row[2] >= clo]
+                    if not kept:
+                        break
+                    kept_groups.append(kept)
+            if clo > chi or len(kept_groups) < len(plans):
+                pruned += 1
+                continue
+            emit(a, clo, chi, kept_groups)
 
-    if stats is not None:
-        stats.add_time("phase.residuals", time.perf_counter() - residuals_start)
-        stats.incr("results", len(out))
+    if pruned:
+        stats.incr("hi.core_pruned", pruned)
+    record(stats, len(core_tuples) - pruned)
+    stats.incr("results", len(out))
     return out
 
 
@@ -230,35 +230,45 @@ def _clipped(items: Sequence[tuple], clo: Number, chi: Number, half: Number) -> 
 # ----------------------------------------------------------------------
 # Residual strategies: each builds its per-call state once and returns
 # ``emit(core, clo, chi, kept_groups)``, which appends rows whose
-# intervals are already widened back by ``half`` = τ/2.
+# intervals are already widened back by ``half`` = τ/2, and
+# ``record(stats, calls)``, which reports its counters once at the end.
 # ----------------------------------------------------------------------
 def _interval_join(
     query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
-    half: Number, stats: Optional[ExecutionStats],
-) -> Emit:
+    half: Number,
+) -> Tuple[Emit, Record]:
     """Two disjoint residual groups: a single lazy-sweep interval join."""
     layout = _layout(query, (*j_order, *plans[0][1], *plans[1][1]))
     append = out.rows.append
+    scans: List[int] = []
+    found: List[int] = []
 
     def emit(core: Values, clo: Number, chi: Number, groups: List[List[Row]]) -> None:
-        left, right = groups
-        pairs = overlap_pairs_sorted(left, right)
-        if stats is not None:
-            stats.incr("hi.interval_joins")
-            stats.observe("ij.scan", len(left) + len(right))
-            stats.observe("ij.pairs", len(pairs))
+        pairs: List[Pair] = []
+        scans.append(overlap_sweep(groups[0], groups[1], pairs)[0])
+        found.append(len(pairs))
         if not pairs:
             return
         for (lvalues, rvalues, _), iv in zip(pairs, _clipped(pairs, clo, chi, half)):
             append((layout(core + lvalues + rvalues), iv))
 
-    return emit
+    def record(stats: Tracer, calls: int) -> None:
+        if calls:
+            stats.incr("hi.interval_joins", calls)
+            stats.incr("ij.scan.count", calls)
+            stats.incr("ij.scan.total", sum(scans))
+            stats.peak("ij.scan.max", max(scans))
+            stats.incr("ij.pairs.count", calls)
+            stats.incr("ij.pairs.total", sum(found))
+            stats.peak("ij.pairs.max", max(found))
+
+    return emit, record
 
 
 def _product_sweep(
     query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
-    half: Number, stats: Optional[ExecutionStats],
-) -> Emit:
+    half: Number,
+) -> Tuple[Emit, Record]:
     """k ≥ 3 disjoint residual groups: sweep enumerating live combinations.
 
     Events over all group rows' endpoints; at each row's right endpoint,
@@ -275,8 +285,6 @@ def _product_sweep(
     append = out.rows.append
 
     def emit(core: Values, clo: Number, chi: Number, groups: List[List[Row]]) -> None:
-        if stats is not None:
-            stats.incr("hi.product_sweeps")
         events = []
         for gi, rows in enumerate(groups):
             for values, lo, hi, _ in rows:
@@ -313,13 +321,17 @@ def _product_sweep(
                         hi = hi + half
                 append((layouts[gi](core + pvalues), _fast(lo, hi)))
 
-    return emit
+    def record(stats: Tracer, calls: int) -> None:
+        if calls:
+            stats.incr("hi.product_sweeps", calls)
+
+    return emit, record
 
 
 def _residual_timefirst(
     query: JoinQuery, j_order: Sequence[str], plans: List[Plan], out: JoinResultSet,
-    half: Number, stats: Optional[ExecutionStats],
-) -> Emit:
+    half: Number,
+) -> Tuple[Emit, Record]:
     """General residual: recursive TIMEFIRST on Q_I (Algorithm 6, line 7).
 
     The residual query and its relation shells are built once per call;
@@ -334,12 +346,14 @@ def _residual_timefirst(
     append = out.rows.append
 
     def emit(core: Values, clo: Number, chi: Number, groups: List[List[Row]]) -> None:
-        if stats is not None:
-            stats.incr("hi.recursions")
         for shell, rows in zip(shells, groups):
             shell._rows = [(values, ivl) for values, _, _, ivl in rows]
         rows = timefirst_join(residual_query, residual_db).rows
         for (values, _), iv in zip(rows, _clipped(rows, clo, chi, half)):
             append((layout(core + values), iv))
 
-    return emit
+    def record(stats: Tracer, calls: int) -> None:
+        if calls:
+            stats.incr("hi.recursions", calls)
+
+    return emit, record

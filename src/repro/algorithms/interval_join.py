@@ -22,11 +22,11 @@ gap interval — see :mod:`repro.algorithms.allen`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Sequence, Tuple, TypeVar
 
 from ..core.errors import QueryError
 from ..core.interval import Interval
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .allen import lazy_sweep_join, parse_predicate, predicate_names
 
 A = TypeVar("A")
@@ -96,7 +96,7 @@ def interval_join(
     right: Sequence[Item],
     strategy: str = DEFAULT_STRATEGY,
     predicate: str = "overlaps",
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> List[Pair]:
     """Dispatch over the binary interval-join families.
 

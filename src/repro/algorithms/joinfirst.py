@@ -11,7 +11,6 @@ Figure 10 shows and our benches reproduce.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.durability import shrink_database
@@ -20,7 +19,7 @@ from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..nontemporal.generic_join import generic_join_with_order
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 
 Values = Tuple[object, ...]
 
@@ -29,7 +28,7 @@ def joinfirst_join(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> JoinResultSet:
     """Evaluate a τ-durable temporal join with the join-first strategy.
 
@@ -39,14 +38,12 @@ def joinfirst_join(
     intersect, == ``results``), and the ``phase.nontemporal_join`` /
     ``phase.filter`` timers.
     """
+    stats = NULL_TRACER if stats is None else stats
     query.validate(database)
     db = shrink_database(database, tau)
-    if stats is None:
+    with stats.timer("phase.nontemporal_join"):
         matches, order = generic_join_with_order(query.hypergraph, db)
-    else:
-        with stats.timer("phase.nontemporal_join"):
-            matches, order = generic_join_with_order(query.hypergraph, db)
-        stats.incr("jf.matches", len(matches))
+    stats.incr("jf.matches", len(matches))
     order_pos = {a: i for i, a in enumerate(order)}
 
     # Interval lookup per relation, keyed on the relation's values in the
@@ -64,21 +61,19 @@ def joinfirst_join(
 
     out_perm = tuple(order_pos[a] for a in query.attrs)
     out = JoinResultSet(query.attrs)
-    filter_start = time.perf_counter()
-    for match in matches:
-        interval = Interval.always()
-        alive = True
-        for pos, index in lookups:
-            ivl = index[tuple(match[p] for p in pos)]
-            interval = interval.intersect(ivl)
-            if interval is None:
-                alive = False
-                break
-        if alive:
-            out.append(tuple(match[p] for p in out_perm), interval)
-    if stats is not None:
-        stats.add_time("phase.filter", time.perf_counter() - filter_start)
-        stats.incr("jf.survivors", len(out))
-        stats.incr("results", len(out))
+    with stats.timer("phase.filter"):
+        for match in matches:
+            interval = Interval.always()
+            alive = True
+            for pos, index in lookups:
+                ivl = index[tuple(match[p] for p in pos)]
+                interval = interval.intersect(ivl)
+                if interval is None:
+                    alive = False
+                    break
+            if alive:
+                out.append(tuple(match[p] for p in out_perm), interval)
+    stats.incr("jf.survivors", len(out))
+    stats.incr("results", len(out))
     half = tau / 2 if tau else 0
     return out.expand_intervals(half)

@@ -16,25 +16,27 @@ from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 
 
 def naive_join(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> JoinResultSet:
     """τ-durable temporal join by exhaustive backtracking.
 
     ``stats`` records ``naive.candidates`` — every (partial binding,
-    tuple) pair the backtracking considered — and ``results``. The oracle
-    is for testing, so the counter is maintained unconditionally.
+    tuple) pair the backtracking considered — and ``results``. Values
+    are bound by the relation's own attribute names, whatever order its
+    query edge lists them in.
     """
+    stats = NULL_TRACER if stats is None else stats
     query.validate(database)
     db = shrink_database(database, tau)
     names = query.edge_names
-    edge_attrs = {name: query.edge(name) for name in names}
+    edge_attrs = {name: db[name].attrs for name in names}
     out = JoinResultSet(query.attrs)
     binding: Dict[str, object] = {}
     candidates = 0
@@ -66,9 +68,8 @@ def naive_join(
                 del binding[attr]
 
     recurse(0, Interval.always())
-    if stats is not None:
-        stats.incr("naive.candidates", candidates)
-        stats.incr("results", len(out))
+    stats.incr("naive.candidates", candidates)
+    stats.incr("results", len(out))
     half = tau / 2 if tau else 0
     return out.expand_intervals(half)
 
@@ -79,7 +80,7 @@ def naive_nontemporal_join(
     """Value-only join (temporal predicate ignored), for JOINFIRST tests."""
     query.validate(database)
     names = query.edge_names
-    edge_attrs = {name: query.edge(name) for name in names}
+    edge_attrs = {name: database[name].attrs for name in names}
     results: List[Tuple[object, ...]] = []
     binding: Dict[str, object] = {}
 

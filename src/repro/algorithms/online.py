@@ -24,11 +24,11 @@ Telemetry follows the offline contract: pass ``stats=`` and the operator
 records the same ``sweep.*`` counters as the offline sweep. The offline
 routes derive them from the sorted event codes after
 :func:`repro.algorithms.timefirst.drive`'s loop; this operator counts
-them per arrival and per expiration, and after :meth:`finish` on an
-endpoint-ordered replay of a database the two match exactly
+them once per arrival and once per drain, and after :meth:`finish` on
+an endpoint-ordered replay of a database the two match exactly
 (``sweep.events``, ``sweep.inserts``, ``sweep.enumerate_calls``,
 ``sweep.active_peak``, ``results``). The underlying state adds its
-``hier.*`` / ``ghd.*`` counters. Online-only events get the ``online.*`` prefix:
+``hier.*`` / ``ghd.*`` counters at the same points. Online-only events get the ``online.*`` prefix:
 ``online.clamped`` (non-strict out-of-order arrivals, with the
 ``online.clamp_reason`` note so degradation is never silent) and
 ``online.watermark_regressions`` (non-monotone :meth:`advance_to`
@@ -45,7 +45,7 @@ from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet, ResultRow
 from ..datastructures.heap import AddressableHeap
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 
 Values = Tuple[object, ...]
 
@@ -66,8 +66,8 @@ class OnlineTemporalJoin:
         is recorded (``online.clamped`` counter and the
         ``online.clamp_reason`` note) when ``stats`` is attached.
     stats:
-        Optional :class:`~repro.obs.ExecutionStats`. With ``None`` (the
-        default) the pre-telemetry code path runs unchanged.
+        Optional tracer (:class:`~repro.obs.ExecutionStats`); ``None``
+        (the default) records into :data:`~repro.obs.NULL_TRACER`.
 
     The *watermark* is the largest instant known to be settled: the
     maximum of every drained expiration endpoint and every watermark
@@ -80,8 +80,9 @@ class OnlineTemporalJoin:
         self,
         query: JoinQuery,
         strict: bool = True,
-        stats: Optional[ExecutionStats] = None,
+        stats: Optional[Tracer] = None,
     ) -> None:
+        stats = NULL_TRACER if stats is None else stats
         from .generic_state import GenericGHDState
         from .hierarchical import HierarchicalState
 
@@ -131,22 +132,21 @@ class OnlineTemporalJoin:
                     f"watermark {self._watermark}"
                 )
             clamped = Interval(self._watermark, max(self._watermark, iv.hi))
-            if stats is not None:
-                stats.incr("online.clamped")
-                stats.note(
-                    "online.clamp_reason",
-                    f"out-of-order arrival {relation}{values} {iv} clamped "
-                    f"to {clamped} at watermark {self._watermark}",
-                )
+            stats.incr("online.clamped")
+            stats.note(
+                "online.clamp_reason",
+                f"out-of-order arrival {relation}{values} {iv} clamped "
+                f"to {clamped} at watermark {self._watermark}",
+            )
             iv = clamped
         self._drain(iv.lo, inclusive=False)
         self._state.insert(relation, values, iv)
         self._pending.push((iv.hi, self._seq), (relation, values, iv))
         self._seq += 1
-        if stats is not None:
-            stats.incr("sweep.events")
-            stats.incr("sweep.inserts")
-            stats.peak("sweep.active_peak", len(self._pending))
+        stats.incr("sweep.events")
+        stats.incr("sweep.inserts")
+        stats.peak("sweep.active_peak", len(self._pending))
+        self._state.record(1, 0, 0)
         return self._collect()
 
     def advance_to(self, watermark: Number) -> List[ResultRow]:
@@ -162,7 +162,7 @@ class OnlineTemporalJoin:
         if self._closed:
             raise QueryError("advance_to after finish() on an online join")
         if self._watermark is not None and watermark <= self._watermark:
-            if self._stats is not None and watermark < self._watermark:
+            if watermark < self._watermark:
                 self._stats.incr("online.watermark_regressions")
             return self._collect()
         self._drain(watermark, inclusive=False)
@@ -187,21 +187,25 @@ class OnlineTemporalJoin:
 
     # ------------------------------------------------------------------
     def _drain(self, until: Number, inclusive: bool) -> None:
-        stats = self._stats
+        before = len(self._emitted)
+        drained = 0
         while self._pending:
             (hi, _), payload = self._pending.peek()
             if hi > until or (hi == until and not inclusive):
                 break
             self._pending.pop()
             relation, values, iv = payload
-            before = len(self._emitted)
             self._state.enumerate_results(relation, values, iv, self._emitted)
             self._state.delete(relation, values, iv)
             self._watermark = hi if self._watermark is None else max(self._watermark, hi)
-            if stats is not None:
-                stats.incr("sweep.events")
-                stats.incr("sweep.enumerate_calls")
-                stats.incr("results", len(self._emitted) - before)
+            drained += 1
+        if drained:
+            emitted = len(self._emitted) - before
+            stats = self._stats
+            stats.incr("sweep.events", drained)
+            stats.incr("sweep.enumerate_calls", drained)
+            stats.incr("results", emitted)
+            self._state.record(0, drained, emitted)
 
     def _collect(self) -> List[ResultRow]:
         new = self._emitted.rows[self._emit_cursor :]
@@ -213,7 +217,7 @@ def stream_temporal_join(
     query: JoinQuery,
     arrivals: Iterable[Tuple[str, Values, IntervalLike]],
     strict: bool = True,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> Iterator[ResultRow]:
     """Generator façade: yield results as an arrival stream is consumed.
 

@@ -32,7 +32,7 @@ from ..core.planner import Plan
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, ExecutionStats, Tracer
 
 Algorithm = Callable[..., JoinResultSet]
 
@@ -133,6 +133,7 @@ def _ensure_loaded() -> None:
         Merely r-hierarchical queries go through the footnote-2 instance
         reduction first, like the hashed variant.
         """
+        stats = NULL_TRACER if stats is None else stats
         return timefirst_join(
             query, database, tau=tau,
             state_factory=lambda q, db: ComparisonHierarchicalState(q, stats=stats),
@@ -335,7 +336,7 @@ def resolve_route(
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
     algorithm: str = "auto",
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
     workers: Optional[int] = None,
     engine: str = "auto",
     prepared=None,
@@ -359,7 +360,6 @@ def resolve_route(
     """
     from ..core.planner import plan
     from .allen import parse_predicate
-    from .timefirst import needs_reduction
 
     _ensure_loaded()
     _check_tau(tau)
@@ -395,8 +395,7 @@ def resolve_route(
                 f"algorithm must be 'auto' or 'baseline', got {algorithm!r}"
             )
         used = "object" if engine == "object" else "kernel"
-        reads = prepared if used == "kernel" else None
-        route = Route(LAZY_SWEEP, None, {}, None, used, None, reads)
+        name, fn, kwargs, choice, reason = LAZY_SWEEP, None, {}, None, None
     else:
         choice = None
         if algorithm == "auto" or explain:
@@ -409,22 +408,17 @@ def resolve_route(
         else:
             name, fn = algorithm, get_algorithm(algorithm)
         used, reason = _engine_decision(name, engine, kwargs)
-        reads = None
-        if prepared is not None and used == "kernel" and not needs_reduction(query):
-            reads = prepared
-        route = Route(name, fn, kwargs, choice, used, reason, reads)
-    if stats is not None:
-        if route.reason is not None:
-            stats.note("kernel.fallback_reason", route.reason)
-        if prepared is not None and reads is None:
-            stats.incr("prepared.fallback_queries")
-            if used == "kernel":
-                stats.note(
-                    "kernel.fallback_reason",
-                    "r-hierarchical instance reduction is per-query; "
-                    "prepared columns cannot be shared, running cold",
-                )
-    return route
+    if reason is not None:
+        stats.note("kernel.fallback_reason", reason)
+    cold = None
+    if prepared is not None and used == "kernel":
+        cold = prepared.cold_reason(query)
+    reads = prepared if used == "kernel" and cold is None else None
+    if prepared is not None and reads is None:
+        stats.incr("prepared.fallback_queries")
+        if cold is not None:
+            stats.note("kernel.fallback_reason", cold)
+    return Route(name, fn, kwargs, choice, used, reason, reads)
 
 
 def run_route(
@@ -432,7 +426,7 @@ def run_route(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
     workers: Optional[int] = None,
     parallel_mode: str = "process",
     cuts=None,
@@ -451,8 +445,7 @@ def run_route(
             query, database, tau, stats=stats, prepared=route.prepared
         )
         return sweep_columns(run_query, columns, tau, stats=stats)
-    kwargs = route.kwargs if stats is None else dict(route.kwargs, stats=stats)
-    return route.fn(query, database, tau=tau, **kwargs)
+    return route.fn(query, database, tau=tau, stats=stats, **route.kwargs)
 
 
 def _binary_predicate_join(
@@ -461,7 +454,7 @@ def _binary_predicate_join(
     database: Mapping[str, TemporalRelation],
     tau: Number,
     predicate: str,
-    stats: Optional[ExecutionStats],
+    stats: Tracer,
 ) -> JoinResultSet:
     """Run a non-``overlaps`` predicate on the lazy-sweep binary path.
 
@@ -496,8 +489,7 @@ def _binary_predicate_join(
         )
     if tau:
         out = out.filter_durable(tau)
-    if stats is not None:
-        stats.incr("results", len(out))
+    stats.incr("results", len(out))
     return out
 
 
@@ -506,7 +498,7 @@ def _join(
     database: Mapping[str, TemporalRelation],
     tau: Number,
     algorithm: str,
-    stats: Optional[ExecutionStats],
+    stats: Tracer,
     workers: Optional[int],
     parallel_mode: str,
     engine: str,
@@ -540,7 +532,7 @@ def temporal_join(
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
     algorithm: str = "auto",
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
     workers: Optional[int] = None,
     parallel_mode: str = "process",
     engine: str = "auto",
@@ -564,9 +556,10 @@ def temporal_join(
         :func:`available_algorithms` — ``timefirst``, ``hybrid``,
         ``hybrid-interval``, ``baseline``, ``joinfirst``, ``naive``.
     stats:
-        Optional :class:`~repro.obs.ExecutionStats` that the selected
-        algorithm fills with execution counters and phase timers. When
-        ``None`` (the default) no telemetry code runs.
+        Optional :class:`~repro.obs.ExecutionStats` (any
+        :class:`~repro.obs.Tracer`) that the selected algorithm fills
+        with execution counters and phase timers. ``None`` (the default)
+        runs the same code against :data:`~repro.obs.NULL_TRACER`.
     workers:
         ``None`` or ``1`` (default) runs the algorithm serially.
         ``workers >= 2`` routes through the sharded engine of
@@ -623,6 +616,7 @@ def temporal_join(
         Result tuples in ``query.attrs`` order with their valid intervals
         (the original, un-shrunk intervals even when ``tau > 0``).
     """
+    stats = NULL_TRACER if stats is None else stats
     result, _ = _join(
         query, database, tau, algorithm, stats, workers, parallel_mode,
         engine, prepared, predicate, kwargs,
@@ -705,12 +699,11 @@ def explain_analyze(
     With ``prepared=`` the run reuses the artifact's columns and plan
     cache exactly as ``temporal_join`` would, and the report's counters
     include the ``prepared.*`` rows (cache hits, reuse, time saved).
+    The default stats object is created before the route is resolved,
+    so the ``planner.*`` search counters land in the report alongside
+    the execution counters.
     """
-    if stats is None:
-        # Created before the route is resolved so the ``planner.*``
-        # search counters land in the report alongside the execution
-        # counters.
-        stats = ExecutionStats()
+    stats = ExecutionStats() if stats is None else stats
     start = time.perf_counter()
     result, route = _join(
         query, database, tau, algorithm, stats, workers, parallel_mode,

@@ -32,7 +32,7 @@ from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..obs import NULL_TRACER, ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .events import event_codes
 
 Values = Tuple[object, ...]
@@ -64,6 +64,15 @@ class SweepState(Protocol):
         """Algorithm 1, line 9."""
         ...
 
+    def record(self, inserts: int, deletes: int, rows: int) -> None:
+        """Record the structure's counters into the state's tracer, once.
+
+        Called after a sweep (or, online, after each public call) with
+        the INSERTs, DELETEs and emitted result rows since the last
+        call, so the per-operation hooks above make no tracer call.
+        """
+        ...
+
 
 def drive(
     codes: List[int],
@@ -71,7 +80,7 @@ def drive(
     insert_row: Callable[[int], None],
     expire_row: Callable[[int, JoinResultSet], None],
     out: JoinResultSet,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> JoinResultSet:
     """Algorithm 1's loop over the sorted event ``codes`` of ``n`` rows.
 
@@ -80,36 +89,40 @@ def drive(
     enumerates the row's results into ``out`` and deletes it (see
     :mod:`repro.algorithms.events` for the encoding).
 
-    When ``stats`` is given, the loop runs under the ``phase.sweep``
-    timer and the counters follow from the codes alone: ``sweep.events``
-    (``2N``), ``sweep.inserts`` and ``sweep.enumerate_calls`` (``N``
-    each), ``sweep.active_peak`` (the peak of the running +1/-1 sum over
-    INSERT/EXPIRE codes) and the final ``results`` count.
+    The loop runs under the ``phase.sweep`` timer and the counters
+    follow from the codes alone: ``sweep.events`` (``2N``),
+    ``sweep.inserts`` and ``sweep.enumerate_calls`` (``N`` each),
+    ``sweep.active_peak`` (the peak of the running +1/-1 sum over
+    INSERT/EXPIRE codes, computed only by a recording tracer) and the
+    final ``results`` count.
     """
-    tracer = NULL_TRACER if stats is None else stats
-    with tracer.timer("phase.sweep"):
+    with stats.timer("phase.sweep"):
         for code in codes:
             if (code // n) & 1:
                 expire_row(code % n, out)
             else:
                 insert_row(code % n)
-    if stats is not None:
-        events = len(codes)
-        stats.incr("sweep.events", events)
-        stats.incr("sweep.inserts", events // 2)
-        stats.incr("sweep.enumerate_calls", events // 2)
-        if events:
-            kinds = (np.array(codes, dtype=np.int64) // n) & 1
-            stats.peak("sweep.active_peak", int(np.cumsum(1 - 2 * kinds).max()))
-        stats.incr("results", len(out))
+    events = len(codes)
+    stats.incr("sweep.events", events)
+    stats.incr("sweep.inserts", events // 2)
+    stats.incr("sweep.enumerate_calls", events // 2)
+    stats.derive(_record_active_peak, codes, n)
+    stats.incr("results", len(out))
     return out
+
+
+def _record_active_peak(stats: Tracer, codes: List[int], n: int) -> None:
+    """``sweep.active_peak``: the running +1/-1 sum's peak over ``codes``."""
+    if codes:
+        kinds = (np.array(codes, dtype=np.int64) // n) & 1
+        stats.peak("sweep.active_peak", int(np.cumsum(1 - 2 * kinds).max()))
 
 
 def sweep(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     state: SweepState,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> JoinResultSet:
     """Run Algorithm 1 with the supplied dynamic structure.
 
@@ -118,10 +131,9 @@ def sweep(
     Rows are numbered in database order and encoded once (the
     ``phase.events`` timer); :func:`drive` then replays them into
     ``state``'s INSERT / ENUMERATE / DELETE operations and records the
-    ``sweep.*`` counters when ``stats`` is given.
+    ``sweep.*`` counters, and the state records its own.
     """
-    tracer = NULL_TRACER if stats is None else stats
-    with tracer.timer("phase.events"):
+    with stats.timer("phase.events"):
         rows = [
             (name, values, interval)
             for name in database
@@ -140,9 +152,11 @@ def sweep(
         enumerate_results(name, values, interval, out)
         delete(name, values, interval)
 
-    return drive(
+    out = drive(
         codes, len(rows), insert_row, expire_row, JoinResultSet(query.attrs), stats
     )
+    state.record(len(rows), len(rows), len(out))
+    return out
 
 
 def needs_reduction(query: JoinQuery) -> bool:
@@ -159,7 +173,7 @@ def prepare_run(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> Tuple[JoinQuery, Mapping[str, TemporalRelation]]:
     """Validate, τ/2-shrink and (if r-hierarchical) reduce the instance.
 
@@ -167,14 +181,15 @@ def prepare_run(
     one shrink-and-reduce step of TIMEFIRST: :func:`timefirst_join`
     calls it, and so does the kernel engine for queries that need the
     reduction, which reads shrunk object rows. Relations of ``database``
-    that the query does not use are not read.
+    that the query does not use are not read, and each relation is read
+    in its edge's attribute order (:meth:`JoinQuery.relations_of`).
     """
+    stats = NULL_TRACER if stats is None else stats
     from ..core.classification import reduce_instance
 
     query.validate(database)
     database = query.relations_of(database)
-    tracer = NULL_TRACER if stats is None else stats
-    with tracer.timer("phase.shrink"):
+    with stats.timer("phase.shrink"):
         db = shrink_database(database, tau)
     if not needs_reduction(query):
         return query, db
@@ -193,7 +208,7 @@ def timefirst_join(
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
     state_factory: Optional[object] = None,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> JoinResultSet:
     """τ-durable temporal join via TIMEFIRST with an auto-selected state.
 
@@ -209,6 +224,7 @@ def timefirst_join(
     is handed to the sweep and to the built-in states, which add their
     structure-level counters.
     """
+    stats = NULL_TRACER if stats is None else stats
     from .generic_state import GenericGHDState
     from .hierarchical import HierarchicalState
 

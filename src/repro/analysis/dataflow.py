@@ -5,17 +5,10 @@ interpretation) to a fixpoint with the classic worklist algorithm, then
 exposes per-statement *entry* states so rules can ask "what is known at
 this exact line on every path reaching it?".
 
-Two concrete lattices ship here:
-
-* :class:`ReachingDefinitions` — for each variable, the set of
-  assignment statements that may have produced its current value. The
-  ownership rule uses it to chase a shard-result variable back to every
-  expression that could flow into a merge sink.
-* :class:`OptionalNoneLattice` — a three-point abstraction
-  (``NONE < MAYBE > NONNONE``) of one variable's ``None``-ness, with
-  branch refinement on ``x is None`` / ``x is not None`` / truthiness
-  tests. The stats-threading rule uses it to flag only calls reachable
-  while ``stats`` may hold a live telemetry object.
+One concrete lattice ships here: :class:`ReachingDefinitions` — for
+each variable, the set of assignment statements that may have produced
+its current value. The ownership rule uses it to chase a shard-result
+variable back to every expression that could flow into a merge sink.
 
 States must be immutable-ish values with structural ``==``; ``join``
 must be commutative/associative/idempotent, or the worklist never
@@ -194,95 +187,3 @@ class ReachingDefinitions(Analysis):
             else:
                 out.append(self.sites[site])
         return out
-
-
-# ----------------------------------------------------------------------
-# Optional-None abstraction of a single variable
-# ----------------------------------------------------------------------
-NONE = "none"
-NONNONE = "nonnone"
-MAYBE = "maybe"
-
-
-class OptionalNoneLattice(Analysis):
-    """Tracks whether one variable (by name) may currently be ``None``.
-
-    Assignment handling covers the idioms this codebase uses:
-    ``x = None`` → NONE; ``x = Ctor(...)`` / literal → NONNONE;
-    ``x = a if c else b`` → join of both arms; anything else → MAYBE.
-    Branch refinement narrows on ``x is None`` / ``x is not None`` and
-    on bare-``x`` truthiness tests (truthy ⇒ non-None; falsy tells us
-    nothing: empty containers are falsy non-Nones).
-    """
-
-    def __init__(self, var: str, entry: str = MAYBE) -> None:
-        self.var = var
-        self.entry = entry
-
-    def initial(self):
-        return self.entry
-
-    def join(self, a, b):
-        return a if a == b else MAYBE
-
-    # -- assignments ---------------------------------------------------
-    def _value_state(self, value: Optional[ast.AST]) -> str:
-        if value is None:
-            return MAYBE
-        if isinstance(value, ast.Constant):
-            return NONE if value.value is None else NONNONE
-        if isinstance(value, ast.IfExp):
-            a = self._value_state(value.body)
-            b = self._value_state(value.orelse)
-            return a if a == b else MAYBE
-        if isinstance(value, (ast.Call, ast.List, ast.Dict, ast.Set,
-                              ast.Tuple, ast.ListComp, ast.DictComp,
-                              ast.SetComp, ast.JoinedStr)):
-            return NONNONE
-        if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
-            # `x = y or Ctor()`: non-None iff the last operand is.
-            return self._value_state(value.values[-1])
-        if isinstance(value, ast.Name) and value.id == self.var:
-            return MAYBE  # handled by refinement, not assignment
-        return MAYBE
-
-    def transfer(self, stmt: ast.AST, state):
-        for name, value in bound_names(stmt):
-            if name == self.var:
-                state = self._value_state(value)
-        return state
-
-    # -- branch refinement --------------------------------------------
-    def _refine_test(self, test: ast.AST, state: str, branch: bool) -> str:
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) and branch:
-            for operand in test.values:
-                state = self._refine_test(operand, state, True)
-            return state
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or) and not branch:
-            for operand in test.values:
-                state = self._refine_test(operand, state, False)
-            return state
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            return self._refine_test(test.operand, state, not branch)
-        if isinstance(test, ast.Name) and test.id == self.var:
-            return NONNONE if branch else state  # falsy ≠ None in general
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
-            left, right = test.left, test.comparators[0]
-            is_var = (isinstance(left, ast.Name) and left.id == self.var) or (
-                isinstance(right, ast.Name) and right.id == self.var
-            )
-            other = right if isinstance(left, ast.Name) and left.id == self.var else left
-            if is_var and isinstance(other, ast.Constant) and other.value is None:
-                if isinstance(test.ops[0], ast.Is):
-                    return NONE if branch else NONNONE
-                if isinstance(test.ops[0], ast.IsNot):
-                    return NONNONE if branch else NONE
-        return state
-
-    def refine(self, label: EdgeLabel, state):
-        if label is None or label[0] == "loop-body":
-            return state
-        kind, test = label
-        if isinstance(test, (ast.For, ast.AsyncFor)):
-            return state  # loop exhaustion says nothing about the var
-        return self._refine_test(test, state, kind == "true")

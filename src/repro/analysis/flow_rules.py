@@ -18,9 +18,10 @@ modules — exactly the protocol contracts the node rules cannot reach:
   merge concatenation (the merge's no-dedup guarantee), unless the path has
   established a key shard (``cuts is None``), whose results no other
   shard derives;
-* :class:`StatsThreading` — a function holding a possibly-live ``stats``
-  must forward it to every project callee that takes ``stats=``, so no
-  counters silently vanish mid-pipeline.
+* :class:`StatsThreading` — a function holding ``stats`` (a tracer on
+  every path below the entry points) must forward it to every project
+  callee that takes ``stats=``, so no counters silently vanish
+  mid-pipeline.
 """
 
 from __future__ import annotations
@@ -312,8 +313,8 @@ class StatsThreading(ProjectRule):
     id = "stats-threading"
     severity = "error"
     description = (
-        "a function holding a possibly-live `stats` must forward it to "
-        "every project callee accepting `stats=` on every path"
+        "a function holding `stats` must forward it to every project "
+        "callee accepting `stats=`"
     )
     hint = (
         "pass stats= through (counters vanish silently otherwise); if the "
@@ -341,12 +342,11 @@ class StatsThreading(ProjectRule):
                 module, record = resolved
                 if not record.get("accepts_stats"):
                     continue
-                state = "is non-None" if fact["state"] == "nonnone" else "may be non-None"
                 findings.append(
                     _finding(
                         self, summary.logical, fact["line"], fact["col"],
-                        f"`{fact['func']}` holds a `stats` that {state} here "
-                        f"but calls `{fact['callee']}` (→ {module}) without "
+                        f"`{fact['func']}` holds `stats` but calls "
+                        f"`{fact['callee']}` (→ {module}) without "
                         "forwarding it — those counters are lost",
                     )
                 )

@@ -10,9 +10,9 @@ so the model is built from **per-file summaries**:
 * :func:`summarize_file` distills one parsed
   :class:`~repro.analysis.engine.SourceFile` into a JSON-serializable
   :class:`FileSummary` — symbols, imports, constants, harvested counter
-  names, stats-threading call facts (with the
-  :class:`~repro.analysis.dataflow.OptionalNoneLattice` state at each
-  call), pool-submission payloads, and ownership-filter facts;
+  names, stats-threading call facts (every call that does not forward
+  ``stats`` in a function holding it), pool-submission payloads, and
+  ownership-filter facts;
 * :class:`ProjectModel` aggregates the summaries, maps logical paths to
   dotted module names, and resolves names across import chains
   (following re-exports through ``__init__`` modules), giving the rules
@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .cfg import build_cfg
-from .dataflow import (
-    Analysis,
-    NONE,
-    OptionalNoneLattice,
-    ReachingDefinitions,
-    solve_forward,
-)
+from .dataflow import Analysis, ReachingDefinitions, solve_forward
 
 #: Tracer recording methods whose first argument is a counter name.
 COUNTER_METHODS = ("incr", "peak", "observe", "timer", "add_time", "note")
@@ -671,13 +665,13 @@ def _harvest_counters(tree: ast.Module, summary: FileSummary) -> None:
 
 # -- stats threading --------------------------------------------------
 def _harvest_stats_calls(func, facts: _FunctionFacts, summary: FileSummary) -> None:
-    params = _params_of(func)
-    lattice = OptionalNoneLattice("stats")
-    solution = solve_forward(facts.cfg, lattice)
+    """Every call in ``func`` (which holds ``stats``) not forwarding it.
+
+    ``stats`` is a tracer on every path below the entry points, so no
+    path is exempt; whether the callee takes ``stats=`` is resolved
+    project-wide by the rule.
+    """
     for stmt in facts.statements():
-        state = solution.before(stmt)
-        if state is None or state == NONE:
-            continue
         for call in _calls_at(stmt):
             label = _callee_label(call.func)
             if label is None:
@@ -697,10 +691,8 @@ def _harvest_stats_calls(func, facts: _FunctionFacts, summary: FileSummary) -> N
                     "callee": label,
                     "line": call.lineno,
                     "col": call.col_offset,
-                    "state": state,
                 }
             )
-    del params
 
 
 # -- pool submissions -------------------------------------------------

@@ -394,6 +394,64 @@ class PairedTracerPhases(Rule):
 
 
 # ----------------------------------------------------------------------
+class TelemetryOnTest(Rule):
+    """No code asks whether telemetry is on.
+
+    Below the entry points ``stats`` is always a tracer
+    (:data:`~repro.obs.NULL_TRACER` when the caller passed none), so
+    testing ``stats``, ``_stats``, ``st`` or ``tracer`` (bare or as an
+    attribute) against ``None`` splits a route into a traced and an
+    untraced copy. Allowed: a function's first statement normalizing
+    what a caller passed, ``stats = NULL_TRACER if stats is None else
+    stats`` (or another default).
+    """
+
+    id = "telemetry-on-test"
+    severity = "error"
+    description = "`stats is (not) None` test outside a first-line normalization"
+    hint = (
+        "record unconditionally into the tracer; normalize an optional "
+        "`stats` once, as the function's first statement"
+    )
+
+    NAMES = frozenset({"stats", "_stats", "st", "tracer"})
+
+    def _telemetry(self, node: ast.AST) -> bool:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name in self.NAMES
+
+    def check(self, sf: SourceFile) -> List[Finding]:
+        allowed = set()
+        for func in ast.walk(sf.tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+                if body and isinstance(body[0], ast.Assign) and isinstance(
+                    body[0].value, ast.IfExp
+                ):
+                    allowed.add(id(body[0].value.test))
+        out = []
+        for node in ast.walk(sf.tree):
+            if not isinstance(node, ast.Compare) or id(node) in allowed:
+                continue
+            operands = (node.left, *node.comparators)
+            if (
+                len(node.ops) == 1
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and any(isinstance(o, ast.Constant) and o.value is None for o in operands)
+                and any(self._telemetry(o) for o in operands)
+            ):
+                out.append(
+                    sf.finding(
+                        self,
+                        node,
+                        "telemetry tested against None: record into the tracer "
+                        "instead of branching on whether telemetry is on",
+                    )
+                )
+        return out
+
+
+# ----------------------------------------------------------------------
 class StatsContract(Rule):
     """Registered algorithms must honor the dispatch-layer contract.
 
@@ -759,6 +817,7 @@ def default_rules() -> List[Rule]:
         Determinism(),
         SpawnSafety(),
         PairedTracerPhases(),
+        TelemetryOnTest(),
         StatsContract(),
         KernelNoObjectRows(),
         CheckedIntervalInLoop(),

@@ -8,7 +8,7 @@ Figure 10 does ("we report running time as a ratio to that of BASELINE").
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .harness import Measurement
 
@@ -133,9 +133,7 @@ def render_stats_table(
         names: List[str] = []
         for ms in rows.values():
             for m in ms:
-                if m.stats is None:
-                    continue
-                for name in m.stats.counters:
+                for name in _counters(m):
                     if name not in names:
                         names.append(name)
         counters = sorted(names)
@@ -148,13 +146,16 @@ def render_stats_table(
         lines.append("-" * ((width + 3) * (len(counters) + 1)))
         for m in ms:
             cells = [m.algorithm.rjust(16)]
+            recorded = _counters(m)
             for c in counters:
-                if m.stats is None or c not in m.stats.counters:
-                    cells.append("-".rjust(width))
-                else:
-                    cells.append(str(m.stats.counters[c]).rjust(width))
+                cells.append(str(recorded.get(c, "-")).rjust(width))
             lines.append(" | ".join(cells))
     return "\n".join(lines)
+
+
+def _counters(m: Measurement) -> Dict[str, int]:
+    """``m``'s counters; empty when it was taken without ``collect_stats``."""
+    return m.stats.counters if m.stats else {}
 
 
 def render_scaling_table(

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .classification import QueryClass, classify
 from .errors import QueryError
 from .plancache import PlanCache, cache_key, decode_entry, encode_entry, key_digest
@@ -159,7 +159,7 @@ def plan(
     search: Optional[str] = None,
     budget: Optional[int] = None,
     cache: Union[None, str, PlanCache] = None,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> Plan:
     """Run the Figure 7 guideline on ``query`` (O(1) data complexity).
 
@@ -189,6 +189,7 @@ def plan(
     :class:`~repro.analysis.plans.PlanVerificationError`. The debug flag
     costs one extra width search per call, so it defaults to off.
     """
+    stats = NULL_TRACER if stats is None else stats
     from ..nontemporal.ghd import find_guarded_partition
     from ..nontemporal.search import min_width_ghd
 
@@ -209,30 +210,18 @@ def plan(
         entry = cache_obj.lookup(digest)
         if entry is not None:
             widths = decode_entry(entry, hg)
-            if widths is not None and stats is not None:
+            if widths is not None:
                 stats.incr("planner.cache_hits")
     optimal = True
     store_entry = False
     if widths is None:
-        if cache_obj is not None and stats is not None:
+        if cache_obj is not None:
             stats.incr("planner.cache_misses")
-        if stats is not None:
-            with stats.timer("phase.planner.search"):
-                fres = min_width_ghd(
-                    hg, hierarchical=False, search=search, budget=budget
-                )
-                hres = min_width_ghd(
-                    hg, hierarchical=True, search=search, budget=budget
-                )
-            stats.incr("planner.search_nodes", fres.nodes + hres.nodes)
-            stats.incr("planner.lb_prunes", fres.lb_prunes + hres.lb_prunes)
-        else:
-            fres = min_width_ghd(
-                hg, hierarchical=False, search=search, budget=budget
-            )
-            hres = min_width_ghd(
-                hg, hierarchical=True, search=search, budget=budget
-            )
+        with stats.timer("phase.planner.search"):
+            fres = min_width_ghd(hg, hierarchical=False, search=search, budget=budget)
+            hres = min_width_ghd(hg, hierarchical=True, search=search, budget=budget)
+        stats.incr("planner.search_nodes", fres.nodes + hres.nodes)
+        stats.incr("planner.lb_prunes", fres.lb_prunes + hres.lb_prunes)
         widths = (fres.width, fres.ghd, hres.width, hres.ghd)
         optimal = fres.optimal and hres.optimal
         if not optimal:
@@ -241,8 +230,7 @@ def plan(
                 f"decomposition search incomplete ({reason}); widths are "
                 "best-found upper bounds"
             )
-            if stats is not None:
-                stats.note("planner.budget_exhausted", reason)
+            stats.note("planner.budget_exhausted", reason)
         store_entry = cache_obj is not None and optimal
     f, fghd, h, hghd = widths
 

@@ -116,15 +116,25 @@ class JoinQuery:
                 )
 
     def relations_of(self, database: Database) -> Database:
-        """The query's relations of ``database``, in database order.
+        """The query's relations of ``database``, bound to their edges.
 
-        ``database`` itself when it holds no other relation. Row ids
-        follow database order, so keeping it keeps event tie order.
+        Keeps database order (row ids follow it, so keeping it keeps
+        event tie order) and lays each relation's values out in its
+        edge's attribute order, so code that reads a row by the edge's
+        positions reads it by attribute name. ``database`` itself when
+        it holds no other relation and every layout already matches.
         """
         edges = set(self.edge_names)
-        if edges.issuperset(database):
+        bound = {
+            name: rel.reordered(self.edge(name))
+            for name, rel in database.items()
+            if name in edges
+        }
+        if len(bound) == len(database) and all(
+            bound[name] is rel for name, rel in database.items()
+        ):
             return database
-        return {name: database[name] for name in database if name in edges}
+        return bound
 
     def input_size(self, database: Database) -> int:
         """The paper's ``N``: total number of input tuples."""

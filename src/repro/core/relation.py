@@ -262,6 +262,20 @@ class TemporalRelation:
         out._rows = list(self._rows)
         return out
 
+    def reordered(self, attrs: Sequence[str]) -> "TemporalRelation":
+        """The same rows with values laid out in ``attrs`` order.
+
+        ``attrs`` is a permutation of :attr:`attrs`; the relation itself
+        when it is already their order.
+        """
+        attrs = tuple(attrs)
+        if attrs == self.attrs:
+            return self
+        pos = self.positions(attrs)
+        out = TemporalRelation(self.name, attrs, check_distinct=False)
+        out._rows = [(tuple(values[p] for p in pos), iv) for values, iv in self._rows]
+        return out
+
     def with_name(self, name: str) -> "TemporalRelation":
         """Shallow copy under a different relation name."""
         out = TemporalRelation(name, self.attrs, check_distinct=False)

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..algorithms.allen import lazy_sweep_pairs_ranked
+from ..algorithms.allen import lazy_sweep_pairs_ranked, parse_predicate, record_sweeps
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .columns import build_columns, deintern_results
 
 Triple = Tuple[int, int, int]
@@ -35,7 +35,7 @@ def kernel_predicate_join(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     predicate: str,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
     prepared=None,
 ) -> JoinResultSet:
     """Binary Allen-predicate join on the kernel substrate.
@@ -47,15 +47,18 @@ def kernel_predicate_join(
     compare exactly — and each key group runs one rank-space lazy sweep.
     Returns de-interned results in ``query.attrs`` order; durability
     filtering stays with the caller (predicate joins filter the emitted
-    pair interval rather than shrinking inputs).
+    pair interval rather than shrinking inputs). The ``allen.*``
+    counters are the key groups' totals, recorded once.
     """
+    stats = NULL_TRACER if stats is None else stats
+    atoms = parse_predicate(predicate)
     left_name, right_name = query.edge_names
     if prepared is not None:
         columns = prepared.columns_for(query, 0, stats=stats)
     else:
+        bound = query.relations_of(database)
         columns = build_columns(
-            {left_name: database[left_name], right_name: database[right_name]},
-            stats,
+            {left_name: bound[left_name], right_name: bound[right_name]}, stats
         )
 
     left_attrs = query.hypergraph.edge(left_name)
@@ -96,14 +99,13 @@ def kernel_predicate_join(
         keys = (k for k in right_groups if k in left_groups)
     else:
         keys = (k for k in left_groups if k in right_groups)
+    groups = items = peak = 0
     for key in keys:
-        pairs = lazy_sweep_pairs_ranked(
-            left_groups[key],
-            right_groups[key],
-            times,
-            predicate=predicate,
-            stats=stats,
-        )
+        left, right = left_groups[key], right_groups[key]
+        pairs, group_peak = lazy_sweep_pairs_ranked(left, right, times, atoms)
+        groups += 1
+        items += len(left) + len(right)
+        peak = max(peak, group_peak)
         for lrid, rrid, interval in pairs:
             lvals = row_values[lrid]
             rvals = row_values[rrid]
@@ -114,4 +116,6 @@ def kernel_predicate_join(
                 ),
                 interval,
             )
+    if groups:
+        record_sweeps(stats, items, items, peak, groups * len(atoms), len(out))
     return deintern_results(columns.domains, out)

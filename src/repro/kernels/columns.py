@@ -79,7 +79,7 @@ from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..core.timeline import Timeline, timeline_from_sorted_events
-from ..obs import NULL_TRACER, ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 
 Domains = Dict[str, List[object]]
 
@@ -341,24 +341,25 @@ _PLAIN_ENDPOINTS = frozenset({int, float, bool})
 
 def build_columns(
     database: Mapping[str, TemporalRelation],
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> KernelColumns:
     """Intern, rank-compress and event-sort ``database`` — once.
 
-    With ``stats`` attached, records ``kernel.rows``,
+    Records ``kernel.rows``,
     ``kernel.interned_values`` (total distinct values across attribute
     domains), ``kernel.distinct_endpoints``, ``kernel.sort_calls``
     (always 1 per call — the single Algorithm 1 line-1 sort) and the
     ``phase.kernel.intern`` / ``phase.kernel.rank`` timers, all nested
     under the object path's ``phase.events`` for comparability.
     """
+    stats = NULL_TRACER if stats is None else stats
     return _read(database, 0, None, stats)
 
 
 def build_shrunk_columns(
     database: Mapping[str, TemporalRelation],
     tau: Number,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> KernelColumns:
     """``build_columns(shrink_database(database, tau))``, shrunk in rank space.
 
@@ -392,7 +393,7 @@ def query_columns(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> KernelColumns:
     """The cold kernel read of ``query``: shrunk, reduced, then interned.
 
@@ -413,10 +414,9 @@ def _read(
     database: Mapping[str, TemporalRelation],
     tau: Number,
     query: Optional[JoinQuery],
-    stats: Optional[ExecutionStats],
+    tracer: Tracer,
 ) -> KernelColumns:
     """The one ingest behind the three builders above."""
-    tracer = NULL_TRACER if stats is None else stats
     if tau == 0:
         with tracer.timer("phase.events"):
             row_intervals = _row_intervals(database)
@@ -457,7 +457,7 @@ def _read(
             columns, _ = _ingest(relations, *ranks, tracer, query)
         shrunk = len(ranks[1])
     else:
-        columns = _read(shrunk_db, 0, query, stats)
+        columns = _read(shrunk_db, 0, query, tracer)
         shrunk = sum(len(relation.rows) for relation in shrunk_db.values())
     tracer.incr("kernel.shrink_dropped", len(los) - shrunk)
     return columns
@@ -766,7 +766,7 @@ def _compact_ranks(
 
 
 def semijoin_columns(
-    query: JoinQuery, columns: KernelColumns, stats: Optional[ExecutionStats] = None
+    query: JoinQuery, columns: KernelColumns, stats: Tracer = NULL_TRACER
 ) -> KernelColumns:
     """``columns`` without the rows the semijoin pass drops for ``query``.
 
@@ -779,8 +779,7 @@ def semijoin_columns(
     ``kernel.semijoin_dropped`` and, around the pass and the subset,
     ``phase.kernel.semijoin``.
     """
-    tracer = NULL_TRACER if stats is None else stats
-    with tracer.timer("phase.kernel.semijoin"):
+    with stats.timer("phase.kernel.semijoin"):
         codes = columns.relation_codes()
         shared = _shared_attributes(query)
         blocks = []
@@ -802,7 +801,7 @@ def semijoin_columns(
             cached = columns._interval_cache
             if cached is not None:
                 reduced._interval_cache = list(map(cached.__getitem__, ids.tolist()))
-    tracer.incr(
+    stats.incr(
         "kernel.semijoin_dropped", 0 if keep is None else columns.n_rows - reduced.n_rows
     )
     return columns if keep is None else reduced
@@ -843,7 +842,7 @@ def _shrink_ranks(
 def shrink_columns(
     columns: KernelColumns,
     tau: Number,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> KernelColumns:
     """Derive the τ/2-shrunk columns of ``columns`` — in rank space.
 
@@ -859,8 +858,7 @@ def shrink_columns(
     ``kernel.sort_calls`` per τ, cached by the prepared engine. A NaN or
     negative ``tau`` raises :class:`~repro.core.errors.QueryError`.
     """
-    tracer = NULL_TRACER if stats is None else stats
-    with tracer.timer("phase.shrink"):
+    with stats.timer("phase.shrink"):
         check_threshold(tau)
         if tau == 0:
             return columns
@@ -869,8 +867,8 @@ def shrink_columns(
         )
     flags = keep.tolist()
     event_codes = _sorted_event_codes(row_lo, row_hi)
-    tracer.incr("kernel.sort_calls")
-    tracer.incr("kernel.shrink_dropped", columns.n_rows - len(row_lo))
+    stats.incr("kernel.sort_calls")
+    stats.incr("kernel.shrink_dropped", columns.n_rows - len(row_lo))
     return KernelColumns(
         relations=columns.relations,
         row_relation=list(compress(columns.row_relation, flags)),

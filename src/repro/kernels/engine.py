@@ -43,7 +43,7 @@ from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .columns import (
     KernelColumns,
     deintern_expand,
@@ -68,7 +68,7 @@ def kernel_columns(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
     prepared=None,
 ) -> Tuple[JoinQuery, KernelColumns]:
     """The run query and the columns a kernel read of ``query`` sweeps.
@@ -104,14 +104,12 @@ def kernel_columns(
     return query, query_columns(query, database, tau, stats=stats)
 
 
-def record_reuse(prepared, columns: KernelColumns, stats: Optional[ExecutionStats]) -> None:
+def record_reuse(prepared, columns: KernelColumns, stats: Tracer) -> None:
     """Count one read of ``prepared`` and the ingest time it saved.
 
     ``phase.prepared.saved`` pro-rates the artifact's build time by the
     fraction of its rows ``columns`` holds.
     """
-    if stats is None:
-        return
     stats.incr("prepared.reuse")
     total = prepared.columns.n_rows
     if prepared.build_seconds and total:
@@ -124,13 +122,14 @@ def record_reuse(prepared, columns: KernelColumns, stats: Optional[ExecutionStat
 def make_state(
     run_query: JoinQuery,
     columns: KernelColumns,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ):
     """Select the kernel sweep state the way the object path does.
 
     The state emits interned rows with τ/2-shrunk intervals; the routes
     themselves sweep through :func:`sweep_columns`.
     """
+    stats = NULL_TRACER if stats is None else stats
     from .generic import KernelGenericState
     from .hierarchy import KernelHierarchicalState
 
@@ -143,25 +142,30 @@ def kernel_sweep(
     run_query: JoinQuery,
     columns: KernelColumns,
     state,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
 ) -> JoinResultSet:
-    """Algorithm 1 over pre-sorted event codes (interned output rows)."""
+    """Algorithm 1 over pre-sorted event codes (interned output rows).
+
+    ``state`` records its own counters into the tracer it was built with.
+    """
+    stats = NULL_TRACER if stats is None else stats
     out = JoinResultSet(run_query.attrs)
     if columns.n_rows == 0:
-        if stats is not None:
-            stats.incr("results", 0)
+        stats.incr("results", 0)
         return out
-    return drive(
+    drive(
         columns.event_codes, columns.n_rows, state.insert_row, state.expire_row,
         out, stats,
     )
+    state.record(columns.n_rows, columns.n_rows, len(out))
+    return out
 
 
 def sweep_columns(
     run_query: JoinQuery,
     columns: KernelColumns,
     tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> JoinResultSet:
     """Sweep τ/2-shrunk ``columns`` into final rows: de-interned and widened.
 

@@ -19,14 +19,14 @@ Both are pure constant-factor work per Theorem 9 step, so the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..algorithms.generic_state import GenericGHDState, Values
 from ..algorithms.hierarchical import duplicate_tuple
 from ..core.interval import Interval
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .columns import KernelColumns, decode_values
 
 
@@ -37,7 +37,7 @@ class KernelGenericState(GenericGHDState):
         self,
         query: JoinQuery,
         columns: KernelColumns,
-        stats: Optional[ExecutionStats] = None,
+        stats: Tracer = NULL_TRACER,
     ) -> None:
         super().__init__(query, stats=stats)
         self._row_relation = columns.row_relation

@@ -36,7 +36,7 @@ from ..algorithms.hierarchical import HierarchicalState, duplicate_tuple
 from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .columns import KernelColumns, decode_values
 
 
@@ -47,7 +47,7 @@ class KernelHierarchicalState(HierarchicalState):
         self,
         query: JoinQuery,
         columns: KernelColumns,
-        stats: Optional[ExecutionStats] = None,
+        stats: Tracer = NULL_TRACER,
         *,
         half: Optional[Number] = None,
     ) -> None:
@@ -120,8 +120,6 @@ class KernelHierarchicalState(HierarchicalState):
         leaf = self._row_leaf[rid]
         pv = self._row_pv[rid]
         gkey = self._row_gkey[rid]
-        if self._stats is not None:
-            self._stats.incr("hier.inserts")
         groups = self._state[leaf].groups
         bucket = groups.get(gkey)
         if bucket is None:
@@ -150,8 +148,6 @@ class KernelHierarchicalState(HierarchicalState):
             program(pv, out)
         # DELETE (Algorithm 1, line 9).
         gkey = self._row_gkey[rid]
-        if self._stats is not None:
-            self._stats.incr("hier.deletes")
         groups = self._state[leaf].groups
         bucket = groups[gkey]
         del bucket[pv]

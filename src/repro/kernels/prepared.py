@@ -48,7 +48,7 @@ from ..core.planner import Plan, hypergraph_signature, plan, plan_signature
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .columns import (
     KernelColumns,
     build_columns,
@@ -138,26 +138,43 @@ class PreparedDatabase:
                     "since prepare(); re-prepare the database"
                 )
 
+    def cold_reason(self, query: JoinQuery) -> Optional[str]:
+        """Why a kernel read of ``query`` cannot use the artifact, or ``None``.
+
+        The artifact's rows keep each relation's stored attribute order
+        and are never reduced, so a query that needs the per-query
+        r-hierarchical reduction, or lists a relation's attributes in
+        another order than it is stored in, reads cold.
+        """
+        if needs_reduction(query):
+            return (
+                "r-hierarchical instance reduction is per-query; "
+                "prepared columns cannot be shared, running cold"
+            )
+        for name in query.edge_names:
+            stored = self.database[name].attrs
+            if stored != query.edge(name):
+                return (
+                    f"relation {name!r} is stored as {stored}, the query reads "
+                    f"it as {query.edge(name)}; prepared columns keep the stored "
+                    "order, running cold"
+                )
+        return None
+
     # ------------------------------------------------------------------
     # Cached derivations
     # ------------------------------------------------------------------
-    def view(
-        self, tau: Number, stats: Optional[ExecutionStats] = None
-    ) -> KernelColumns:
+    def view(self, tau: Number, stats: Tracer = NULL_TRACER) -> KernelColumns:
         """The τ/2-shrunk columns for ``tau`` (base columns for τ=0)."""
         if tau == 0:
             return self.columns
         cached = self._views.get(tau)
         if cached is not None:
-            if stats is not None:
-                stats.incr("prepared.view_cache_hits")
+            stats.incr("prepared.view_cache_hits")
             return cached
-        if stats is None:
-            cached = shrink_columns(self.columns, tau)
-        else:
-            stats.incr("prepared.view_cache_misses")
-            with stats.timer("phase.prepared.view"):
-                cached = shrink_columns(self.columns, tau, stats=stats)
+        stats.incr("prepared.view_cache_misses")
+        with stats.timer("phase.prepared.view"):
+            cached = shrink_columns(self.columns, tau, stats=stats)
         self._views[tau] = cached
         return cached
 
@@ -165,9 +182,10 @@ class PreparedDatabase:
         self,
         query: JoinQuery,
         tau: Number = 0,
-        stats: Optional[ExecutionStats] = None,
+        stats: Optional[Tracer] = None,
     ) -> KernelColumns:
         """Columns for ``query`` at ``tau``: view + relation restriction."""
+        stats = NULL_TRACER if stats is None else stats
         view_cols = self.view(tau, stats=stats)
         keep = set(query.edge_names)
         if keep == set(view_cols.relations):
@@ -175,21 +193,15 @@ class PreparedDatabase:
         key = (tau, tuple(sorted(keep)))
         cached = self._restrictions.get(key)
         if cached is not None:
-            if stats is not None:
-                stats.incr("prepared.restrict_cache_hits")
+            stats.incr("prepared.restrict_cache_hits")
             return cached
-        if stats is None:
+        stats.incr("prepared.restrict_cache_misses")
+        with stats.timer("phase.prepared.restrict"):
             cached = view_cols.restrict(keep)
-        else:
-            stats.incr("prepared.restrict_cache_misses")
-            with stats.timer("phase.prepared.restrict"):
-                cached = view_cols.restrict(keep)
         self._restrictions[key] = cached
         return cached
 
-    def cached_plan(
-        self, query: JoinQuery, stats: Optional[ExecutionStats] = None
-    ) -> Plan:
+    def cached_plan(self, query: JoinQuery, stats: Optional[Tracer] = None) -> Plan:
         """Figure-7 plan for ``query``, cached by shape signature.
 
         In-memory misses fall through to the planner with this
@@ -197,14 +209,13 @@ class PreparedDatabase:
         template fleet pays the decomposition search at most once per
         shape *across* processes, not just within one.
         """
+        stats = NULL_TRACER if stats is None else stats
         key = plan_signature(query)
         cached = self._plans.get(key)
         if cached is not None:
-            if stats is not None:
-                stats.incr("prepared.plan_cache_hits")
+            stats.incr("prepared.plan_cache_hits")
             return cached
-        if stats is not None:
-            stats.incr("prepared.plan_cache_misses")
+        stats.incr("prepared.plan_cache_misses")
         cached = plan(query, cache=self.plan_cache, stats=stats)
         self._plans[key] = cached
         return cached
@@ -212,7 +223,7 @@ class PreparedDatabase:
 
 def prepare(
     database: Database,
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
     plan_cache=None,
 ) -> PreparedDatabase:
     """Build the reusable columnar artifact for ``database`` — once.
@@ -256,7 +267,7 @@ def run_batch(
     tau: Number = 0,
     algorithm: str = "auto",
     engine: str = "auto",
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
     workers: Optional[int] = None,
     parallel_mode: str = "process",
 ) -> List[JoinResultSet]:
@@ -280,6 +291,7 @@ def run_batch(
     reduction — run their route cold on the relations they touch; the
     route counts each such query in ``prepared.fallback_queries``.
     """
+    stats = NULL_TRACER if stats is None else stats
     from ..algorithms.registry import resolve_route, run_route
 
     # ------------------------------------------------------------------
@@ -300,9 +312,8 @@ def run_batch(
             evaluation = evaluations[key] = _Evaluation(query, route)
             order.append(evaluation)
         evaluation.indices.append(index)
-    if stats is not None:
-        stats.incr("prepared.batch_queries", len(queries))
-        stats.incr("prepared.batch_evaluations", len(order))
+    stats.incr("prepared.batch_queries", len(queries))
+    stats.incr("prepared.batch_evaluations", len(order))
 
     # ------------------------------------------------------------------
     # Execute each distinct evaluation once: the artifact's readers over
@@ -348,8 +359,9 @@ def run_batch(
                         for values, interval in shared.rows  # repro-lint: disable=kernel-no-object-rows
                     ),
                 )
-            if position and stats is not None:
-                stats.incr("prepared.shared_results")
+    shared_results = len(queries) - len(order)
+    if shared_results:
+        stats.incr("prepared.shared_results", shared_results)
     return results  # type: ignore[return-value]
 
 
@@ -359,7 +371,7 @@ def _run_kernel_batch_parallel(
     tau: Number,
     workers: int,
     mode: str,
-    stats: Optional[ExecutionStats],
+    stats: Tracer,
 ) -> None:
     """Run every kernel evaluation of a batch over one shard fan-out.
 
@@ -390,7 +402,6 @@ def _run_kernel_batch_parallel(
             tau=tau,
             cuts=partition.cuts,
             columns=view.subset(rids),
-            collect_stats=stats is not None,
         )
         for shard, rids in enumerate(assignments)
     ]
@@ -404,5 +415,4 @@ def _run_kernel_batch_parallel(
             for row in outcome.rows_per_query[position]
         ]
         evaluation.result = JoinResultSet(evaluation.query.attrs, rows)
-    if stats is not None:
-        record_shards(stats, outcomes, n_procs, replicated)
+    record_shards(stats, outcomes, n_procs, replicated)

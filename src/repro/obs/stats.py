@@ -5,7 +5,7 @@
 telemetry of one join execution (or several, when deliberately reused —
 all operations merge additively, so a shared instance aggregates).
 
-Four recording primitives cover everything the algorithms report:
+These recording primitives cover everything the algorithms report:
 
 * :meth:`incr` — monotone event counters (sweep events, ENUMERATE calls);
 * :meth:`peak` — high-water marks (active-set size), merged by ``max``;
@@ -16,7 +16,9 @@ Four recording primitives cover everything the algorithms report:
   under ``phase.*`` keys in :attr:`timers`;
 * :meth:`note` — string annotations (e.g. ``kernel.fallback_reason``)
   for facts that are not numbers, kept in :attr:`notes` (last write
-  wins, like an attribute).
+  wins, like an attribute);
+* :meth:`derive` — runs a recording function for a counter that costs
+  work to compute (the null tracer skips it).
 
 The counter glossary lives in ``DESIGN.md`` (section "Execution
 telemetry"); tests assert exact values for the load-bearing ones.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 
 class ExecutionStats:
@@ -81,6 +83,10 @@ class ExecutionStats:
     def note(self, name: str, text: str) -> None:
         """Record a string annotation (last write wins)."""
         self.notes[name] = text
+
+    def derive(self, record: Callable[..., None], *args) -> None:
+        """Call ``record(self, *args)`` (see :meth:`Tracer.derive`)."""
+        record(self, *args)
 
     # ------------------------------------------------------------------
     # Read access

@@ -2,21 +2,23 @@
 
 Every algorithm accepts ``stats``: any object satisfying :class:`Tracer`.
 :class:`~repro.obs.stats.ExecutionStats` is the standard recording
-implementation; :class:`NullTracer` (singleton :data:`NULL_TRACER`) is the
-explicit no-op for callers who want to pass "something" unconditionally.
+implementation; :class:`NullTracer` (singleton :data:`NULL_TRACER`) is
+the no-op one.
 
-The disabled path is kept to ~zero cost by convention, not by the null
-object: algorithms guard instrumentation behind ``if stats is not None``
-(or duplicate a hot loop), so passing ``stats=None`` — the default —
-executes the exact pre-telemetry code path. :data:`NULL_TRACER` exists
-for composition points where threading ``Optional`` is noisier than a
-no-op sink (e.g. user-written drivers).
+Below the entry points ``stats`` is always a tracer: a public function
+that accepts ``stats=None`` turns it into :data:`NULL_TRACER` in its
+first line, and everything it calls records unconditionally — one code
+path per route, traced or not. Disabled tracing stays free because no
+tracer call runs per row or per event: sweep states and binary sweeps
+count in locals (or derive a counter from a total the loop already
+has) and record once per call, :meth:`NullTracer.timer` returns one
+shared no-op context manager, and counters that cost work to compute go
+through :meth:`Tracer.derive`, which the null tracer never calls.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -39,9 +41,36 @@ class Tracer(Protocol):
         """Context manager accumulating wall-clock time for ``phase``."""
         ...
 
+    def add_time(self, phase: str, seconds: float) -> None:
+        """Add a pre-measured duration to ``phase``."""
+        ...
+
     def note(self, name: str, text: str) -> None:
         """Record a string annotation (e.g. a fallback reason)."""
         ...
+
+    def merge(self, other) -> object:
+        """Fold a recorded :class:`~repro.obs.stats.ExecutionStats` in."""
+        ...
+
+    def derive(self, record: Callable[..., None], *args) -> None:
+        """Call ``record(self, *args)``: for counters that cost work to compute."""
+        ...
+
+
+class _NullTimer:
+    """The context manager every :meth:`NullTracer.timer` call returns."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+
+_NULL_TIMER = _NullTimer()
 
 
 class NullTracer:
@@ -58,11 +87,19 @@ class NullTracer:
     def observe(self, name: str, value: int) -> None:
         pass
 
-    @contextmanager
-    def timer(self, phase: str) -> Iterator[None]:
-        yield
+    def timer(self, phase: str) -> _NullTimer:
+        return _NULL_TIMER
+
+    def add_time(self, phase: str, seconds: float) -> None:
+        pass
 
     def note(self, name: str, text: str) -> None:
+        pass
+
+    def merge(self, other) -> "NullTracer":
+        return self
+
+    def derive(self, record: Callable[..., None], *args) -> None:
         pass
 
 

@@ -47,7 +47,7 @@ from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .merge import merge_outcomes
 from .partition import (
     TimePartition,
@@ -71,7 +71,7 @@ def parallel_temporal_join(
     workers: int = 2,
     mode: str = "process",
     cuts: Optional[Sequence[Number]] = None,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
     engine: str = "auto",
     prepared=None,
     **kwargs,
@@ -126,7 +126,7 @@ def run_sharded(
     workers: int,
     mode: str = "process",
     cuts: Optional[Sequence[Number]] = None,
-    stats: Optional[ExecutionStats] = None,
+    stats: Tracer = NULL_TRACER,
 ) -> JoinResultSet:
     """Shard, fan out and merge one :class:`~repro.algorithms.registry.Route`."""
     query.validate(database)
@@ -153,13 +153,11 @@ def run_sharded(
                 algorithm=route.name,
                 cuts=partition.cuts,
                 kwargs=dict(route.kwargs),
-                collect_stats=stats is not None,
             )
             for i, shard_db in enumerate(shard_dbs)
         ]
 
-    if stats is not None:
-        stats.note("parallel.partition", choice)
+    stats.note("parallel.partition", choice)
     n_procs = min(workers, len(tasks))
     outcomes = fan_out(tasks, n_procs, mode, stats)
     return merge_outcomes(
@@ -184,7 +182,7 @@ def _kernel_shard_tasks(
     route,
     workers: int,
     cuts: Optional[Sequence[Number]],
-    stats: Optional[ExecutionStats],
+    stats: Tracer,
 ):
     """Build kernel-engine shard tasks: interned columns, no object rows.
 
@@ -254,7 +252,6 @@ def _kernel_shard_tasks(
             algorithm=route.name,
             cuts=shard_cuts,
             kwargs={},
-            collect_stats=stats is not None,
             columns=columns.subset(rids),
         )
         for i, rids in enumerate(assignments)
@@ -263,7 +260,7 @@ def _kernel_shard_tasks(
 
 
 def fan_out(
-    tasks: Sequence, n_procs: int, mode: str, stats: Optional[ExecutionStats] = None
+    tasks: Sequence, n_procs: int, mode: str, stats: Tracer = NULL_TRACER
 ) -> Sequence:
     """Run shard tasks on ``n_procs`` resident spawn workers, or inline.
 
@@ -281,6 +278,5 @@ def fan_out(
         return [run_task(task) for task in tasks]
     with resident_pool(n_procs) as pool:
         outcomes = pool.map(run_task, tasks)
-    if stats is not None:
-        stats.incr("parallel.pool_started", int(pool.started > 0))
+    stats.incr("parallel.pool_started", int(pool.started > 0))
     return outcomes

@@ -26,14 +26,14 @@ from typing import Optional, Sequence
 
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, Tracer
 from .worker import ShardOutcome
 
 
 def merge_outcomes(
     query: JoinQuery,
     outcomes: Sequence[ShardOutcome],
-    stats: Optional[ExecutionStats] = None,
+    stats: Optional[Tracer] = None,
     workers: int = 1,
     replicated: int = 0,
 ) -> JoinResultSet:
@@ -43,18 +43,17 @@ def merge_outcomes(
     but nothing here depends on it); rows are concatenated in shard
     order so repeated runs produce identical row sequences.
     """
+    stats = NULL_TRACER if stats is None else stats
     ordered = sorted(outcomes, key=lambda o: o.shard)
     result = JoinResultSet(query.attrs)
     for outcome in ordered:
         result.extend(outcome.rows)
-
-    if stats is not None:
-        record_shards(stats, ordered, workers, replicated)
+    record_shards(stats, ordered, workers, replicated)
     return result
 
 
 def record_shards(
-    stats: ExecutionStats,
+    stats: Tracer,
     outcomes: Sequence,
     workers: int,
     replicated: int,
@@ -65,8 +64,7 @@ def record_shards(
     batch fan-out alike.
     """
     for outcome in outcomes:
-        if outcome.stats is not None:
-            stats.merge(outcome.stats)
+        stats.merge(outcome.stats)
     stats.incr("parallel.shards", len(outcomes))
     stats.incr("parallel.workers", workers)
     stats.incr("parallel.replicated", replicated)

@@ -32,7 +32,7 @@ from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import ResultRow
-from ..obs import ExecutionStats
+from ..obs import NULL_TRACER, ExecutionStats, Tracer
 from .partition import TimePartition
 
 
@@ -58,7 +58,8 @@ class ShardTask:
     #: join result with any other shard's, so it keeps every result.
     cuts: Optional[Tuple[Number, ...]]
     kwargs: Dict = field(default_factory=dict)
-    collect_stats: bool = False
+    #: Record the shard's telemetry into its outcome's ``stats``.
+    collect_stats: bool = True
     columns: Optional[object] = None  # repro.kernels.KernelColumns
 
 
@@ -81,7 +82,7 @@ class BatchShardTask:
     tau: Number
     cuts: Tuple[Number, ...]
     columns: object  # repro.kernels.KernelColumns
-    collect_stats: bool = False
+    collect_stats: bool = True
 
 
 @dataclass
@@ -92,7 +93,7 @@ class BatchShardOutcome:
     rows_per_query: List[List[ResultRow]]
     input_size: int
     seconds: float
-    stats: Optional[ExecutionStats] = None
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
 
     @property
     def owned_results(self) -> int:
@@ -110,7 +111,8 @@ class ShardOutcome:
     raw_results: int
     owned_results: int
     seconds: float
-    stats: Optional[ExecutionStats] = None
+    #: The shard's telemetry; empty unless its task collected it.
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
 
 
 def run_shard(task: ShardTask) -> ShardOutcome:
@@ -125,20 +127,18 @@ def run_shard(task: ShardTask) -> ShardOutcome:
     payload small and spawn-safe. Exceptions propagate; the pool in
     :mod:`repro.parallel.executor` re-raises them in the parent.
     """
-    stats = ExecutionStats() if task.collect_stats else None
+    recorded = ExecutionStats()
+    tracer = recorded if task.collect_stats else NULL_TRACER
 
     start = time.perf_counter()
     if task.columns is not None:
-        result = _run_kernel_shard(task, stats)
+        result = _run_kernel_shard(task, tracer)
         input_size = task.columns.n_rows
     else:
         from ..algorithms.registry import get_algorithm
 
         fn = get_algorithm(task.algorithm)
-        kwargs = dict(task.kwargs)
-        if stats is not None:
-            kwargs["stats"] = stats
-        result = fn(task.query, task.database, tau=task.tau, **kwargs)
+        result = fn(task.query, task.database, tau=task.tau, stats=tracer, **task.kwargs)
         input_size = sum(len(rel) for rel in task.database.values())
     seconds = time.perf_counter() - start
 
@@ -155,7 +155,7 @@ def run_shard(task: ShardTask) -> ShardOutcome:
         raw_results=len(result),
         owned_results=len(owned),
         seconds=seconds,
-        stats=stats,
+        stats=recorded,
     )
 
 
@@ -171,7 +171,8 @@ def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
     from ..kernels import sweep_columns
 
     partition = TimePartition(task.cuts)
-    stats = ExecutionStats() if task.collect_stats else None
+    recorded = ExecutionStats()
+    tracer = recorded if task.collect_stats else NULL_TRACER
     shard = task.shard
     owner = partition.owner
     all_relations = set(task.columns.relations)
@@ -189,7 +190,7 @@ def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
                 else task.columns.restrict(keep)
             )
             restricted[keep] = columns
-        result = sweep_columns(query, columns, task.tau, stats=stats)
+        result = sweep_columns(query, columns, task.tau, stats=tracer)
         rows_per_query.append(
             [row for row in result.rows if owner(row[1].hi) == shard]
         )
@@ -198,7 +199,7 @@ def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
         rows_per_query=rows_per_query,
         input_size=task.columns.n_rows,
         seconds=time.perf_counter() - start,
-        stats=stats,
+        stats=recorded,
     )
 
 
@@ -209,7 +210,7 @@ def run_task(task):
     return run_shard(task)
 
 
-def _run_kernel_shard(task: ShardTask, stats: Optional[ExecutionStats]):
+def _run_kernel_shard(task: ShardTask, stats: Tracer):
     """Sweep one shard of pre-interned columns (kernel engine).
 
     The parent already validated, τ/2-shrunk and (if needed) reduced

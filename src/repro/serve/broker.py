@@ -47,7 +47,7 @@ class _Evaluation:
         self,
         query: JoinQuery,
         tau: Number,
-        stats: Optional[ExecutionStats] = None,
+        stats: ExecutionStats,
     ) -> None:
         self.query = query
         self.tau = tau
@@ -76,8 +76,8 @@ class StreamBroker:
         strict: bool = True,
         stats: Optional[ExecutionStats] = None,
     ) -> None:
-        self.strict = strict
         self.stats = stats if stats is not None else ExecutionStats()
+        self.strict = strict
         self._evaluations: Dict[Tuple, _Evaluation] = {}
         # relation name -> (attribute tuple, #evaluations reading it):
         # one shared stream means one schema per relation name.

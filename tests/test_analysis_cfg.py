@@ -11,14 +11,7 @@ import ast
 import pytest
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import (
-    MAYBE,
-    NONE,
-    NONNONE,
-    OptionalNoneLattice,
-    ReachingDefinitions,
-    solve_forward,
-)
+from repro.analysis.dataflow import ReachingDefinitions, solve_forward
 
 
 def _func(source: str) -> ast.FunctionDef:
@@ -158,64 +151,3 @@ class TestWorklistSolver:
         )
         with pytest.raises(RuntimeError):
             solve_forward(build_cfg(func), Diverging(), max_iterations=50)
-
-
-class TestOptionalNoneLattice:
-    def _states(self, source):
-        func = _func(source)
-        cfg = build_cfg(func)
-        solution = solve_forward(cfg, OptionalNoneLattice("stats"))
-        return func, solution
-
-    def test_is_none_branch_rebind(self):
-        func, solution = self._states(
-            "def f(stats):\n"
-            "    if stats is None:\n"
-            "        stats = make()\n"
-            "    use(stats)\n"
-        )
-        assert solution.before(func.body[-1]) == NONNONE
-
-    def test_is_not_none_refinement(self):
-        func, solution = self._states(
-            "def f(stats):\n"
-            "    if stats is not None:\n"
-            "        use(stats)\n"
-            "    other(stats)\n"
-        )
-        inside = func.body[0].body[0]
-        assert solution.before(inside) == NONNONE
-        assert solution.before(func.body[-1]) == MAYBE
-
-    def test_assignments(self):
-        func, solution = self._states(
-            "def f():\n"
-            "    stats = None\n"
-            "    a(stats)\n"
-            "    stats = Make()\n"
-            "    b(stats)\n"
-        )
-        assert solution.before(func.body[1]) == NONE
-        assert solution.before(func.body[3]) == NONNONE
-
-    def test_truthiness_narrows_only_true_branch(self):
-        func, solution = self._states(
-            "def f(stats):\n"
-            "    if stats:\n"
-            "        use(stats)\n"
-            "    else:\n"
-            "        other(stats)\n"
-        )
-        assert solution.before(func.body[0].body[0]) == NONNONE
-        # Falsy is not None-y: empty containers are falsy non-Nones.
-        assert solution.before(func.body[0].orelse[0]) == MAYBE
-
-    def test_loop_join_keeps_maybe(self):
-        func, solution = self._states(
-            "def f(stats, xs):\n"
-            "    for x in xs:\n"
-            "        if stats is not None:\n"
-            "            stats = None\n"
-            "    tail(stats)\n"
-        )
-        assert solution.before(func.body[-1]) == MAYBE

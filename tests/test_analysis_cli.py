@@ -49,6 +49,7 @@ class TestOptions:
         out = capsys.readouterr().out
         for rule_id in ["no-bare-assert", "spawn-safety", "determinism",
                         "stats-contract", "paired-tracer-phases",
+                        "telemetry-on-test",
                         "error-taxonomy", "float-endpoint-equality",
                         "no-mutable-default",
                         # project-level flow rules ride the same CLI

@@ -390,7 +390,7 @@ class TestStatsThreading:
         })
         flagged = _by_rule(findings, "stats-threading")
         assert len(flagged) == 1
-        assert "is non-None" in flagged[0].message
+        assert "holds `stats` but calls `helper`" in flagged[0].message
 
     def test_forwarded_stats_passes(self):
         findings = self._lint({
@@ -419,6 +419,20 @@ class TestStatsThreading:
         assert findings == []
 
     def test_none_state_path_passes(self):
+        """A ``None`` normalized at the boundary, then forwarded."""
+        findings = self._lint({
+            "src/repro/parallel/helpers.py": self.HELPER,
+            "src/repro/parallel/run.py": (
+                "from .helpers import helper\n"
+                "def run(stats=None):\n"
+                "    stats = NULL_TRACER if stats is None else stats\n"
+                "    helper(stats=stats)\n"
+            ),
+        })
+        assert findings == []
+
+    def test_drop_on_a_none_path_fires(self):
+        """``stats`` is a tracer on every path: no path may drop it."""
         findings = self._lint({
             "src/repro/parallel/helpers.py": self.HELPER,
             "src/repro/parallel/run.py": (
@@ -428,7 +442,7 @@ class TestStatsThreading:
                 "        helper()\n"
             ),
         })
-        assert findings == []
+        assert len(_by_rule(findings, "stats-threading")) == 1
 
     def test_callee_without_stats_param_passes(self):
         findings = self._lint({

@@ -236,6 +236,56 @@ class TestPairedTracerPhases:
         assert findings_for(src, ALG, "paired-tracer-phases") == []
 
 
+class TestTelemetryOnTest:
+    def test_bad_branch_on_stats(self):
+        src = """
+        def run(stats):
+            if stats is not None:
+                stats.incr("x")
+        """
+        assert len(findings_for(src, ALG, "telemetry-on-test")) == 1
+
+    def test_bad_flag_and_attribute(self):
+        src = """
+        class State:
+            def op(self, stats):
+                track = stats is not None
+                if self._stats is None:
+                    return track
+        """
+        assert len(findings_for(src, ALG, "telemetry-on-test")) == 2
+
+    def test_bad_normalization_below_the_first_line(self):
+        src = """
+        def run(stats=None):
+            x = 1
+            stats = NULL_TRACER if stats is None else stats
+            return x, stats
+        """
+        assert len(findings_for(src, ALG, "telemetry-on-test")) == 1
+
+    def test_good_first_line_normalizations(self):
+        src = """
+        def run(stats=None):
+            \"\"\"Doc.\"\"\"
+            stats = NULL_TRACER if stats is None else stats
+            return stats
+
+        class Service:
+            def __init__(self, stats=None):
+                self.stats = stats if stats is not None else ExecutionStats()
+        """
+        assert findings_for(src, ALG, "telemetry-on-test") == []
+
+    def test_good_other_none_tests(self):
+        src = """
+        def run(prepared=None, stats=NULL_TRACER):
+            if prepared is not None:
+                stats.incr("x")
+        """
+        assert findings_for(src, ALG, "telemetry-on-test") == []
+
+
 class TestStatsContract:
     def test_bad_missing_stats(self):
         src = """
@@ -529,7 +579,7 @@ class TestEngineBehavior:
 
     def test_every_rule_has_identity(self):
         rules = default_rules()
-        assert len(rules) == 11
-        assert len({r.id for r in rules}) == 11
+        assert len(rules) == 12
+        assert len({r.id for r in rules}) == 12
         for rule in rules:
             assert rule.description and rule.hint and rule.severity == "error"

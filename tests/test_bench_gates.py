@@ -165,11 +165,28 @@ def test_inline_parallel_cell_has_no_cold_fields(tiny, monkeypatch):
 
 @pytest.fixture
 def small_suites(tiny, tmp_path, monkeypatch):
-    """One small cell per suite, measured once, in an empty directory."""
+    """One small cell per suite, in an empty directory, with recorded times.
+
+    The tests using it check round-trip mechanics, not timing: each arm
+    runs once for the result its cell cross-validates, and every cell
+    records the same seconds (reference 2.5x the subject), so a check
+    compares recorded numbers and cannot fail on a slow run. The real
+    floors are gated by ``make bench-check`` and by
+    ``test_committed_baseline_passes_its_own_gate``.
+    """
+
+    def recorded_arms(arms, repeat):
+        results = {}
+        for name, (setup, fn) in arms.items():
+            if setup is not None:
+                setup()
+            results[name] = fn()
+        reference, subject = arms
+        return {reference: 2.5, subject: 1.0}, results
+
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(gates, "REPEAT", 1)
-    # Round-trip mechanics, not run-to-run timing stability at repeat=1.
-    monkeypatch.setattr(gates, "TOLERANCE", 0.9)
+    monkeypatch.setattr(gates, "time_arms", recorded_arms)
     monkeypatch.setattr(gates, "PARALLEL_MODE", "inline")
     for name, cell in [("kernels", "line3/1k"),
                        ("parallel", "line3/timefirst")]:

@@ -79,6 +79,9 @@ class TestEventStream:
             def delete(self, relation, values, interval):
                 pass
 
+            def record(self, inserts, deletes, rows):
+                pass
+
         sweep(JoinQuery({"R1": ("a",), "R2": ("b",)}), db, Recorder())
         assert calls == [
             ("insert", "R1", (1,)),

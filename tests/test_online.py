@@ -12,7 +12,7 @@ from repro.core.errors import QueryError
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.result import JoinResultSet
-from repro.obs import ExecutionStats
+from repro.obs import NULL_TRACER, ExecutionStats
 
 from conftest import random_database
 
@@ -224,7 +224,7 @@ class TestTelemetry:
         op = OnlineTemporalJoin(q)
         op.insert("R1", (1, "h"), (0, 3))
         op.finish()
-        assert op._stats is None  # the stats=None path stays dark
+        assert op._stats is NULL_TRACER  # stats=None records into the no-op tracer
 
     def test_stream_facade_forwards_stats(self, rng):
         q = JoinQuery.star(2)
