@@ -69,14 +69,6 @@ class CFG:
         self.blocks[dst].preds.append(src)
 
     # ------------------------------------------------------------------
-    def block_of(self, stmt: ast.stmt) -> Optional[Block]:
-        """The block holding ``stmt`` (identity match), or ``None``."""
-        for block in self.blocks.values():
-            for held in block.stmts:
-                if held is stmt:
-                    return block
-        return None
-
     def shape(self) -> Dict[int, List[int]]:
         """``{block_id: sorted successor ids}`` — the golden-test view."""
         return {

@@ -812,11 +812,7 @@ def _harvest_module_pool_submits(tree: ast.Module, summary: FileSummary) -> None
 #: Constructors whose row payloads feed the exactly-once concatenation.
 OUTCOME_SINKS = {
     "ShardOutcome": ("rows",),
-    "BatchShardOutcome": ("rows_per_query",),
 }
-
-#: Functions that *produce* shard-owned emissions returned to a merger.
-PRODUCER_FUNCTIONS = ("_join_shard",)
 
 
 def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> None:
@@ -830,12 +826,6 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
                         sinks.append(
                             (kw.value, node, f"{node.func.id}({kw.arg}=...)")
                         )
-    if func.name in PRODUCER_FUNCTIONS:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
-                sinks.append(
-                    (node.value, node, f"return value of {func.name}()")
-                )
     if not sinks and "parallel/merge.py" not in logical:
         return
 
@@ -869,10 +859,6 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
             arg = node.args[0]
             ok = (
                 isinstance(arg, ast.Attribute) and arg.attr == "rows"
-            ) or (
-                isinstance(arg, ast.Subscript)
-                and isinstance(arg.value, ast.Attribute)
-                and arg.value.attr == "rows_per_query"
             ) or _is_filtered_expr(arg)
             if not ok:
                 summary.ownership.append(
@@ -881,8 +867,7 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
                         "col": node.col_offset,
                         "detail": (
                             "merge concatenation consumes something other "
-                            "than the ownership-filtered shard rows "
-                            "(.rows / .rows_per_query[i])"
+                            "than the ownership-filtered shard rows (.rows)"
                         ),
                     }
                 )

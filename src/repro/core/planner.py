@@ -156,7 +156,6 @@ def plan(
     query: JoinQuery,
     verify: Optional[bool] = None,
     *,
-    search: Optional[str] = None,
     budget: Optional[int] = None,
     cache: Union[None, str, PlanCache] = None,
     stats: Optional[Tracer] = None,
@@ -164,9 +163,8 @@ def plan(
     """Run the Figure 7 guideline on ``query`` (O(1) data complexity).
 
     The width searches run through
-    :func:`repro.nontemporal.search.min_width_ghd`; ``search`` selects
-    the engine (``"exact"`` branch-and-bound by default, overridable via
-    ``REPRO_PLAN_SEARCH``) and ``budget`` caps its node count
+    :func:`repro.nontemporal.search.min_width_ghd`'s exact
+    branch-and-bound; ``budget`` caps its node count
     (``REPRO_PLANNER_BUDGET``) — an exhausted budget degrades to the
     best-found decomposition with ``Plan.optimal = False`` and a
     ``planner.budget_exhausted`` note rather than failing.
@@ -193,8 +191,6 @@ def plan(
     from ..nontemporal.ghd import find_guarded_partition
     from ..nontemporal.search import min_width_ghd
 
-    if search is None:
-        search = os.environ.get("REPRO_PLAN_SEARCH") or "exact"
     budget = _resolve_budget(budget)
     cache_obj = _resolve_cache(cache)
 
@@ -218,8 +214,8 @@ def plan(
         if cache_obj is not None:
             stats.incr("planner.cache_misses")
         with stats.timer("phase.planner.search"):
-            fres = min_width_ghd(hg, hierarchical=False, search=search, budget=budget)
-            hres = min_width_ghd(hg, hierarchical=True, search=search, budget=budget)
+            fres = min_width_ghd(hg, hierarchical=False, budget=budget)
+            hres = min_width_ghd(hg, hierarchical=True, budget=budget)
         stats.incr("planner.search_nodes", fres.nodes + hres.nodes)
         stats.incr("planner.lb_prunes", fres.lb_prunes + hres.lb_prunes)
         widths = (fres.width, fres.ghd, hres.width, hres.ghd)

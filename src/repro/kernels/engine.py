@@ -21,11 +21,10 @@ over a dynamic structure keyed on interned ints.
   Figure-8 instance dangles on never reach the sweep. The object engine
   sweeps unreduced, as the paper's TIMEFIRST does.
 
-The serial, shard and batch routes read through :func:`kernel_columns`
-(the batch fan-out shards the prepared τ-view itself), and every kernel
-route sweeps through :func:`sweep_columns`. On hierarchical queries REPORT
-builds each result once, final: de-interned and widened back by τ/2
-inside the sweep. The GHD state emits interned rows, which one pass
+The serial, shard and batch routes read through :func:`kernel_columns`,
+and every kernel route sweeps through :func:`sweep_columns`. On
+hierarchical queries REPORT builds each result once, final: de-interned
+and widened back by τ/2 inside the sweep. The GHD state emits interned rows, which one pass
 (:func:`~repro.kernels.columns.deintern_expand`) turns into final rows.
 :func:`make_state` + :func:`kernel_sweep` still return interned rows
 with shrunk intervals, for callers that time the layers apart.

@@ -17,9 +17,10 @@ over:
   at the single ingest sort for a τ=0 batch), and a plan cache keyed by
   :func:`repro.core.planner.plan_signature` + algorithm lets repeated
   templates skip the Figure-7 planner;
-* with ``workers >= 2`` the batch ships each worker *one* shard column
-  subset and reuses it for every query in the batch, instead of
-  re-subsetting per query.
+* with ``workers >= 2`` each distinct sweep is sharded on its own, as
+  ``temporal_join(..., prepared=artifact, workers=p)`` shards it: a key
+  shard when one attribute occurs in every relation, time cuts
+  otherwise, with the shard columns sliced from the artifact's τ-view.
 
 Invalidation is the caller's job: the artifact is a snapshot. Passing a
 database whose relations no longer match (names, attribute tuples, row
@@ -54,7 +55,7 @@ from .columns import (
     build_columns,
     shrink_columns,
 )
-from .engine import needs_reduction, record_reuse
+from .engine import needs_reduction
 
 __all__ = ["PreparedDatabase", "needs_reduction", "prepare", "run_batch"]
 
@@ -283,8 +284,9 @@ def run_batch(
     * queries sharing a hypergraph share one sweep: duplicates receive
       the same rows (``prepared.shared_results``), attribute-order
       variants a projection of them;
-    * with ``workers >= 2`` all kernel-eligible sweeps in the batch run
-      over one set of shard column subsets, shipped to the pool once.
+    * with ``workers >= 2`` each distinct sweep runs sharded through
+      :func:`repro.parallel.executor.run_sharded`, which picks its own
+      key shard or time cuts (``parallel.partition``).
 
     Queries the kernel cannot serve from the artifact — non-kernel
     algorithms, or r-hierarchical queries needing the per-query instance
@@ -316,22 +318,14 @@ def run_batch(
     stats.incr("prepared.batch_evaluations", len(order))
 
     # ------------------------------------------------------------------
-    # Execute each distinct evaluation once: the artifact's readers over
-    # one shard fan-out when parallel, the rest as their routes say.
+    # Execute each distinct evaluation once, as its route says.
     # ------------------------------------------------------------------
-    readers = [e for e in order if e.route.prepared is not None]
-    if workers is not None and workers > 1 and readers:
-        _run_kernel_batch_parallel(
-            readers, prepared, tau, workers, parallel_mode, stats
-        )
     for evaluation in order:
-        if evaluation.result is None:
-            query = evaluation.query
-            sub_db = {name: database[name] for name in query.edge_names}
-            evaluation.result = run_route(
-                evaluation.route, query, sub_db, tau, stats, workers,
-                parallel_mode,
-            )
+        query = evaluation.query
+        sub_db = {name: database[name] for name in query.edge_names}
+        evaluation.result = run_route(
+            evaluation.route, query, sub_db, tau, stats, workers, parallel_mode
+        )
 
     # ------------------------------------------------------------------
     # Distribute: shared rows, projected into each requested attr order.
@@ -364,55 +358,3 @@ def run_batch(
         stats.incr("prepared.shared_results", shared_results)
     return results  # type: ignore[return-value]
 
-
-def _run_kernel_batch_parallel(
-    kernel_evals: List[_Evaluation],
-    prepared: PreparedDatabase,
-    tau: Number,
-    workers: int,
-    mode: str,
-    stats: Tracer,
-) -> None:
-    """Run every kernel evaluation of a batch over one shard fan-out.
-
-    The τ-view is sharded once; each worker receives its column subset
-    once and sweeps *all* batch queries over it (restricting locally per
-    distinct relation subset). Per-query ownership filtering keeps the
-    exactly-once merge rule of :mod:`repro.parallel` intact, so results
-    equal the serial prepared path up to row order.
-    """
-    from ..parallel.executor import MODES, fan_out
-    from ..parallel.merge import record_shards
-    from ..parallel.partition import partition_timeline
-    from ..parallel.worker import BatchShardTask
-    from .columns import shard_row_ids
-
-    if mode not in MODES:
-        raise QueryError(f"unknown parallel mode {mode!r}; expected {MODES}")
-    view = prepared.view(tau, stats=stats)
-    record_reuse(prepared, view, stats)
-    partition = partition_timeline(prepared.database, workers)
-    assignments = shard_row_ids(view, partition.cuts, tau)
-    replicated = sum(len(rids) for rids in assignments) - view.n_rows
-    run_queries = [evaluation.query for evaluation in kernel_evals]
-    tasks = [
-        BatchShardTask(
-            shard=shard,
-            queries=run_queries,
-            tau=tau,
-            cuts=partition.cuts,
-            columns=view.subset(rids),
-        )
-        for shard, rids in enumerate(assignments)
-    ]
-    n_procs = min(workers, len(tasks))
-    outcomes = fan_out(tasks, n_procs, mode, stats)
-    outcomes = sorted(outcomes, key=lambda outcome: outcome.shard)
-    for position, evaluation in enumerate(kernel_evals):
-        rows = [
-            row
-            for outcome in outcomes
-            for row in outcome.rows_per_query[position]
-        ]
-        evaluation.result = JoinResultSet(evaluation.query.attrs, rows)
-    record_shards(stats, outcomes, n_procs, replicated)

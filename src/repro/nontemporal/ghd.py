@@ -284,10 +284,6 @@ class GuardedPartition:
     residual_edges: Tuple[str, ...]  # edges intersecting I
     residual_product: bool
 
-    @property
-    def residual_group_count(self) -> int:
-        return len(self.residual_edges) if self.residual_product else 1
-
 
 def is_guarded(ghd: GHD) -> bool:
     """Definition 13, literally: is this GHD guarded?

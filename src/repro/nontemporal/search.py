@@ -41,7 +41,7 @@ from ..core.hypergraph import Hypergraph
 from .cover import rho
 from .ghd import GHD, _ghd_rank, ghd_from_partition
 
-#: Supported ``search=`` modes for the width functions and the planner.
+#: Supported ``search=`` modes for the width functions.
 SEARCH_MODES = ("exact", "greedy", "enumerate")
 
 #: In-memory memo entries kept per process (distinct (query, mode) keys).

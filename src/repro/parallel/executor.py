@@ -57,7 +57,7 @@ from .partition import (
     shard_databases,
 )
 from .pool import resident_pool
-from .worker import ShardTask, run_task
+from .worker import ShardOutcome, ShardTask, run_shard
 
 #: Execution modes accepted by :func:`parallel_temporal_join`.
 MODES = ("process", "inline")
@@ -260,23 +260,20 @@ def _kernel_shard_tasks(
 
 
 def fan_out(
-    tasks: Sequence, n_procs: int, mode: str, stats: Tracer = NULL_TRACER
-) -> Sequence:
+    tasks: Sequence[ShardTask], n_procs: int, mode: str, stats: Tracer = NULL_TRACER
+) -> Sequence[ShardOutcome]:
     """Run shard tasks on ``n_procs`` resident spawn workers, or inline.
 
-    The one fan-out behind :func:`run_sharded` (:class:`ShardTask`) and
-    :func:`repro.kernels.prepared.run_batch`
-    (:class:`~repro.parallel.worker.BatchShardTask`, one task per shard
-    carrying the whole query fleet). ``spawn`` starts each worker from a
-    fresh interpreter, so the payload :func:`run_task` must stay
-    importable as ``repro.parallel.worker.run_task`` — the test suite's
-    process-mode smoke test guards that. Worker exceptions re-raise
-    here unchanged. ``"inline"`` mode, and a single process, run the
-    tasks in order in the calling process.
+    The one fan-out behind :func:`run_sharded`. ``spawn`` starts each
+    worker from a fresh interpreter, so the payload :func:`run_shard`
+    must stay importable as ``repro.parallel.worker.run_shard`` — the
+    test suite's process-mode smoke test guards that. Worker exceptions
+    re-raise here unchanged. ``"inline"`` mode, and a single process,
+    run the tasks in order in the calling process.
     """
     if mode != "process" or n_procs <= 1:
-        return [run_task(task) for task in tasks]
+        return [run_shard(task) for task in tasks]
     with resident_pool(n_procs) as pool:
-        outcomes = pool.map(run_task, tasks)
+        outcomes = pool.map(run_shard, tasks)
     stats.incr("parallel.pool_started", int(pool.started > 0))
     return outcomes

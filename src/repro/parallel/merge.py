@@ -46,35 +46,19 @@ def merge_outcomes(
     stats = NULL_TRACER if stats is None else stats
     ordered = sorted(outcomes, key=lambda o: o.shard)
     result = JoinResultSet(query.attrs)
+    times = []
     for outcome in ordered:
         result.extend(outcome.rows)
-    record_shards(stats, ordered, workers, replicated)
-    return result
-
-
-def record_shards(
-    stats: Tracer,
-    outcomes: Sequence,
-    workers: int,
-    replicated: int,
-) -> None:
-    """Fold shard-ordered ``outcomes`` and the counters above into ``stats``.
-
-    The one telemetry fold, for :func:`merge_outcomes` and the prepared
-    batch fan-out alike.
-    """
-    for outcome in outcomes:
         stats.merge(outcome.stats)
-    stats.incr("parallel.shards", len(outcomes))
-    stats.incr("parallel.workers", workers)
-    stats.incr("parallel.replicated", replicated)
-    times = []
-    for outcome in outcomes:
         stats.observe("parallel.shard_input", outcome.input_size)
         stats.observe("parallel.shard_results", outcome.owned_results)
         stats.add_time(f"phase.parallel.shard{outcome.shard:02d}", outcome.seconds)
         times.append(outcome.seconds)
+    stats.incr("parallel.shards", len(ordered))
+    stats.incr("parallel.workers", workers)
+    stats.incr("parallel.replicated", replicated)
     stats.add_time("phase.parallel.workers", sum(times))
     mean = sum(times) / len(times) if times else 0.0
     skew = round(100 * max(times) / mean) if mean > 0 else 100
     stats.peak("parallel.skew_pct_peak", skew)
+    return result

@@ -1,12 +1,11 @@
 """Shard worker: runs one serial algorithm on one shard.
 
-:func:`run_task` is the function shipped to worker processes; it runs
-a :class:`ShardTask` through :func:`run_shard` and a
-:class:`BatchShardTask` through :func:`run_batch_shard`. All three are
-plain module-level functions over picklable dataclasses, so they work
-under every ``multiprocessing`` start method including ``spawn`` (where
-the child interpreter imports this module fresh and receives the task by
-pickle — nothing may depend on inherited parent state).
+:func:`run_shard` is the function shipped to worker processes. It and
+:class:`ShardTask` are a plain module-level function and a picklable
+dataclass, so they work under every ``multiprocessing`` start method
+including ``spawn`` (where the child interpreter imports this module
+fresh and receives the task by pickle — nothing may depend on inherited
+parent state).
 
 The worker evaluates the *unmodified* registered algorithm on its shard
 sub-database, then, on a time shard, applies the ownership filter: only
@@ -32,7 +31,7 @@ from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import ResultRow
-from ..obs import NULL_TRACER, ExecutionStats, Tracer
+from ..obs import NULL_TRACER, ExecutionStats
 from .partition import TimePartition
 
 
@@ -61,44 +60,6 @@ class ShardTask:
     #: Record the shard's telemetry into its outcome's ``stats``.
     collect_stats: bool = True
     columns: Optional[object] = None  # repro.kernels.KernelColumns
-
-
-@dataclass
-class BatchShardTask:
-    """One shard's share of a whole prepared-batch fan-out.
-
-    The kernel-only sibling of :class:`ShardTask` used by
-    :func:`repro.kernels.prepared.run_batch`: one column subset
-    (``columns`` — the shard's slice of the prepared τ-view, all
-    relations) plus *every* kernel-eligible run query of the batch. The
-    worker restricts the shard columns per distinct relation subset
-    locally and sweeps each query in turn, so the shard payload crosses
-    the process boundary exactly once per batch instead of once per
-    query — and, as always on the kernel path, contains no object rows.
-    """
-
-    shard: int
-    queries: List[JoinQuery]
-    tau: Number
-    cuts: Tuple[Number, ...]
-    columns: object  # repro.kernels.KernelColumns
-    collect_stats: bool = True
-
-
-@dataclass
-class BatchShardOutcome:
-    """One shard's owned rows for every query of a batch."""
-
-    shard: int
-    rows_per_query: List[List[ResultRow]]
-    input_size: int
-    seconds: float
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
-
-    @property
-    def owned_results(self) -> int:
-        """Rows this shard owns, summed over the batch's queries."""
-        return sum(len(rows) for rows in self.rows_per_query)
 
 
 @dataclass
@@ -132,7 +93,11 @@ def run_shard(task: ShardTask) -> ShardOutcome:
 
     start = time.perf_counter()
     if task.columns is not None:
-        result = _run_kernel_shard(task, tracer)
+        # The parent validated, τ/2-shrunk, reduced and interned the
+        # instance; the shard only sweeps its columns into expanded rows.
+        from ..kernels import sweep_columns
+
+        result = sweep_columns(task.query, task.columns, task.tau, stats=tracer)
         input_size = task.columns.n_rows
     else:
         from ..algorithms.registry import get_algorithm
@@ -157,72 +122,6 @@ def run_shard(task: ShardTask) -> ShardOutcome:
         seconds=seconds,
         stats=recorded,
     )
-
-
-def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
-    """Sweep every batch query over one shard's prepared columns.
-
-    Mirrors the kernel arm of :func:`run_shard` query by query — sweep
-    into final rows, ownership-filter — but reuses the
-    shard's column payload (and its per-relation-subset restrictions)
-    across the whole batch. Spawn-safe for the same reasons as
-    :func:`run_shard`: module-level function, picklable dataclasses.
-    """
-    from ..kernels import sweep_columns
-
-    partition = TimePartition(task.cuts)
-    recorded = ExecutionStats()
-    tracer = recorded if task.collect_stats else NULL_TRACER
-    shard = task.shard
-    owner = partition.owner
-    all_relations = set(task.columns.relations)
-
-    start = time.perf_counter()
-    restricted: Dict[Tuple[str, ...], object] = {}
-    rows_per_query: List[List[ResultRow]] = []
-    for query in task.queries:
-        keep = tuple(sorted(query.edge_names))
-        columns = restricted.get(keep)
-        if columns is None:
-            columns = (
-                task.columns
-                if set(keep) == all_relations
-                else task.columns.restrict(keep)
-            )
-            restricted[keep] = columns
-        result = sweep_columns(query, columns, task.tau, stats=tracer)
-        rows_per_query.append(
-            [row for row in result.rows if owner(row[1].hi) == shard]
-        )
-    return BatchShardOutcome(
-        shard=shard,
-        rows_per_query=rows_per_query,
-        input_size=task.columns.n_rows,
-        seconds=time.perf_counter() - start,
-        stats=recorded,
-    )
-
-
-def run_task(task):
-    """The one pool payload: run a :class:`ShardTask` or a :class:`BatchShardTask`."""
-    if isinstance(task, BatchShardTask):
-        return run_batch_shard(task)
-    return run_shard(task)
-
-
-def _run_kernel_shard(task: ShardTask, stats: Tracer):
-    """Sweep one shard of pre-interned columns (kernel engine).
-
-    The parent already validated, τ/2-shrunk and (if needed) reduced
-    the instance before interning, so the worker's job is exactly the
-    remaining pipeline: sweep the shard's pre-sorted event codes into
-    rows de-interned via the shared domain tables and expanded back by
-    τ/2. The ownership filter in :func:`run_shard` then sees the same
-    expanded intervals the object path produces.
-    """
-    from ..kernels import sweep_columns
-
-    return sweep_columns(task.query, task.columns, task.tau, stats=stats)
 
 
 def serve_pipe(conn) -> None:

@@ -13,8 +13,8 @@ long-running service:
   <StandingQuery.snapshot>` reads at a watermark;
 * :class:`TemporalJoinService` — the façade: runtime register/deregister
   with template dedup through the planner's shape signatures, bulk
-  ingest (optionally sharded across workers by the PR-2 right-endpoint
-  ownership rule), and per-query SLO telemetry (``serve.*`` counters).
+  ingest through the live broker, and per-query SLO telemetry
+  (``serve.*`` counters).
 
 Quickstart
 ----------

@@ -90,10 +90,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--tau", type=float, default=None,
                         help="durability threshold (default: the workload's "
                              "paper value — 11 for ldbc, 170 for tpce)")
-    parser.add_argument("--workers", type=int, default=1, metavar="P",
-                        help="shard the ingest pass across P workers by the "
-                             "right-endpoint ownership rule (default 1: "
-                             "stream through the live broker)")
     parser.add_argument("--policy", default=Backpressure.DROP_OLDEST,
                         choices=Backpressure.ALL,
                         help="buffer backpressure policy for the fleet "
@@ -133,7 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 policy=args.policy, buffer_size=args.buffer_size,
             )
         )
-    service.ingest_database(database, workers=args.workers)
+    service.ingest_database(database)
 
     print("Per-query SLO report")
     print("-" * 40)

@@ -16,14 +16,8 @@ with
   template fleet pays the planner once per shape
   (``serve.plan_cache_hits`` / ``serve.plan_cache_misses``).
 * **bulk ingest** — :meth:`ingest_database` streams a stored database
-  through the broker in one endpoint-ordered pass
-  (``serve.ingest_passes``). With ``workers >= 2`` the pass is sharded
-  by the parallel executor's endpoint-balanced cuts and *right-endpoint
-  ownership* rule (PR 2): every tuple is replicated to the shards its
-  interval overlaps, each shard runs fresh per-template operators over
-  its sub-stream, and a shard delivers exactly the results whose
-  intersection right endpoint it owns — the global delivery is plain
-  concatenation in shard order, no dedup.
+  through the live broker in one endpoint-ordered pass
+  (``serve.ingest_passes``), the same appends a live stream makes.
 * **SLO telemetry** — ``serve.*`` counters through the existing
   :mod:`repro.obs` layer: ingest volume and rate, emission event-time
   lag (finalizable point to delivery), active-set size, buffer depths,
@@ -37,60 +31,18 @@ import itertools
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..algorithms.online import OnlineTemporalJoin, arrivals_from_database
+from ..algorithms.online import arrivals_from_database
 from ..core.errors import QueryError
-from ..core.interval import Interval, IntervalLike, Number
+from ..core.interval import IntervalLike, Number
 from ..core.planner import Plan, hypergraph_signature, plan, plan_signature
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..obs import ExecutionStats
 from .broker import StreamBroker
-from .query import Backpressure, Emission, StandingQuery
+from .query import Backpressure, StandingQuery
 
 Values = Tuple[object, ...]
 Database = Mapping[str, TemporalRelation]
-
-INGEST_MODES = ("inline", "thread")
-
-
-def _join_shard(
-    shard: int,
-    templates: List[Tuple[JoinQuery, Number]],
-    sub_stream: List[Tuple[str, Values, Interval]],
-    partition,
-) -> List[List[Emission]]:
-    """Join one shard's sub-stream for every ``(query, τ/2)`` template.
-
-    Module-level (not a closure) so the payload stays spawn-safe: the
-    thread-pool path doesn't pickle, but a future process-pool mode
-    would, and the analyzer's spawn-safety gate holds either way.
-
-    Returns, per template, the emissions whose expanded right endpoint
-    this shard owns — the PR-2 ownership rule that makes concatenation
-    across shards exactly-once.
-    """
-    out: List[List[Emission]] = []
-    for query, half in templates:
-        op = OnlineTemporalJoin(query, strict=True)
-        relations = frozenset(query.edge_names)
-        for relation, values, iv in sub_stream:
-            if relation not in relations:
-                continue
-            run_iv = iv if not half else iv.shrink(half)
-            if run_iv is None:
-                continue
-            op.insert(relation, values, run_iv)
-        op.finish()
-        owned: List[Emission] = []
-        for values, iv in op.results():
-            out_iv = iv.expand(half) if half else iv
-            if partition.owner(out_iv.hi) != shard:
-                continue
-            # Finalized at its expanded right endpoint; minimal latency
-            # by construction of the one-pass operator.
-            owned.append(Emission(values, out_iv, out_iv.hi))
-        out.append(owned)
-    return out
 
 
 class TemporalJoinService:
@@ -121,7 +73,6 @@ class TemporalJoinService:
         #: restarted service re-registers its fleet without re-searching.
         self.plan_cache = plan_cache
         self._names = itertools.count(1)
-        self._ingest_started = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -224,7 +175,6 @@ class TemporalJoinService:
     # ------------------------------------------------------------------
     def append(self, relation: str, values: Values, interval: IntervalLike) -> int:
         """Ingest one tuple now; returns the emissions it finalized."""
-        self._ingest_started = True
         with self.stats.timer("phase.serve.ingest"):
             return self.broker.append(relation, values, interval)
 
@@ -239,132 +189,22 @@ class TemporalJoinService:
             return self.broker.finish()
 
     # ------------------------------------------------------------------
-    # Bulk ingest: one pass, optionally sharded across workers
+    # Bulk ingest: one pass through the live broker
     # ------------------------------------------------------------------
-    def ingest_database(
-        self,
-        database: Database,
-        workers: int = 1,
-        mode: str = "thread",
-        finish: bool = True,
-    ) -> int:
+    def ingest_database(self, database: Database, *, finish: bool = True) -> int:
         """Stream a stored database through the service in one pass.
 
-        ``workers=1`` replays the endpoint-ordered arrival stream through
-        the live broker (the stream may be left open with
-        ``finish=False``). ``workers >= 2`` is the batch load path: the
-        timeline is cut into endpoint-balanced windows, every window's
-        sub-stream is joined by fresh per-template operators (``mode=
-        "thread"`` runs them on a thread pool, ``"inline"`` sequentially)
-        and each shard delivers exactly the results whose right endpoint
-        it owns; it always finishes the stream, because the sharded
-        operators — not the broker's live ones — absorbed the data.
-
-        Returns the number of emissions delivered. Counts one
-        ``serve.ingest_passes`` regardless of ``workers`` — the whole
-        point is that N standing queries share a single pass.
+        Replays the endpoint-ordered arrival stream through the live
+        broker and, unless ``finish=False`` leaves the stream open,
+        finishes it. Returns the number of emissions delivered. Counts
+        one ``serve.ingest_passes`` — N standing queries share the pass.
         """
-        if workers < 1:
-            raise QueryError(f"workers must be >= 1, got {workers!r}")
-        if mode not in INGEST_MODES:
-            raise QueryError(
-                f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}"
-            )
         if self.broker.closed:
             raise QueryError("ingest_database after finish() on the service")
         self.stats.incr("serve.ingest_passes")
         started = time.perf_counter()
-        if workers == 1:
-            delivered = 0
-            for relation, values, interval in arrivals_from_database(database):
-                delivered += self.append(relation, values, interval)
-            if finish:
-                delivered += self.finish()
-        else:
-            if self._ingest_started:
-                raise QueryError(
-                    "sharded ingest (workers >= 2) requires a fresh stream; "
-                    "tuples were already appended to this service"
-                )
-            self._ingest_started = True
-            with self.stats.timer("phase.serve.ingest"):
-                delivered = self._ingest_sharded(database, workers, mode)
+        delivered = self.ingest_stream(arrivals_from_database(database), finish)
         self.stats.add_time("phase.serve.pass", time.perf_counter() - started)
-        return delivered
-
-    def _ingest_sharded(self, database: Database, workers: int, mode: str) -> int:
-        """One ingest pass sharded by right-endpoint ownership (PR-2 rule).
-
-        Tuple assignment replicates each arrival to every shard whose
-        window its interval overlaps; a result — finalized at the right
-        endpoint of its intersection interval — is delivered by the
-        unique shard owning that instant, so concatenating shard
-        deliveries in shard order is exactly-once by construction.
-        """
-        from ..parallel.partition import partition_timeline
-
-        partition = partition_timeline(database, workers)
-        shards = partition.n_shards
-        arrivals = arrivals_from_database(database)
-        evaluations = self.broker.evaluations
-        sub_streams: List[List[Tuple[str, Values, Interval]]] = [
-            [] for _ in range(shards)
-        ]
-        for item in arrivals:
-            first, last = partition.shard_range(item[2])
-            for shard in range(first, last + 1):
-                sub_streams[shard].append(item)
-        replicated = sum(len(s) for s in sub_streams) - len(arrivals)
-        self.stats.incr("serve.shards", shards)
-        self.stats.incr("serve.shard_workers", min(workers, shards))
-        self.stats.incr("serve.replicated", replicated)
-
-        templates = [(e.query, e.half) for e in evaluations]
-        if mode == "thread" and shards > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(workers, shards)) as pool:
-                futures = [
-                    pool.submit(
-                        _join_shard, shard, templates,
-                        sub_streams[shard], partition,
-                    )
-                    for shard in range(shards)
-                ]
-                per_shard = [future.result() for future in futures]
-        else:
-            per_shard = [
-                _join_shard(shard, templates, sub_streams[shard], partition)
-                for shard in range(shards)
-            ]
-
-        # Deliver in shard order from the calling thread: deterministic,
-        # and buffer backpressure applies on delivery exactly as in the
-        # streaming path.
-        delivered = 0
-        for shard_out in per_shard:
-            for evaluation, emissions in zip(evaluations, shard_out):
-                for handle in evaluation.handles:
-                    projection = evaluation.projection(handle.query)
-                    if projection is None:
-                        handle._deliver(emissions, None)
-                    else:
-                        handle._deliver(
-                            [
-                                Emission(
-                                    tuple(e.values[p] for p in projection),
-                                    e.interval,
-                                    e.at,
-                                )
-                                for e in emissions
-                            ],
-                            None,
-                        )
-                    delivered += len(emissions)
-                self.stats.incr("serve.results_emitted", len(emissions))
-        # The sharded operators absorbed the stream; the live broker never
-        # saw it, so the only consistent continuation is closure.
-        self.broker.finish()
         return delivered
 
     def ingest_stream(

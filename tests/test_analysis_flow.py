@@ -248,7 +248,7 @@ class TestSpawnShipsModuleLevel:
             (submit["method"], submit["payload"]["kind"], submit["payload"]["name"])
             for submit in summary.pool_submits
         )
-        assert payloads == [("map", "import", "run_task")]
+        assert payloads == [("map", "import", "run_shard")]
 
 
 # ----------------------------------------------------------------------
@@ -290,15 +290,6 @@ class TestOwnershipBeforeConcat:
         mutated = source.replace("outcome.rows", "outcome.raw_rows")
         assert mutated != source
         findings = self._lint({self.MERGE: mutated})
-        assert _by_rule(findings, "ownership-before-concat")
-
-    def test_service_guard_removed_tamper_fires(self):
-        """Drop the per-emission ownership guard in _join_shard."""
-        source = _read(self.SERVICE)
-        needle = "if partition.owner(out_iv.hi) != shard:"
-        assert needle in source
-        mutated = source.replace(needle, "if False:")
-        findings = self._lint({self.SERVICE: mutated})
         assert _by_rule(findings, "ownership-before-concat")
 
     def test_synthetic_guarded_append_passes(self):

@@ -148,13 +148,6 @@ class TestServeSubcommand:
         assert "serve.ingest_passes" in out
         assert "serve.template_dedup" in out
 
-    def test_sharded_ingest_run(self, capsys):
-        rc = main(["serve", "synthetic", "--n", "60", "--workers", "3",
-                   "--verify"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "MISMATCH" not in out
-
     def test_workload_tau_defaults_to_paper_value(self, capsys):
         rc = main(["serve", "ldbc", "--n", "60"])
         assert rc == 0

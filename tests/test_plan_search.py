@@ -335,14 +335,6 @@ class TestBudgetDegradation:
         degraded = plan(JoinQuery.cycle(4))
         assert degraded.optimal is False
 
-    def test_env_search_mode_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_SEARCH", "greedy")
-        greedy = plan(JoinQuery.cycle(4))
-        assert greedy.optimal is False
-        monkeypatch.setenv("REPRO_PLAN_SEARCH", "bogus")
-        with pytest.raises(QueryError, match="unknown search mode"):
-            plan(JoinQuery.cycle(4))
-
 
 # ----------------------------------------------------------------------
 # Planner counters land in stats

@@ -11,7 +11,7 @@ from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.kernels.prepared import PreparedDatabase, needs_reduction
-from repro.obs import ExecutionStats
+from repro.obs import NULL_TRACER, ExecutionStats
 from repro.testing import random_instance
 from repro.workloads.synthetic import SyntheticConfig, generate
 
@@ -285,6 +285,28 @@ class TestRunBatch:
         assert stats["parallel.shards"] >= 1
         assert stats["parallel.workers"] >= 1
 
+    def test_parallel_batch_key_shards_each_evaluation(self):
+        """A TPC-E star fleet shards on S: no replication, no ownership."""
+        from repro.workloads import tpce
+
+        config = tpce.TPCEConfig(
+            n_customers=60, n_securities=15, hot_securities=3, n_holdings=300
+        )
+        db = tpce.star_database(tpce.generate_holdings(config), 3)
+        fleet = [tpce.star_query(3), tpce.star_query(2), tpce.star_query(3)]
+        artifact = prepare(db)
+        serial = run_batch(fleet, artifact, tau=170)
+        stats = ExecutionStats()
+        sharded = run_batch(
+            fleet, artifact, tau=170, workers=3, parallel_mode="inline",
+            stats=stats,
+        )
+        assert stats.notes["parallel.partition"] == "key:S"
+        assert stats["parallel.replicated"] == 0
+        assert sum(len(rows) for rows in serial) > 0
+        for a, b in zip(serial, sharded):
+            assert a.normalized() == b.normalized()
+
     def test_empty_batch(self, line3):
         _, db = line3
         assert run_batch([], prepare(db)) == []
@@ -332,18 +354,25 @@ class TestPickleContract:
         assert b"repro.core.interval" not in payload
         assert b"Interval" not in payload
 
-    def test_batch_shard_task_payload_has_no_object_rows(self, line3):
-        from repro.parallel.worker import BatchShardTask
+    def test_prepared_shard_task_payload_has_no_object_rows(self, line3):
+        """The kernel shard tasks of a prepared read ship no Interval."""
+        from repro.algorithms.registry import resolve_route
+        from repro.parallel.executor import _kernel_shard_tasks
 
         query, db = line3
         artifact = prepare(db)
-        columns = artifact.columns
-        columns.intervals()
-        task = BatchShardTask(
-            shard=0, queries=[query], tau=0, cuts=(),
-            columns=columns.subset(list(range(columns.n_rows))),
-        )
-        assert b"repro.core.interval" not in pickle.dumps(task)
+        artifact.columns.intervals()  # populate the per-process cache
+        for tau in (0, 3):
+            route = resolve_route(
+                query, db, tau, "timefirst", workers=3, prepared=artifact
+            )
+            assert route.prepared is artifact
+            tasks, _, _ = _kernel_shard_tasks(
+                query, db, tau, route, 3, None, NULL_TRACER
+            )
+            assert tasks and all(task.database is None for task in tasks)
+            for task in tasks:
+                assert b"repro.core.interval" not in pickle.dumps(task)
 
     def test_intervals_rebuilt_after_unpickle(self, line3):
         _, db = line3

@@ -352,58 +352,25 @@ class TestRegistration:
 
 
 class TestBulkIngest:
-    def test_workers_validated(self):
-        svc = TemporalJoinService()
-        svc.register(star2(), name="q")
-        with pytest.raises(QueryError, match="workers"):
-            svc.ingest_database({}, workers=0)
-        with pytest.raises(QueryError, match="mode"):
-            svc.ingest_database({}, workers=2, mode="rocket")
-
-    def test_sharded_ingest_requires_fresh_stream(self):
-        rng = random.Random(3)
-        query = star2()
-        db = random_database(query, rng, n=8, domain=3)
-        svc = TemporalJoinService()
-        svc.register(query, name="q")
-        svc.append("R1", (0, 0), (0, 1))
-        with pytest.raises(QueryError, match="fresh stream"):
-            svc.ingest_database(db, workers=2)
-
     def test_unfinished_live_ingest_can_continue(self):
         rng = random.Random(5)
         query = star2()
         db = random_database(query, rng, n=8, domain=3, time_span=20)
         svc = TemporalJoinService()
         handle = svc.register(query, name="q")
-        svc.ingest_database(db, workers=1, finish=False)
+        svc.ingest_database(db, finish=False)
         assert not svc.broker.closed
         svc.advance_to(10_000)
         svc.finish()
         want = temporal_join(query, db)
         assert handle.snapshot().results.normalized() == want.normalized()
 
-    @pytest.mark.parametrize("mode", ["inline", "thread"])
-    def test_sharded_matches_offline(self, mode):
-        rng = random.Random(11)
-        query = star2()
-        db = random_database(query, rng, n=20, domain=3, time_span=30)
-        svc = TemporalJoinService()
-        handle = svc.register(query, name="q")
-        svc.ingest_database(db, workers=3, mode=mode)
-        assert svc.broker.closed
-        want = temporal_join(query, db)
-        assert handle.snapshot().results.normalized() == want.normalized()
-        stats = svc.telemetry()
-        assert stats.get("serve.ingest_passes") == 1
-        assert stats.get("serve.shards") == 3
-
     def test_ingest_after_finish_rejected(self):
         svc = TemporalJoinService()
         svc.register(star2(), name="q")
         svc.finish()
         with pytest.raises(QueryError, match="finish"):
-            svc.ingest_database({}, workers=1)
+            svc.ingest_database({})
 
 
 class TestTelemetryAndReports:
@@ -432,7 +399,7 @@ class TestTelemetryAndReports:
         db = random_database(query, rng, n=10, domain=3)
         svc = TemporalJoinService()
         svc.register(query, name="q")
-        svc.ingest_database(db, workers=1)
+        svc.ingest_database(db)
         stats = svc.telemetry()
         n = sum(len(rel) for rel in db.values())
         assert stats.get("serve.appends") == n

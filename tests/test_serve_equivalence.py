@@ -2,8 +2,8 @@
 
 The contract under test: for every standing query in a fleet streamed
 through :class:`~repro.serve.TemporalJoinService` — hierarchical and
-cyclic (GHD-path) templates, τ ∈ {0, 3}, one shared ingest pass with 1
-or 3 workers, under every backpressure policy — the snapshot at end of
+cyclic (GHD-path) templates, τ ∈ {0, 3}, one shared ingest pass, under
+every backpressure policy — the snapshot at end of
 stream equals ``temporal_join`` over the stored database, and every
 emission the live broker delivers leaves at its earliest legal instant:
 the first arrival the operator sees that proves the result settled
@@ -59,7 +59,7 @@ def fleet_database(queries, rng, n, domain=3, time_span=30, max_duration=10):
     return db
 
 
-def assert_serves_offline(db, fleet, tau, workers, policy):
+def assert_serves_offline(db, fleet, tau, policy):
     """Stream ``db`` once; every handle must equal its offline join.
 
     Returns the handles for further (latency) assertions.
@@ -73,7 +73,7 @@ def assert_serves_offline(db, fleet, tau, workers, policy):
         )
         for i, query in enumerate(fleet)
     ]
-    service.ingest_database(db, workers=workers, mode="inline")
+    service.ingest_database(db)
 
     for handle, query in zip(handles, fleet):
         sub = {name: db[name] for name in query.edge_names}
@@ -82,7 +82,7 @@ def assert_serves_offline(db, fleet, tau, workers, policy):
         assert snapshot.at == float("inf")  # end of stream: fully settled
         assert snapshot.results.normalized() == want.normalized(), (
             f"{handle.name} diverges from offline temporal_join at "
-            f"tau={tau}, workers={workers}, policy={policy}"
+            f"tau={tau}, policy={policy}"
         )
     stats = service.telemetry()
     assert stats.get("serve.ingest_passes") == 1
@@ -127,25 +127,24 @@ class TestServiceEqualsOffline:
         seed=st.integers(min_value=0, max_value=2**16),
         n=st.integers(min_value=4, max_value=12),
         tau=st.sampled_from([0, 3]),
-        workers=st.sampled_from([1, 3]),
         policy=st.sampled_from(Backpressure.ALL),
     )
     @settings(max_examples=20, deadline=None)
-    def test_random_fleets(self, seed, n, tau, workers, policy):
+    def test_random_fleets(self, seed, n, tau, policy):
         rng = random.Random(seed)
         fleet = [star3(), line3(), triangle(), star3_reversed()]
         db = fleet_database(fleet, rng, n)
-        assert_serves_offline(db, fleet, tau, workers, policy)
+        assert_serves_offline(db, fleet, tau, policy)
 
     @pytest.mark.parametrize("tau", [0, 3])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1])  # the one ingest pass
     @pytest.mark.parametrize("policy", sorted(Backpressure.ALL))
     def test_full_grid_covered(self, tau, workers, policy):
-        """Every (τ, workers, policy) cell runs at least once per suite."""
+        """Every (τ, policy) cell runs at least once per suite."""
         rng = random.Random(20220612)
         fleet = [star3(), line3(), triangle(), star3_reversed()]
         db = fleet_database(fleet, rng, n=10)
-        assert_serves_offline(db, fleet, tau, workers, policy)
+        assert_serves_offline(db, fleet, tau, policy)
 
 
 class TestEmissionLatency:
@@ -164,7 +163,7 @@ class TestEmissionLatency:
         handle = service.register(
             query, tau=tau, name="q", buffer_size=1_000_000
         )
-        service.ingest_database(db, workers=1)
+        service.ingest_database(db)
         if not handle.pending:
             return  # empty join: nothing to assert about latency
         assert_minimal_latency(handle, query, tau, db)
