@@ -11,8 +11,8 @@ Two halves:
   endpoints, no mutable defaults. Run it as ``python -m repro.analysis``;
   CI gates on it (``make analyze``).
 
-* **flow-aware analysis** (:mod:`cfg` + :mod:`dataflow` + :mod:`project`
-  + :mod:`flow_rules`): an intraprocedural CFG/dataflow framework and a
+* **flow-aware analysis** (:mod:`project` + :mod:`flow_rules`): per-file
+  facts harvested by direct, flow-insensitive AST checks and a
   whole-project model feeding four interprocedural rules — the
   machine-checked counter glossary, spawn payload module-levelness,
   ownership-before-concat, and stats threading. Per-file summaries are

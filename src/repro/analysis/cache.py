@@ -26,7 +26,7 @@ import sys
 from typing import Dict, List, Optional
 
 #: Bump when the cached payload shape or summary semantics change.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Default cache directory, resolved against the working directory.
 DEFAULT_CACHE_DIR = ".repro-lint-cache"

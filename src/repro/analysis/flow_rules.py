@@ -1,4 +1,4 @@
-"""Flow-sensitive and interprocedural lint rules (the DESIGN §7 set).
+"""Project-level, interprocedural lint rules (the DESIGN §7 set).
 
 These are :class:`~repro.analysis.engine.ProjectRule` subclasses: instead
 of one file's AST they see a :class:`~repro.analysis.project.ProjectModel`
@@ -13,11 +13,11 @@ modules — exactly the protocol contracts the node rules cannot reach:
   (payload callable *or* task-object constructor) must resolve, through
   imports and re-exports, to a module-level ``def``/``class`` — lambdas,
   closures and bound methods cannot cross the spawn pickle boundary;
-* :class:`OwnershipBeforeConcat` — shard-result rows must pass the
-  right-endpoint ownership filter on every path before the exactly-once
-  merge concatenation (the merge's no-dedup guarantee), unless the path has
-  established a key shard (``cuts is None``), whose results no other
-  shard derives;
+* :class:`OwnershipBeforeConcat` — every binding of the rows a shard
+  hands to the exactly-once merge concatenation (the merge's no-dedup
+  guarantee) must pass the right-endpoint ownership filter, or sit in a
+  key-shard arm (``cuts is None``), whose results no other shard
+  derives;
 * :class:`StatsThreading` — a function holding ``stats`` (a tracer on
   every path below the entry points) must forward it to every project
   callee that takes ``stats=``, so no counters silently vanish

@@ -3,7 +3,7 @@
 The flow rules in :mod:`repro.analysis.flow_rules` need facts that span
 files: which module-level symbols exist, what every import resolves to,
 which counter names each module emits, where process-pool payloads come
-from, and what the per-function CFG analyses concluded. Re-deriving all
+from, and which shard results skip the ownership filter. Re-deriving all
 of that from raw ASTs on every run would defeat the incremental cache,
 so the model is built from **per-file summaries**:
 
@@ -12,7 +12,10 @@ so the model is built from **per-file summaries**:
   :class:`FileSummary` — symbols, imports, constants, harvested counter
   names, stats-threading call facts (every call that does not forward
   ``stats`` in a function holding it), pool-submission payloads, and
-  ownership-filter facts;
+  ownership-filter facts. Each harvest reads the function's AST
+  directly and is lexical and flow-insensitive: it looks at every
+  binding and every statement of a function, reachable or not, so it
+  can only be stricter than a path-sensitive check;
 * :class:`ProjectModel` aggregates the summaries, maps logical paths to
   dotted module names, and resolves names across import chains
   (following re-exports through ``__init__`` modules), giving the rules
@@ -27,10 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-from .cfg import build_cfg
-from .dataflow import Analysis, ReachingDefinitions, solve_forward
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Tracer recording methods whose first argument is a counter name.
 COUNTER_METHODS = ("incr", "peak", "observe", "timer", "add_time", "note")
@@ -206,9 +206,9 @@ def _stmt_header_exprs(stmt: ast.AST) -> List[ast.AST]:
     if isinstance(stmt, ast.While):
         return [stmt.test]
     if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter]
+        return [stmt.target, stmt.iter]
     if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
+        return list(stmt.items)
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return []
     if isinstance(stmt, ast.Try) or isinstance(stmt, ast.ExceptHandler):
@@ -307,94 +307,81 @@ def _key_shard_test(test: ast.AST) -> Optional[str]:
     return None
 
 
-class _KeyShardGuard(Analysis):
-    """True iff every path here passed a ``cuts is None`` (key-shard) test.
+def _is_empty_literal(node: ast.AST) -> bool:
+    return isinstance(node, (ast.List, ast.Tuple)) and not node.elts
 
-    Unlike :class:`_OwnershipGuard` this is per task, not per row, so a
-    loop iteration does not void it.
+
+# ----------------------------------------------------------------------
+# Per-function AST walks for the summarizer
+# ----------------------------------------------------------------------
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _walk(
+    body: Sequence[ast.stmt], key: bool = False, owned: bool = False
+) -> Iterator[Tuple[ast.stmt, bool, bool]]:
+    """``(stmt, key_shard, owner_guarded)`` for every statement in ``body``.
+
+    Nested ``def``/``class`` bodies are not entered. ``key_shard`` holds
+    inside the true arm of ``if <x>.cuts is None`` and the false arm of
+    ``if <x>.cuts is not None``. ``owner_guarded`` holds inside the true
+    arm of ``if owner(….hi) == shard``, and after an
+    ``if owner(….hi) != shard: continue`` for the rest of its block. A
+    loop body starts unguarded: one row's check does not cover the next.
     """
-
-    def initial(self):
-        return False
-
-    def join(self, a, b):
-        return a and b
-
-    def transfer(self, stmt, state):
-        return state
-
-    def refine(self, label, state):
-        if label is None:
-            return state
-        kind, test = label
-        if (_key_shard_test(test), kind) in (("is", "true"), ("isnot", "false")):
-            return True
-        return state
-
-
-class _OwnershipGuard(Analysis):
-    """True iff an ownership check passed on every path since loop entry."""
-
-    def initial(self):
-        return False
-
-    def join(self, a, b):
-        return a and b
-
-    def transfer(self, stmt, state):
-        return state
-
-    def refine(self, label, state):
-        if label is None:
-            return state
-        kind, test = label
-        if kind == "loop-body":
-            return False  # new iteration: the previous row's check is void
-        cmp = _owner_compare_kind(test) if not isinstance(
-            test, (ast.For, ast.AsyncFor)
-        ) else None
-        if cmp == "eq" and kind == "true":
-            return True
-        if cmp == "neq" and kind == "false":
-            return True
-        return state
+    for stmt in body:
+        yield stmt, key, owned
+        if isinstance(stmt, ast.If):
+            cuts = _key_shard_test(stmt.test)
+            cmp = _owner_compare_kind(stmt.test)
+            yield from _walk(stmt.body, key or cuts == "is", owned or cmp == "eq")
+            yield from _walk(stmt.orelse, key or cuts == "isnot", owned or cmp == "neq")
+            if cmp == "neq" and isinstance(stmt.body[-1], ast.Continue):
+                owned = True
+        elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            yield from _walk(stmt.body + stmt.orelse, key, False)
+        elif not isinstance(stmt, _NESTED_SCOPES):
+            blocks = [getattr(stmt, "body", [])]
+            blocks += [handler.body for handler in getattr(stmt, "handlers", [])]
+            blocks += [getattr(stmt, "orelse", []), getattr(stmt, "finalbody", [])]
+            for block in blocks:
+                yield from _walk(block, key, owned)
 
 
-# ----------------------------------------------------------------------
-# Per-function machinery for the summarizer
-# ----------------------------------------------------------------------
-class _FunctionFacts:
-    """CFG + solved lattices for one function, built lazily."""
+def _bindings(func, name: str) -> List[Tuple[Optional[ast.AST], bool]]:
+    """``(value, key_shard)`` for every binding of ``name`` in ``func``.
 
-    def __init__(self, func) -> None:
-        self.func = func
-        self.cfg = build_cfg(func)
-        self.rd = ReachingDefinitions(_params_of(func))
-        self.rd_solution = solve_forward(self.cfg, self.rd)
-        self._stmt_of: Dict[int, ast.AST] = {}
-        for block in self.cfg.blocks.values():
-            for stmt in block.stmts:
-                for expr in _stmt_header_exprs(stmt):
-                    for sub in ast.walk(expr):
-                        self._stmt_of[id(sub)] = stmt
-
-    def stmt_of(self, node: ast.AST) -> Optional[ast.AST]:
-        return self._stmt_of.get(id(node))
-
-    def definitions(self, node: ast.AST, name: str):
-        """Reaching definitions of ``name`` at the stmt holding ``node``."""
-        stmt = self.stmt_of(node)
-        if stmt is None:
-            return None
-        state = self.rd_solution.before(stmt)
-        if state is None:
-            return None
-        return self.rd.definitions(state, name)
-
-    def statements(self) -> Iterable[ast.AST]:
-        for block in self.cfg.blocks.values():
-            for stmt in block.stmts:
-                yield stmt
+    ``value`` is the right-hand side of a plain ``name = value``. Any
+    other binding (a parameter, unpacking, a loop or ``with`` target, an
+    augmented or ``:=`` assignment, ``except … as``, ``def``, import)
+    has value ``None``.
+    """
+    out: List[Tuple[Optional[ast.AST], bool]] = []
+    if name in _params_of(func):
+        out.append((None, False))
+    for stmt, key, _ in _walk(func.body):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                if stmt.value is not None:  # a bare annotation binds nothing
+                    out.append((stmt.value, key))
+                continue
+        if isinstance(stmt, _NESTED_SCOPES):
+            bound = [stmt.name]
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound = [(a.asname or a.name).split(".")[0] for a in stmt.names]
+        elif isinstance(stmt, ast.Try):
+            bound = [handler.name for handler in stmt.handlers]
+        else:
+            bound = [
+                sub.id
+                for expr in _stmt_header_exprs(stmt)
+                for sub in ast.walk(expr)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+            ]
+        if name in bound:
+            out.append((None, key))
+    return out
 
 
 def _function_nodes(tree: ast.Module):
@@ -417,77 +404,34 @@ def _uses_stats_var(func) -> bool:
     )
 
 
-def _appends_to(facts: _FunctionFacts, var: str) -> List[Tuple[ast.AST, ast.Call]]:
-    """``(stmt, call)`` pairs for every ``var.append(...)`` in the body."""
-    out = []
-    for stmt in facts.statements():
-        for call in _calls_at(stmt):
-            func = call.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "append"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == var
-                and call.args
-            ):
-                out.append((stmt, call))
-    return out
+def _carries_owned_rows(func, node: ast.AST) -> bool:
+    """Does ``node``, passed to a shard-result sink in ``func``, hold only owned rows?
 
-
-def _value_passes_ownership(
-    facts: _FunctionFacts,
-    guard_solution,
-    key_solution,
-    node: ast.AST,
-    at: ast.AST,
-    depth: int = 0,
-) -> bool:
-    """Does ``node`` (used at statement ``at``) carry only owned rows?
-
-    Owned means ownership-filtered, or bound only where a key-shard
-    test (``key_solution``) has passed.
+    Every binding of a name must take one of three lexical shapes: an
+    ownership-filtered comprehension; an assignment inside a key-shard
+    arm (``cuts is None``); or an empty list whose every ``.append`` /
+    ``.extend`` sits in a key-shard arm or behind an ownership guard
+    (see :func:`_walk`).
     """
-    if depth > 3:
+    if _is_filtered_expr(node) or _is_empty_literal(node):
+        return True
+    if not isinstance(node, ast.Name):
         return False
-    if _is_filtered_expr(node):
-        return True
-    if isinstance(node, (ast.List, ast.Tuple)) and not node.elts:
-        return True  # the empty literal itself holds nothing unfiltered
-    if isinstance(node, ast.Name):
-        defs = facts.definitions(at, node.id)
-        if not defs:
-            return False
-        for stmt, value in defs:
-            if stmt is None:  # parameter: provenance unknown
-                return False
-            if value is not None and _is_filtered_expr(value):
-                continue
-            if key_solution.before(stmt) is True:
-                continue
-            if value is not None and isinstance(value, (ast.List, ast.Tuple)) and not value.elts:
-                pass  # empty init: appends decide below
-            elif value is None and isinstance(stmt, ast.AnnAssign) and (
-                stmt.value is None
-                or (isinstance(stmt.value, ast.List) and not stmt.value.elts)
-            ):
-                pass
-            else:
-                return False
-        # Every non-comprehension definition is an empty list: each
-        # append into it must be filtered or ownership-guarded.
-        for stmt, call in _appends_to(facts, node.id):
-            arg = call.args[0]
-            if _value_passes_ownership(
-                facts, guard_solution, key_solution, arg, arg, depth + 1
-            ):
-                continue
-            if key_solution.before(stmt) is True:
-                continue
-            guarded = guard_solution.before(stmt)
-            if guarded is not True:
-                return False
-        return True
-    return False
+    bindings = _bindings(func, node.id)
+    if not bindings or not all(
+        key or (value is not None and (_is_filtered_expr(value) or _is_empty_literal(value)))
+        for value, key in bindings
+    ):
+        return False
+    return all(
+        key or guarded
+        for stmt, key, guarded in _walk(func.body)
+        for call in _calls_at(stmt)
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("append", "extend")
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == node.id
+    )
 
 
 # ----------------------------------------------------------------------
@@ -506,21 +450,11 @@ def summarize_file(sf) -> FileSummary:
     _harvest_symbols(tree, summary)
     _harvest_counters(tree, summary)
 
-    facts_cache: Dict[int, _FunctionFacts] = {}
-
-    def facts_for(func) -> _FunctionFacts:
-        cached = facts_cache.get(id(func))
-        if cached is None:
-            cached = _FunctionFacts(func)
-            facts_cache[id(func)] = cached
-        return cached
-
     for func in _function_nodes(tree):
         if _uses_stats_var(func):
-            _harvest_stats_calls(func, facts_for(func), summary)
-        _harvest_pool_submits(func, facts_for, summary)
-        _harvest_ownership(func, facts_for, summary, logical)
-    _harvest_module_pool_submits(tree, summary)
+            _harvest_stats_calls(func, summary)
+        _harvest_ownership(func, summary, logical)
+    _harvest_pool_submits(tree, summary)
     return summary
 
 
@@ -664,14 +598,14 @@ def _harvest_counters(tree: ast.Module, summary: FileSummary) -> None:
 
 
 # -- stats threading --------------------------------------------------
-def _harvest_stats_calls(func, facts: _FunctionFacts, summary: FileSummary) -> None:
+def _harvest_stats_calls(func, summary: FileSummary) -> None:
     """Every call in ``func`` (which holds ``stats``) not forwarding it.
 
     ``stats`` is a tracer on every path below the entry points, so no
     path is exempt; whether the callee takes ``stats=`` is resolved
     project-wide by the rule.
     """
-    for stmt in facts.statements():
+    for stmt, _, _ in _walk(func.body):
         for call in _calls_at(stmt):
             label = _callee_label(call.func)
             if label is None:
@@ -708,6 +642,21 @@ def _pool_like(node: ast.AST) -> bool:
         return False
     lowered = name.lower()
     return "pool" in lowered or "executor" in lowered
+
+
+def is_pool_dispatch(node: ast.AST) -> bool:
+    """A ``submit``/``map``-style call on a pool-like receiver with a payload.
+
+    The one recognizer behind both spawn rules: the node rule
+    ``spawn-safety`` and the flow rule ``spawn-ships-module-level``.
+    """
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in POOL_DISPATCH
+        and _pool_like(node.func.value)
+        and bool(node.args)
+    )
 
 
 def _classify_payload(node: ast.AST, summary: FileSummary) -> Dict:
@@ -750,25 +699,24 @@ def _constructor_names(value: ast.AST) -> List[str]:
     return out
 
 
-def _harvest_pool_submits(func, facts_for, summary: FileSummary) -> None:
-    facts: Optional[_FunctionFacts] = None
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
+def _harvest_pool_submits(tree: ast.Module, summary: FileSummary) -> None:
+    """Every pool dispatch, with the task constructors its arguments name.
+
+    A task-list argument that is a name is chased through every binding
+    of that name in the dispatching function; a parameter names none.
+    """
+    enclosing = {
+        id(node): func for func in _function_nodes(tree) for node in ast.walk(func)
+    }
+    for node in ast.walk(tree):
+        if not is_pool_dispatch(node):
             continue
-        callee = node.func
-        if not (isinstance(callee, ast.Attribute) and callee.attr in POOL_DISPATCH):
-            continue
-        if not _pool_like(callee.value) or not node.args:
-            continue
-        payload = _classify_payload(node.args[0], summary)
+        func = enclosing.get(id(node))
         ctors: List[Dict] = []
-        if facts is None:
-            facts = facts_for(func)
         for arg in node.args[1:]:
             names: List[str] = list(_constructor_names(arg))
-            if isinstance(arg, ast.Name):
-                defs = facts.definitions(node, arg.id)
-                for _, value in defs or []:
+            if isinstance(arg, ast.Name) and func is not None:
+                for value, _ in _bindings(func, arg.id):
                     if value is not None:
                         names.extend(_constructor_names(value))
             for ctor in names:
@@ -777,33 +725,9 @@ def _harvest_pool_submits(func, facts_for, summary: FileSummary) -> None:
             {
                 "line": node.lineno,
                 "col": node.col_offset,
-                "method": callee.attr,
-                "payload": payload,
-                "task_ctors": ctors,
-            }
-        )
-
-
-def _harvest_module_pool_submits(tree: ast.Module, summary: FileSummary) -> None:
-    """Pool submits at module level (rare, but keep the net closed)."""
-    seen = {(s["line"], s["col"]) for s in summary.pool_submits}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        if not (isinstance(callee, ast.Attribute) and callee.attr in POOL_DISPATCH):
-            continue
-        if not _pool_like(callee.value) or not node.args:
-            continue
-        if (node.lineno, node.col_offset) in seen:
-            continue
-        summary.pool_submits.append(
-            {
-                "line": node.lineno,
-                "col": node.col_offset,
-                "method": callee.attr,
+                "method": node.func.attr,
                 "payload": _classify_payload(node.args[0], summary),
-                "task_ctors": [],
+                "task_ctors": ctors,
             }
         )
 
@@ -815,7 +739,7 @@ OUTCOME_SINKS = {
 }
 
 
-def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> None:
+def _harvest_ownership(func, summary: FileSummary, logical: str) -> None:
     sinks: List[Tuple[ast.AST, ast.AST, str]] = []  # (value, anchor, label)
     for node in ast.walk(func):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
@@ -826,23 +750,17 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
                         sinks.append(
                             (kw.value, node, f"{node.func.id}({kw.arg}=...)")
                         )
-    if not sinks and "parallel/merge.py" not in logical:
-        return
-
-    facts = facts_for(func)
-    guard = solve_forward(facts.cfg, _OwnershipGuard())
-    key_guard = solve_forward(facts.cfg, _KeyShardGuard())
     for value, anchor, label in sinks:
-        if not _value_passes_ownership(facts, guard, key_guard, value, anchor):
+        if not _carries_owned_rows(func, value):
             summary.ownership.append(
                 {
                     "line": anchor.lineno,
                     "col": anchor.col_offset,
                     "detail": (
                         f"{label} in {func.name}(): a shard-result value "
-                        "reaches the exactly-once merge without passing the "
-                        "right-endpoint ownership filter or a key-shard "
-                        "(`cuts is None`) test on every path"
+                        "reaches the exactly-once merge, but not every binding "
+                        "of it passes the right-endpoint ownership filter or "
+                        "sits in a key-shard (`cuts is None`) arm"
                     ),
                 }
             )

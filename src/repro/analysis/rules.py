@@ -15,6 +15,7 @@ import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import Finding, Rule, SourceFile, path_segments
+from .project import is_pool_dispatch
 
 #: Dispatch-layer kwargs assumed when ``EXECUTOR_KWARGS`` cannot be read
 #: out of the registry module being linted.
@@ -288,24 +289,6 @@ class SpawnSafety(Rule):
     )
     hint = "pass a module-level function (see repro.parallel.worker.run_shard)"
 
-    _DISPATCH = {
-        "submit", "map", "starmap", "apply", "apply_async",
-        "map_async", "starmap_async", "imap", "imap_unordered",
-    }
-
-    def _pool_like(self, node: ast.AST) -> bool:
-        name = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Call):
-            return self._pool_like(node.func)
-        if name is None:
-            return False
-        lowered = name.lower()
-        return "pool" in lowered or "executor" in lowered
-
     def _local_callables(self, sf: SourceFile) -> Set[str]:
         local: Set[str] = set()
         for node in ast.walk(sf.tree):
@@ -326,14 +309,7 @@ class SpawnSafety(Rule):
         out = []
         local = self._local_callables(sf)
         for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr in self._DISPATCH):
-                continue
-            if not self._pool_like(func.value):
-                continue
-            if not node.args:
+            if not is_pool_dispatch(node):
                 continue
             payload = node.args[0]
             problem = None
@@ -346,7 +322,7 @@ class SpawnSafety(Rule):
                     sf.finding(
                         self,
                         payload,
-                        f"{problem} flows into {func.attr}() on a process "
+                        f"{problem} flows into {node.func.attr}() on a process "
                         "pool: not picklable under the spawn start method",
                     )
                 )

@@ -257,6 +257,7 @@ class StreamBroker:
     ) -> int:
         """Expand, project and deliver freshly finalized rows."""
         half = evaluation.half
+        tau = evaluation.tau
         watermark = self._watermark
         delivered = 0
         stats = self.stats
@@ -266,10 +267,10 @@ class StreamBroker:
                 for values, iv in rows:
                     out_iv = iv.expand(half) if half else iv
                     # End-of-stream flushes carry no event time; their
-                    # emissions are stamped at their own right endpoint
-                    # (zero lag by construction).
-                    at = trigger if trigger is not None else out_iv.hi
-                    emissions.append(Emission(values, out_iv, at))
+                    # emissions are stamped at the instant they became
+                    # provable, `hi - τ` (zero lag by construction).
+                    at = trigger if trigger is not None else out_iv.hi - tau
+                    emissions.append(Emission(values, out_iv, at, tau))
                 for handle in evaluation.handles:
                     projection = evaluation.projection(handle.query)
                     if projection is None:
@@ -281,6 +282,7 @@ class StreamBroker:
                                     tuple(e.values[p] for p in projection),
                                     e.interval,
                                     e.at,
+                                    tau,
                                 )
                                 for e in emissions
                             ],

@@ -66,17 +66,20 @@ class Backpressure:
 class Emission:
     """One delivered result: the row plus its delivery event time.
 
-    ``at`` is the broker event time (original, un-shrunk timeline) that
-    triggered the delivery — the first arrival start or declared
-    watermark strictly past the result's right endpoint, or the right
-    endpoint itself for end-of-stream flushes. ``at - interval.hi`` is
-    therefore the emission's event-time lag; zero lag means the result
-    left the operator at its minimal right endpoint.
+    ``interval`` is the τ-widened result interval. A τ-durable result is
+    provable once the stream passes ``interval.hi - tau`` (its shrunk
+    right endpoint has then expired). ``at`` is the broker event time
+    (original, un-shrunk timeline) that triggered the delivery — the
+    first arrival start or declared watermark strictly past that
+    instant, or the instant itself for end-of-stream flushes. ``lag`` is
+    ``at`` minus that instant: zero means the result left the operator
+    as early as it could be proven.
     """
 
     values: Values
     interval: Interval
     at: Number
+    tau: Number = 0
 
     @property
     def row(self) -> Tuple[Values, Interval]:
@@ -84,7 +87,7 @@ class Emission:
 
     @property
     def lag(self) -> Number:
-        return self.at - self.interval.hi
+        return self.at - (self.interval.hi - self.tau)
 
 
 @dataclass(frozen=True)

@@ -86,15 +86,18 @@ class TestCacheLifecycle:
         assert len(payload["files"]) == 3
 
     def test_schema_mismatch_discards_cache(self, tree, tmp_path):
-        cache_dir = tmp_path / "cache"
-        _run(tree, cache_dir)
-        path = cache_dir / "files.json"
-        payload = json.loads(path.read_text())
-        payload["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(payload))
-        after = _run(tree, cache_dir)
-        assert after.files_reparsed == 3
-        assert after.files_cached == 0
+        # A newer stamp, and an older one: a cache from an earlier
+        # summary harvest must never be replayed.
+        for schema in (SCHEMA_VERSION + 1, SCHEMA_VERSION - 1):
+            cache_dir = tmp_path / f"cache{schema}"
+            _run(tree, cache_dir)
+            path = cache_dir / "files.json"
+            payload = json.loads(path.read_text())
+            payload["schema"] = schema
+            path.write_text(json.dumps(payload))
+            after = _run(tree, cache_dir)
+            assert after.files_reparsed == 3
+            assert after.files_cached == 0
 
     def test_corrupt_cache_file_is_tolerated(self, tree, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -292,21 +292,43 @@ class TestOwnershipBeforeConcat:
         findings = self._lint({self.MERGE: mutated})
         assert _by_rule(findings, "ownership-before-concat")
 
+    GUARDED_APPEND = (
+        "def run_shard(task, result, owner):\n"
+        "    shard = task.shard\n"
+        "    owned = []\n"
+        "    for row in result.rows:\n"
+        "{body}"
+        "    return ShardOutcome(shard=shard, rows=owned)\n"
+    )
+
+    def _guarded_append(self, body):
+        source = self.GUARDED_APPEND.format(body=body)
+        return _by_rule(
+            self._lint({self.WORKER: source}), "ownership-before-concat"
+        )
+
     def test_synthetic_guarded_append_passes(self):
-        findings = self._lint({
-            self.WORKER: (
-                "def _join_shard(shard, rows, partition):\n"
-                "    out = []\n"
-                "    owned = []\n"
-                "    for row in rows:\n"
-                "        if partition.owner(row.hi) != shard:\n"
-                "            continue\n"
-                "        owned.append(row)\n"
-                "    out.append(owned)\n"
-                "    return out\n"
-            ),
-        })
-        assert findings == []
+        """Both guard shapes cover the append: a `!= shard: continue`
+        earlier in the loop body, and an enclosing `== shard`."""
+        assert self._guarded_append(
+            "        if owner(row[1].hi) != shard:\n"
+            "            continue\n"
+            "        owned.append(row)\n"
+        ) == []
+        assert self._guarded_append(
+            "        if owner(row[1].hi) == shard:\n"
+            "            owned.append(row)\n"
+        ) == []
+
+    def test_synthetic_unguarded_append_fires(self):
+        assert self._guarded_append("        owned.append(row)\n")
+        # A guard in one loop body does not cover the appends of another.
+        assert self._guarded_append(
+            "        if owner(row[1].hi) != shard:\n"
+            "            continue\n"
+            "    for row in result.rows:\n"
+            "        owned.append(row)\n"
+        )
 
     KEY_SHARD = (
         "def run_shard(task, result, owner):\n"

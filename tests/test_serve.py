@@ -61,6 +61,28 @@ class TestStreamingBasics:
             svc.advance_to(50)
         assert svc.finish() == 0  # idempotent
 
+    def test_lag_at_positive_tau_counts_from_hi_minus_tau(self):
+        """At τ = 2 the pair [2, 5] is provable once the stream passes
+        5 - 2 = 3: an arrival at 4 delivers it with lag 1, and a flush
+        stamps it at 3 with lag 0. Neither is ever negative."""
+        svc = TemporalJoinService()
+        pairs = svc.register(star2(), tau=2, name="pairs")
+        svc.append("R1", (1, "h"), (0, 10))
+        svc.append("R2", (2, "h"), (2, 5))
+        assert svc.append("R1", (9, "h"), (4, 8)) == 1
+        [emission] = pairs.drain()
+        assert emission.interval.hi == 5
+        assert emission.at == 4 and emission.lag == 1
+        assert pairs.stats.get("serve.emit_lag.total") == 1
+
+        svc = TemporalJoinService()
+        pairs = svc.register(star2(), tau=2, name="pairs")
+        svc.append("R1", (1, "h"), (0, 10))
+        svc.append("R2", (2, "h"), (2, 5))
+        assert svc.finish() == 1
+        [emission] = pairs.drain()
+        assert emission.at == 3 and emission.lag == 0
+
     def test_iteration_ends_at_close(self):
         svc = TemporalJoinService()
         pairs = svc.register(star2(), name="pairs")

@@ -97,7 +97,8 @@ def assert_minimal_latency(handle, query, tau, db):
     once an arrival the operator actually receives starts strictly past
     ``hi - τ`` (its shrunk endpoint has then expired). The emission's
     ``at`` must be exactly the first such arrival start — or, when none
-    exists, the end-of-stream flush stamped at ``hi`` itself (zero lag).
+    exists, the end-of-stream flush stamped at ``hi - τ`` (zero lag).
+    Either way the lag, measured from ``hi - τ``, is never negative.
     """
     starts = sorted(
         iv.lo
@@ -116,10 +117,9 @@ def assert_minimal_latency(handle, query, tau, db):
                 f"{emission.at}, but was provable at {later[0]}"
             )
         else:
-            assert emission.at == emission.interval.hi
+            assert emission.at == emission.interval.hi - tau
             assert emission.lag == 0
-        if tau == 0:
-            assert emission.lag >= 0
+        assert emission.lag >= 0
 
 
 class TestServiceEqualsOffline:
