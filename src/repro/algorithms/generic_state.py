@@ -1,26 +1,47 @@
 """The §3.3 sweep state for general temporal joins (Algorithm 4).
 
 The dynamic structure is deliberately simple — hashed active tuples per
-relation, O(1) updates — and the heavy lifting happens at enumeration: at
-each right endpoint the state materializes the bags of a GHD of the query
-over the active tuples (GenericJoin) and runs Yannakakis over the bag
-tree, restricted to the expiring tuple. Per Theorem 9 this costs
-``O(N^fhtw)`` per endpoint, ``O(N^(fhtw+1) + K)`` overall.
+relation with per-attribute value buckets, O(1) updates — and the work
+happens at enumeration. At each right endpoint every active tuple
+contains the current instant, so the results of the expiring tuple are
+the non-temporal join of the active set with that tuple fixed, and no
+interval test can fail. Per Theorem 9 this costs ``O(N^fhtw)`` per
+endpoint, ``O(N^(fhtw+1) + K)`` overall.
 
-Practical refinement (pure pruning, same worst case): before
-materializing, the active relations are restricted by a BFS semijoin
-cascade seeded at the expiring tuple — every removed row provably joins
-with no result involving that tuple, so the output is unchanged while the
-per-endpoint cost tracks the *relevant* active subset rather than all of
-it. The test-suite checks the state against the naive oracle on random
-instances, so the refinement cannot silently change semantics.
+Both paths first restrict the active relations by a BFS semijoin
+cascade seeded at the expiring tuple (pure pruning, same worst case):
+every removed row provably joins with no result involving that tuple,
+so the per-endpoint cost tracks the *relevant* active subset.
+
+* **Acyclic queries** (the trivial GHD, fhtw = 1) run a seeded join over
+  the GYO join tree, oriented once per relation in ``__init__`` so the
+  expiring relation is the root. One bottom-up semijoin pass over the
+  restricted rows groups each relation by the attributes it shares with
+  its parent and keeps only rows whose every child key has a partner, so
+  each partial result extends to at least one result (O(N) per
+  endpoint). The walk down the tree then probes those groups and builds
+  one ``Interval._fast`` per row; no bag relation, trie or checked
+  interval is built per expiry. A disconnected query's components hang
+  off one another in the GYO tree by empty keys, so their join is a
+  product. Rows are bound as ``naive`` binds them: each value is the
+  literal of the first relation in ``query.edge_names`` that holds the
+  attribute, and endpoints are folded in the preorder of the Yannakakis
+  pass over the trivial GHD (running endpoint first, so a tie keeps the
+  earlier one).
+* **Cyclic queries** materialize the bags of an fhtw-optimal GHD over
+  the restricted rows (GenericJoin) and run Yannakakis over the bag
+  tree.
+
+The test-suite checks both paths against the naive oracle on random
+instances, so neither refinement can silently change semantics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.hypergraph import Hypergraph
+from ..core.hypergraph import Hypergraph, join_tree_children
 from ..core.interval import Interval
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
@@ -29,25 +50,100 @@ from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GHD, fhtw_ghd, trivial_ghd
 from ..nontemporal.yannakakis import yannakakis
 from ..obs import NULL_TRACER, Tracer
-from .hierarchical import duplicate_tuple
+from .hierarchical import duplicate_tuple, tuple_getter
 
 Values = Tuple[object, ...]
+Key = Callable[[Values], object]
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 _fast = Interval._fast
 _ALWAYS = Interval.always()
+#: The running ``(lo, hi)`` every endpoint fold starts from, as
+#: ``Interval.always().intersect`` started the Yannakakis fold.
+_UNBOUNDED = (_NEG_INF, _POS_INF)
+
+
+def _no_key(values: Values) -> Values:
+    return ()
+
+
+def _key(positions: List[int]) -> Key:
+    """Key of the given positions: a scalar for one, a tuple for several."""
+    return itemgetter(*positions) if positions else _no_key
+
+
+class _TreePlan:
+    """The join tree oriented from one relation (the acyclic path).
+
+    Slot 0 is the root; the other relations are numbered as a search from
+    the root discovers them, so every parent precedes its children. Per
+    slot: ``names[s]``; ``up[s]``, the key of the slot's own rows towards
+    its parent (``()`` for the root); ``checks[s]``, per child, the key of
+    the slot's own rows towards that child and the child's slot; and for
+    ``s > 0`` ``down[s]``, the key towards the parent read from a partial
+    result — the concatenation of the values of slots ``0..s-1``.
+    ``row_of`` picks the output values from a complete partial, and
+    ``lo_of``/``hi_of`` the endpoints in fold order from ``_UNBOUNDED``
+    followed by one ``(lo, hi)`` per slot.
+    """
+
+    __slots__ = ("names", "up", "checks", "down", "row_of", "lo_of", "hi_of")
+
+    def __init__(
+        self,
+        root: str,
+        edge_attrs: Dict[str, Tuple[str, ...]],
+        adjacency: Dict[str, List[str]],
+        sources: List[Tuple[str, int]],
+        fold: List[str],
+    ) -> None:
+        names = [root]
+        parent_name: Dict[str, Optional[str]] = {root: None}
+        stack = [root]
+        while stack:
+            name = stack.pop()
+            for other in reversed(adjacency[name]):
+                if other not in parent_name:
+                    parent_name[other] = name
+                    names.append(other)
+                    stack.append(other)
+        # The walk needs only parents before children; the endpoint fold
+        # and the value binding are fixed by ``fold`` and ``sources``.
+        slot = {name: i for i, name in enumerate(names)}
+        offset = [0]
+        for name in names:
+            offset.append(offset[-1] + len(edge_attrs[name]))
+        self.names = names
+        self.up: List[Key] = [_no_key] * len(names)
+        self.checks: List[List[Tuple[Key, int]]] = [[] for _ in names]
+        self.down: List[Key] = [_no_key] * len(names)
+        for child in names[1:]:
+            par = parent_name[child]
+            mine = edge_attrs[child]
+            theirs = edge_attrs[par]
+            shared = [a for a in mine if a in theirs]
+            s, ps = slot[child], slot[par]
+            self.up[s] = _key([mine.index(a) for a in shared])
+            self.checks[ps].append((_key([theirs.index(a) for a in shared]), s))
+            self.down[s] = _key([offset[ps] + theirs.index(a) for a in shared])
+        self.row_of = tuple_getter([offset[slot[n]] + p for n, p in sources])
+        self.lo_of = itemgetter(0, *[2 + 2 * slot[n] for n in fold])
+        self.hi_of = itemgetter(1, *[3 + 2 * slot[n] for n in fold])
 
 
 class GenericGHDState:
     """Sweep state implementing Theorem 9 / Corollary 10.
 
     :meth:`record` reports ``ghd.enumerations`` (expirations that
-    survived the semijoin restriction), ``ghd.restrict_pruned``
-    (expirations proven resultless before any materialization),
-    ``ghd.bag_rows`` (per-endpoint bag materialization sizes, as an
-    observe distribution) and ``ghd.yannakakis_passes`` to the ``stats``
-    tracer; the state collects them in plain fields as it runs.
+    survived the restriction, and on the acyclic path the reducer),
+    ``ghd.restrict_pruned`` (expirations proven resultless before any
+    enumeration), ``ghd.bag_rows`` (per enumeration, one observation per
+    bag — per relation on the acyclic path, its rows left after the
+    reducer) and ``ghd.yannakakis_passes`` (join passes run: one seeded
+    join-tree walk per enumeration on the acyclic path, one Yannakakis
+    pass over the bags on the cyclic path) to the ``stats`` tracer; the
+    state collects them in plain fields as it runs.
     """
 
     def __init__(
@@ -89,9 +185,14 @@ class GenericGHDState:
                 if shared:
                     nbrs.append((other, shared))
             self._neighbors[name] = nbrs
-        # Static per-bag plans.
-        self._bag_plans = self._build_bag_plans()
-        self._bag_hg = self.ghd.bag_hypergraph()
+        # Static plans: one join-tree orientation per relation on the
+        # acyclic path, per-bag projections on the cyclic one.
+        if self.ghd.is_trivial():
+            self._tree_plans: Optional[Dict[str, _TreePlan]] = self._build_tree_plans()
+        else:
+            self._tree_plans = None
+            self._bag_plans = self._build_bag_plans()
+            self._bag_hg = self.ghd.bag_hypergraph()
         self._stats = stats
         self._pruned = 0
         self._bag_rows = [0, 0, 0]  # count, total, max of the bag sizes
@@ -100,6 +201,44 @@ class GenericGHDState:
     # ------------------------------------------------------------------
     # Plans
     # ------------------------------------------------------------------
+    def _build_tree_plans(self) -> Dict[str, _TreePlan]:
+        """One :class:`_TreePlan` per relation, from the trivial GHD's tree.
+
+        The GHD's join tree is the GYO tree of its bag hypergraph (one bag
+        per edge). Its preorder — the order the Yannakakis pass folded bag
+        intervals in, each bag folding the edges it covers in edge order —
+        fixes the endpoint fold, whichever relation expires.
+        """
+        ghd = self.ghd
+        edge_of = {bag: group[0] for bag, group in ghd.groups.items()}
+        children = join_tree_children(ghd.parent)
+        roots = children.get("", [])
+        # GYO hangs an edge that shares nothing with the others on some
+        # other edge, so the tree spans a disconnected query's components
+        # and the walk joins them on empty keys: a product.
+        adjacency: Dict[str, List[str]] = {name: [] for name in self._edge_attrs}
+        for bag, par in ghd.parent.items():
+            if par is not None:
+                adjacency[edge_of[par]].append(edge_of[bag])
+                adjacency[edge_of[bag]].append(edge_of[par])
+        fold: List[str] = []
+        stack = list(reversed(roots))
+        while stack:
+            bag = stack.pop()
+            lam = set(ghd.bags[bag])
+            for name, attrs in self._edge_attrs.items():
+                if name not in fold and lam.issuperset(attrs):
+                    fold.append(name)
+            stack.extend(reversed(children.get(bag, [])))
+        sources: List[Tuple[str, int]] = []
+        for attr in self.query.attrs:
+            name = next(n for n, attrs in self._edge_attrs.items() if attr in attrs)
+            sources.append((name, self._edge_attrs[name].index(attr)))
+        return {
+            name: _TreePlan(name, self._edge_attrs, adjacency, sources, fold)
+            for name in self._edge_attrs
+        }
+
     def _build_bag_plans(self):
         plans = []
         for bag, lam in self.ghd.bags.items():
@@ -150,6 +289,10 @@ class GenericGHDState:
         if restricted is None:
             self._pruned += 1
             return
+        plans = self._tree_plans
+        if plans is not None:
+            self._walk(plans[relation], restricted, out)
+            return
         bag_db: Dict[str, TemporalRelation] = {}
         bag_rows = self._bag_rows
         for bag, lam, sub_hg, projections in self._bag_plans:
@@ -168,6 +311,67 @@ class GenericGHDState:
         )
         self._passes += 1
         out.extend(results.rows)
+
+    # ------------------------------------------------------------------
+    # Acyclic path: seeded join over the oriented join tree
+    # ------------------------------------------------------------------
+    def _walk(
+        self,
+        plan: _TreePlan,
+        restricted: Dict[str, Dict[Values, Interval]],
+        out: JoinResultSet,
+    ) -> None:
+        """Reduce bottom-up, then enumerate down from the expiring tuple."""
+        names = plan.names
+        up = plan.up
+        checks = plan.checks
+        groups: List[Dict[object, List[Tuple[Values, Tuple[object, object]]]]] = [
+            {} for _ in names
+        ]
+        sizes = []
+        for slot in range(len(names) - 1, -1, -1):
+            key = up[slot]
+            probes = [(own, groups[child]) for own, child in checks[slot]]
+            grouped = groups[slot]
+            kept = 0
+            for v, ivl in restricted[names[slot]].items():
+                for own, child_groups in probes:
+                    if own(v) not in child_groups:
+                        break
+                else:
+                    kept += 1
+                    k = key(v)
+                    bucket = grouped.get(k)
+                    if bucket is None:
+                        grouped[k] = [(v, (ivl.lo, ivl.hi))]
+                    else:
+                        bucket.append((v, (ivl.lo, ivl.hi)))
+            if not kept:
+                self._pruned += 1
+                return
+            sizes.append(kept)
+        # Every grouped row now extends to a result, so every probe below
+        # hits and the walk does O(1) work per partial result.
+        partials = [(v, _UNBOUNDED + ends) for v, ends in groups[0][()]]
+        down = plan.down
+        for slot in range(1, len(names)):
+            grouped = groups[slot]
+            key = down[slot]
+            partials = [
+                (vals + v, ends + e)
+                for vals, ends in partials
+                for v, e in grouped[key(vals)]
+            ]
+        row_of, lo_of, hi_of = plan.row_of, plan.lo_of, plan.hi_of
+        out.extend([
+            (row_of(vals), _fast(max(lo_of(ends)), min(hi_of(ends))))
+            for vals, ends in partials
+        ])
+        self._passes += 1
+        bag_rows = self._bag_rows
+        bag_rows[0] += len(sizes)
+        bag_rows[1] += sum(sizes)
+        bag_rows[2] = max(bag_rows[2], *sizes)
 
     def record(self, inserts: int, deletes: int, rows: int) -> None:
         """Report the ``ghd.*`` counters since the last call (see the class).

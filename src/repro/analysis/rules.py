@@ -649,8 +649,10 @@ class CheckedIntervalInLoop(Rule):
     ``Interval.always()`` inside an enumeration loop validates and
     allocates once per partial combination; the sweep states carry
     ``(lo, hi)`` numbers instead and build one interval per emitted row
-    (unchecked, ``Interval._fast``). The ``naive`` oracle is out of scope:
-    it keeps the checked arithmetic so it stays independent.
+    (unchecked, ``Interval._fast``). ``nontemporal/yannakakis.py`` is in
+    scope too: the GHD sweep state runs it over the bags of cyclic
+    queries at every expiry. The ``naive`` oracle is out of scope: it
+    keeps the checked arithmetic so it stays independent.
     """
 
     id = "checked-interval-in-loop"
@@ -674,6 +676,8 @@ class CheckedIntervalInLoop(Rule):
         base = _basename(logical)
         if _in_dirs(logical, ("kernels",)):
             return True
+        if _in_dirs(logical, ("nontemporal",)):
+            return base == "yannakakis.py"
         return _in_dirs(logical, ("algorithms",)) and (
             base in self._ALGORITHM_MODULES or base.startswith("hierarchical")
         )

@@ -1,9 +1,10 @@
 """Kernel fast path for the §3.3 GHD sweep state.
 
 Subclasses :class:`repro.algorithms.generic_state.GenericGHDState` so the
-restriction cascade, bag materialization and Yannakakis pass stay the
-single proven implementation, and adds the two things profiling shows
-dominate general sweeps on interned columns:
+restriction cascade and both enumerators — the seeded join-tree walk of
+acyclic queries and the bag materialization + Yannakakis pass of cyclic
+ones — stay the single proven implementation, and adds the two things
+profiling shows dominate general sweeps on interned columns:
 
 * a row-id sweep interface (``insert_row`` / ``expire_row``) that feeds
   the inherited machinery precomputed interned tuples and interval
@@ -13,7 +14,11 @@ dominate general sweeps on interned columns:
   ``tuple(v[p] for p in pos)`` keys per candidate row is pure overhead —
   scalar int keys probe the attribute index directly.
 
-Both are pure constant-factor work per Theorem 9 step, so the
+The state emits interned rows with τ/2-shrunk intervals; the route
+decodes and widens them in one pass (``columns.deintern_expand``). Equal
+values share one code, so the walk's value binding cannot change a
+decoded value; its endpoint fold order is what fixes endpoint types.
+Both additions are pure constant-factor work per Theorem 9 step, so the
 ``O(N^(fhtw+1) + K)`` bound is untouched.
 """
 

@@ -18,12 +18,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import QueryError
 from ..core.hypergraph import Hypergraph, join_tree_children
-from ..core.interval import Interval
+from ..core.interval import Interval, Number
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from .hash_join import semijoin
 
 Values = Tuple[object, ...]
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+_fast = Interval._fast
 
 
 def yannakakis(
@@ -83,7 +87,10 @@ def yannakakis(
     order = _preorder(children, roots)
     bound_attrs: List[str] = []
     bound_pos: Dict[str, int] = {}
-    partials: List[Tuple[Values, Interval]] = [((), Interval.always())]
+    # Partial assignments carry their running intersection as plain
+    # endpoints: max/min keep the running endpoint on a tie, as
+    # ``Interval.intersect`` did, and one interval is built per row.
+    partials: List[Tuple[Values, Number, Number]] = [((), _NEG_INF, _POS_INF)]
     for name in order:
         rel = reduced[name]
         on = [a for a in rel.attrs if a in bound_pos]
@@ -91,18 +98,20 @@ def yannakakis(
         extra_pos = rel.positions(extra)
         groups = rel.group_by(on)
         probe_pos = [bound_pos[a] for a in on]
-        new_partials: List[Tuple[Values, Interval]] = []
-        for values, interval in partials:
+        new_partials: List[Tuple[Values, Number, Number]] = []
+        for values, lo, hi in partials:
             key = tuple(values[p] for p in probe_pos)
             for rvalues, rivl in groups.get(key, ()):
                 if intersect_intervals:
-                    joint = interval.intersect(rivl)
-                    if joint is None:
+                    rlo, rhi = rivl.lo, rivl.hi
+                    joint_lo = rlo if rlo > lo else lo
+                    joint_hi = rhi if rhi < hi else hi
+                    if joint_lo > joint_hi:
                         continue
                 else:
-                    joint = interval
+                    joint_lo, joint_hi = lo, hi
                 new_partials.append(
-                    (values + tuple(rvalues[p] for p in extra_pos), joint)
+                    (values + tuple(rvalues[p] for p in extra_pos), joint_lo, joint_hi)
                 )
         partials = new_partials
         for a in extra:
@@ -114,8 +123,8 @@ def yannakakis(
     # Re-layout into the requested attribute order.
     perm = [bound_pos[a] for a in out_attrs]
     result = JoinResultSet(out_attrs)
-    for values, interval in partials:
-        result.append(tuple(values[p] for p in perm), interval)
+    for values, lo, hi in partials:
+        result.append(tuple(values[p] for p in perm), _fast(lo, hi))
     return result
 
 

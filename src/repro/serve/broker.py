@@ -37,6 +37,14 @@ from .query import Emission, StandingQuery
 
 Values = Tuple[object, ...]
 
+#: Rows built into emissions and delivered at a time: bounds what an
+#: end-of-stream flush holds besides the rows themselves.
+DELIVERY_CHUNK = 1024
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+_fast = Interval._fast
+
 
 class _Evaluation:
     """One live operator shared by every handle of one (hypergraph, τ)."""
@@ -255,42 +263,60 @@ class StreamBroker:
         rows: List[ResultRow],
         trigger: Optional[Number],
     ) -> int:
-        """Expand, project and deliver freshly finalized rows."""
+        """Expand, project and deliver freshly finalized rows.
+
+        Rows go out in chunks of :data:`DELIVERY_CHUNK`, each handed to
+        every handle in turn, so an end-of-stream flush never holds more
+        than one chunk of emissions. Each handle sees its rows in order,
+        and its watermark moves with the last chunk, once every row it
+        covers has been delivered.
+        """
+        watermark = self._watermark
+        if not rows:
+            for handle in evaluation.handles:
+                handle._deliver([], watermark)
+            return 0
         half = evaluation.half
         tau = evaluation.tau
-        watermark = self._watermark
-        delivered = 0
         stats = self.stats
-        emissions: List[Emission] = []
-        if rows:
-            with stats.timer("phase.serve.deliver"):
-                for values, iv in rows:
-                    out_iv = iv.expand(half) if half else iv
+        targets = [
+            (handle, evaluation.projection(handle.query))
+            for handle in evaluation.handles
+        ]
+        delivered = 0
+        with stats.timer("phase.serve.deliver"):
+            for start in range(0, len(rows), DELIVERY_CHUNK):
+                chunk = rows[start:start + DELIVERY_CHUNK]
+                last = start + DELIVERY_CHUNK >= len(rows)
+                emissions: List[Emission] = []
+                for values, iv in chunk:
+                    if half:
+                        # Interval.expand's arithmetic: infinite endpoints
+                        # are fixed points, and widening keeps lo <= hi.
+                        lo, hi = iv.lo, iv.hi
+                        iv = _fast(
+                            lo - half if lo > _NEG_INF else lo,
+                            hi + half if hi < _POS_INF else hi,
+                        )
                     # End-of-stream flushes carry no event time; their
                     # emissions are stamped at the instant they became
                     # provable, `hi - τ` (zero lag by construction).
-                    at = trigger if trigger is not None else out_iv.hi - tau
-                    emissions.append(Emission(values, out_iv, at, tau))
-                for handle in evaluation.handles:
-                    projection = evaluation.projection(handle.query)
-                    if projection is None:
-                        handle._deliver(emissions, watermark)
+                    at = trigger if trigger is not None else iv.hi - tau
+                    emissions.append(Emission(values, iv, at, tau))
+                for handle, projection in targets:
+                    if projection is not None:
+                        handle_emissions = [
+                            Emission(
+                                tuple(e.values[p] for p in projection),
+                                e.interval,
+                                e.at,
+                                tau,
+                            )
+                            for e in emissions
+                        ]
                     else:
-                        handle._deliver(
-                            [
-                                Emission(
-                                    tuple(e.values[p] for p in projection),
-                                    e.interval,
-                                    e.at,
-                                    tau,
-                                )
-                                for e in emissions
-                            ],
-                            watermark,
-                        )
+                        handle_emissions = emissions
+                    handle._deliver(handle_emissions, watermark if last else None)
                     delivered += len(emissions)
-            stats.incr("serve.results_emitted", len(rows))
-        else:
-            for handle in evaluation.handles:
-                handle._deliver([], watermark)
+        stats.incr("serve.results_emitted", len(rows))
         return delivered

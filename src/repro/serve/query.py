@@ -232,13 +232,27 @@ class StandingQuery:
     def _deliver(self, emissions: List[Emission], watermark: Optional[Number]) -> None:
         """Deliver finalized rows; apply the backpressure policy."""
         stats = self.stats
-        for emission in emissions:
+        if emissions:
             if self._retained is not None:
-                self._retained.append(emission.values, emission.interval)
-            self._delivered += 1
-            stats.incr("serve.results_delivered")
-            lag = emission.lag
-            stats.observe("serve.emit_lag", lag if lag == lag else 0)
+                self._retained.extend([(e.values, e.interval) for e in emissions])
+            self._delivered += len(emissions)
+            # The values of one ``observe("serve.emit_lag", lag)`` per
+            # emission: the total folds onto the recorded one in emission
+            # order, and a NaN lag (an unbounded row at the end-of-stream
+            # flush, inf - inf) counts as 0.
+            counters = stats.counters
+            total = counters.get("serve.emit_lag.total", 0)
+            largest = 0
+            for e in emissions:
+                lag = e.lag
+                if lag == lag:
+                    total += lag
+                    if lag > largest:
+                        largest = lag
+            stats.incr("serve.results_delivered", len(emissions))
+            stats.incr("serve.emit_lag.count", len(emissions))
+            counters["serve.emit_lag.total"] = total
+            stats.peak("serve.emit_lag.max", largest)
         if watermark is not None and (
             self._watermark is None or watermark > self._watermark
         ):

@@ -1,10 +1,14 @@
 """Self-tests for every repro-lint rule: one good and one bad fixture each,
 plus suppression, baseline and engine-level behavior."""
 
+import os
 import textwrap
 
 from repro.analysis.engine import Baseline, BaselineEntry, lint_source, run_lint
 from repro.analysis.rules import default_rules
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def findings_for(source, logical, rule_id=None):
@@ -471,12 +475,13 @@ class TestCheckedIntervalInLoop:
             "src/repro/algorithms/generic_state.py",
             "src/repro/algorithms/hybrid_interval.py",
             "src/repro/kernels/columns.py",
+            "src/repro/nontemporal/yannakakis.py",
         ):
             assert len(findings_for(src, logical, self.RULE)) == 1, logical
         for logical in (
             "src/repro/algorithms/naive.py",
             "src/repro/algorithms/joinfirst.py",
-            "src/repro/nontemporal/yannakakis.py",
+            "src/repro/nontemporal/generic_join.py",
             "src/repro/core/interval.py",
         ):
             assert findings_for(src, logical, self.RULE) == [], logical
@@ -484,6 +489,20 @@ class TestCheckedIntervalInLoop:
     def test_real_sweep_states_are_clean(self):
         report = run_lint(["src/repro"], rules=default_rules())
         assert [f for f in report.findings if f.rule == self.RULE] == []
+
+    def test_checked_intersect_in_the_real_yannakakis_loop_fires(self):
+        logical = "src/repro/nontemporal/yannakakis.py"
+        with open(os.path.join(REPO_ROOT, logical)) as fh:
+            source = fh.read()
+        assert findings_for(source, logical, self.RULE) == []
+        needle = "                    joint_lo = rlo if rlo > lo else lo\n"
+        assert needle in source
+        tampered = source.replace(
+            needle, "                    joint = rivl.intersect(_fast(lo, hi))\n" + needle
+        )
+        found = findings_for(tampered, logical, self.RULE)
+        assert [f.line for f in found] == [source[:source.index(needle)].count("\n") + 1]
+        assert ".intersect" in found[0].message
 
 
 class TestUnusedImport:

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro import prepare, run_batch, temporal_join
 from repro.algorithms.hierarchical import HierarchicalState
 from repro.algorithms.hybrid_interval import hybrid_interval_join
+from repro.algorithms.naive import naive_join
 from repro.core.durability import shrink_database
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
@@ -46,6 +47,7 @@ from repro.kernels import (
     make_state,
     prepare_run,
 )
+from repro.nontemporal.yannakakis import yannakakis
 from repro.obs import ExecutionStats
 from repro.serve import TemporalJoinService
 
@@ -229,9 +231,19 @@ GOLDEN = {
     ("line3", "kernel", 0): ("b8802ace6aef6977", 42, {"results": 42}),
     ("line3", "kernel", 3): ("9f550af01eb94690", 2, {"results": 2}),
     ("line3", "kernel", 0.3): ("8bd09c3b47df8196", 22, {"results": 22}),
-    ("line3", "object", 0): ("d531d1c278493bb6", 42, {"results": 42}),
+    # The GHD state's acyclic walk binds each value as ``naive`` does (the
+    # first relation in edge order that holds the attribute). The bag
+    # materialization it replaced took a GenericJoin trie's first-seen
+    # value among the active rows, which could be a value no constituent
+    # holds (``2`` where both R1 and R2 hold ``2.0``). Re-recorded on the
+    # object and serve routes at τ = 0 and 0.3: object d531d1c278493bb6 ->
+    # dd1e629c8719f05d and e26eefe265109ded -> 5d29026dab6c6328, serve
+    # bd3d541b9b81caa6 -> dd1e629c8719f05d and 681f9aca5eab7015 ->
+    # 5d29026dab6c6328. Row counts did not move. The kernel routes decode
+    # codes through the domain tables, so their values did not move.
+    ("line3", "object", 0): ("dd1e629c8719f05d", 42, {"results": 42}),
     ("line3", "object", 3): ("9f550af01eb94690", 2, {"results": 2}),
-    ("line3", "object", 0.3): ("e26eefe265109ded", 22, {"results": 22}),
+    ("line3", "object", 0.3): ("5d29026dab6c6328", 22, {"results": 22}),
     ("line3", "kernel-workers3", 0): ("6958a2ebc9e6471d", 42, {"results": 58}),
     ("line3", "kernel-workers3", 3): ("9f550af01eb94690", 2, {"results": 2}),
     ("line3", "kernel-workers3", 0.3): ("8bd09c3b47df8196", 22, {"results": 31}),
@@ -279,9 +291,9 @@ GOLDEN = {
             "hi.core_pruned": 17, "hi.core_tuples": 27, "hi.recursions": 10, "results": 22,
         },
     ),
-    ("line3", "serve", 0): ("bd3d541b9b81caa6", 42, {}),
+    ("line3", "serve", 0): ("dd1e629c8719f05d", 42, {}),
     ("line3", "serve", 3): ("9f550af01eb94690", 2, {}),
-    ("line3", "serve", 0.3): ("681f9aca5eab7015", 22, {}),
+    ("line3", "serve", 0.3): ("5d29026dab6c6328", 22, {}),
     ("star-with-core", "kernel", 0): (
         "02d07cff3914d025", 32, {"hier.report_fragments": 32, "results": 32},
     ),
@@ -383,6 +395,32 @@ def test_bag_tie_keeps_the_running_endpoint(route):
     }
     rows = ROUTES[route](query, database, 0, None)
     assert typed(rows) == [(("0", "0", "0"), "1", "5")]
+
+
+def _tie_line3():
+    # All three rows tie on both endpoints; only R3's are floats.
+    intervals = {"R1": (1, 5), "R2": (1, 5), "R3": (1.0, 5.0)}
+    return {
+        name: TemporalRelation(name, LINE3.edge(name), [((0, 0), intervals[name])])
+        for name in LINE3.edge_names
+    }
+
+
+@pytest.mark.parametrize("route", ["object", "kernel", "serve"])
+def test_walk_tie_keeps_the_first_endpoint_in_gyo_preorder(route):
+    # The GYO tree of line3 is R1 - R2 - R3 rooted at R3, so the fold
+    # visits R3 first and its floats survive the tie, as they did in the
+    # Yannakakis pass over the trivial GHD. Whichever relation expires,
+    # the fold order stays the same.
+    rows = ROUTES[route](LINE3, _tie_line3(), 0, None)
+    assert typed(rows) == [(("0", "0", "0", "0"), "1.0", "5.0")]
+
+
+def test_yannakakis_tie_keeps_the_running_endpoint():
+    # Same preorder (R3, R2, R1): the running endpoint, R3's float,
+    # survives the ties with R2's and R1's ints.
+    rows = yannakakis(LINE3.hypergraph, _tie_line3(), attr_order=LINE3.attrs)
+    assert typed(rows) == [(("0", "0", "0", "0"), "1.0", "5.0")]
 
 
 def test_hybrid_interval_clip_tie_takes_the_core_endpoint():
@@ -602,3 +640,54 @@ def test_kernel_route_equals_shrink_then_expand(case, tau):
         query, shrink_database(database, tau), engine="kernel"
     ).expand_intervals(tau / 2 if tau else 0)
     assert typed(got) == typed(two_pass)
+
+
+# ----------------------------------------------------------------------
+# The GHD state's acyclic walk: naive's values, every route equal to it.
+# ----------------------------------------------------------------------
+#: Acyclic, not hierarchical: x2's relations (R1, R2) and x3's (R2, R3,
+#: R4) overlap without nesting, and R2 has two children in the tree.
+BRANCH = JoinQuery(
+    {"R1": ("x1", "x2"), "R2": ("x2", "x3"), "R3": ("x3", "x4"), "R4": ("x3", "x5")}
+)
+#: Two components, so the walk enumerates a product.
+LINE3_AND_EDGE = JoinQuery(
+    {"R1": ("x1", "x2"), "R2": ("x2", "x3"), "R3": ("x3", "x4"), "R4": ("y1", "y2")}
+)
+GHD_SHAPES = [LINE3, JoinQuery.line(4), BRANCH, LINE3_AND_EDGE]
+
+
+def test_ghd_shapes_run_the_ghd_state():
+    for query in GHD_SHAPES:
+        assert query.hypergraph.is_acyclic() and not query.is_hierarchical
+
+
+@pytest.mark.parametrize("route", ["object", "serve"])
+def test_ghd_values_are_the_ones_naive_binds(route):
+    # In line3 a row's values determine its constituents, so naive's row
+    # with equal values is the one built from the same tuples.
+    for seed in range(30):
+        database = instance(LINE3, seed)
+        for tau in TAUS:
+            bound = {
+                values: tuple(map(repr, values))
+                for values, _ in naive_join(LINE3, database, tau)
+            }
+            rows = ROUTES[route](LINE3, database, tau, None)
+            assert len(rows) == len(bound)
+            for values, _ in rows:
+                assert tuple(map(repr, values)) == bound[values], (seed, tau)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=instances(GHD_SHAPES),
+    tau=taus,
+    route=st.sampled_from(["object", "kernel", "serve"]),
+)
+def test_ghd_routes_equal_naive(case, tau, route):
+    query, database = case
+    got = ROUTES[route](query, database, tau, None)
+    assert JoinResultSet(query.attrs, list(got)).normalized() == (
+        naive_join(query, database, tau).normalized()
+    )

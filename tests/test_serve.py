@@ -4,9 +4,12 @@ import threading
 
 import pytest
 
+import repro.serve.broker as broker_module
 from repro.algorithms.registry import temporal_join
 from repro.core.errors import QueryError
 from repro.core.query import JoinQuery
+from repro.core.relation import TemporalRelation
+from repro.obs import ExecutionStats
 from repro.serve import (
     Backpressure,
     StandingQuery,
@@ -428,3 +431,101 @@ class TestTelemetryAndReports:
         assert stats.get("serve.fanout_inserts") == n
         assert stats.timers.get("phase.serve.ingest", 0) > 0
         assert stats.timers.get("phase.serve.pass", 0) > 0
+
+
+class TestChunkedDelivery:
+    """Rows leave the broker ``DELIVERY_CHUNK`` at a time, as one batch did."""
+
+    def _run(self, monkeypatch, chunk, policy=Backpressure.BLOCK, buffer_size=1024):
+        query = star2()
+        variant = JoinQuery(
+            {name: query.edge(name) for name in query.edge_names},
+            attr_order=tuple(reversed(query.attrs)),
+        )
+        svc = TemporalJoinService()
+        handles = [
+            svc.register(q, name=name, tau=2, policy=policy, buffer_size=buffer_size)
+            for name, q in (("canon", query), ("reversed", variant))
+        ]
+        watched = svc.register(query, name="watched", tau=2)
+        seen = []
+        watched.subscribe(lambda e: seen.append((e, watched.watermark)))
+        sizes = []
+        deliver = StandingQuery._deliver
+
+        def recording(handle, emissions, watermark):
+            if emissions:
+                sizes.append(len(emissions))
+            return deliver(handle, emissions, watermark)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(broker_module, "DELIVERY_CHUNK", chunk)
+            patch.setattr(StandingQuery, "_deliver", recording)
+            svc.append("R1", (1, "h"), (0, 100))
+            for k in range(10):
+                # Every R2 tuple outlives the last arrival: all ten
+                # results leave in the end-of-stream flush.
+                svc.append("R2", (k, "h"), (k, k + 50))
+            assert sizes == []
+            svc.finish()
+        return {
+            "drained": {h.name: h.drain() for h in handles},
+            "snapshots": {h.name: list(h.snapshot().results) for h in handles},
+            "watermarks": {h.name: h.watermark for h in handles + [watched]},
+            "handle_counters": {h.name: h.stats.counters for h in handles + [watched]},
+            "counters": svc.telemetry().counters,
+            "seen": [emission for emission, _ in seen],
+        }, sizes, [watermark for _, watermark in seen]
+
+    def test_chunks_keep_order_watermark_and_counters(self, monkeypatch):
+        whole, whole_sizes, _ = self._run(monkeypatch, 1024)
+        chunked, chunked_sizes, _ = self._run(monkeypatch, 3)
+        assert whole_sizes == [10] * 3
+        assert chunked_sizes == [3, 3, 3] * 3 + [1] * 3
+        # A subscriber sees the same emissions; only the watermark it
+        # reads mid-flush differs (next test).
+        assert chunked == whole
+        assert [e.values for e in chunked["drained"]["canon"]] == [
+            (1, "h", k) for k in range(10)
+        ]
+
+    def test_watermark_moves_with_the_last_chunk(self, monkeypatch):
+        # A snapshot taken mid-flush never claims the end-of-stream
+        # watermark before every flushed row is retained.
+        chunked, _, watermarks = self._run(monkeypatch, 3)
+        assert watermarks == [9] * 9 + [float("inf")]
+        assert chunked["watermarks"]["watched"] == float("inf")
+
+    def test_backpressure_drops_the_same_emissions(self, monkeypatch):
+        whole, _, _ = self._run(monkeypatch, 1024, Backpressure.DROP_OLDEST, 4)
+        chunked, _, _ = self._run(monkeypatch, 3, Backpressure.DROP_OLDEST, 4)
+        assert chunked == whole
+        assert whole["counters"]["serve.dropped"] == 12
+        assert [e.values for e in chunked["drained"]["canon"]] == [
+            (1, "h", k) for k in range(6, 10)
+        ]
+
+    def test_batch_counters_equal_one_observe_per_emission(self):
+        rng = random.Random(11)
+        query = JoinQuery.line(3)
+        db = random_database(query, rng, n=30, domain=4)
+        # Unbounded rows: their flush lag is inf - inf, a NaN counted as 0.
+        for name in query.edge_names:
+            db[name] = TemporalRelation(
+                name, query.edge(name), list(db[name]) + [((9, 9), (5, float("inf")))]
+            )
+        for tau in (0, 3, 0.5):
+            svc = TemporalJoinService()
+            handle = svc.register(query, name="q", tau=tau, buffer_size=10**6)
+            svc.ingest_database(db)
+            reference = ExecutionStats()
+            for emission in handle.drain():
+                lag = emission.lag
+                reference.incr("serve.results_delivered")
+                reference.observe("serve.emit_lag", lag if lag == lag else 0)
+            assert reference.get("serve.results_delivered") > 0, tau
+            assert {
+                key: value
+                for key, value in handle.stats.counters.items()
+                if key.startswith(("serve.results_delivered", "serve.emit_lag"))
+            } == reference.counters

@@ -8,6 +8,8 @@ from repro.algorithms.timefirst import sweep, timefirst_join
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
+from repro.core.result import JoinResultSet
+from repro.obs import ExecutionStats
 
 from conftest import random_database
 
@@ -54,12 +56,50 @@ class TestGenericState:
         # No matching partner: enumerate returns without materializing.
         q = JoinQuery.line(2)
         state = GenericGHDState(q)
-        from repro.core.result import JoinResultSet
-
         out = JoinResultSet(q.attrs)
         state.insert("R1", (1, 2), Interval(0, 5))
         state.enumerate_results("R1", (1, 2), Interval(0, 5), out)
         assert len(out) == 0
+
+
+    def test_reducer_emptied_expiry_counts_as_pruned(self):
+        # The restriction keeps a row in every relation, but no R2 row
+        # meets both an R3 and an R4 row: the bottom-up pass empties R2.
+        q = JoinQuery(
+            {"R1": ("a", "b"), "R2": ("b", "c"), "R3": ("c", "d"), "R4": ("c", "e")}
+        )
+        stats = ExecutionStats()
+        state = GenericGHDState(q, stats=stats)
+        rows = {"R1": [(0, 1)], "R2": [(1, 1), (1, 2)], "R3": [(1, 5)], "R4": [(2, 6)]}
+        for name, values in rows.items():
+            for v in values:
+                state.insert(name, v, Interval(0, 9))
+        out = JoinResultSet(q.attrs)
+        state.enumerate_results("R1", (0, 1), Interval(0, 9), out)
+        assert len(out) == 0
+        state.record(5, 1, 0)
+        assert stats.counters == {"ghd.restrict_pruned": 1}
+
+    def test_acyclic_counters(self):
+        q = JoinQuery.line(3)
+        stats = ExecutionStats()
+        state = GenericGHDState(q, stats=stats)
+        rows = {"R1": [(0, 1), (5, 1)], "R2": [(1, 2), (1, 3)], "R3": [(2, 7), (4, 4)]}
+        for name, values in rows.items():
+            for v in values:
+                state.insert(name, v, Interval(0, 9))
+        out = JoinResultSet(q.attrs)
+        state.enumerate_results("R2", (1, 2), Interval(0, 9), out)
+        state.enumerate_results("R2", (1, 3), Interval(0, 9), out)
+        assert sorted(values for values, _ in out) == [(0, 1, 2, 7), (5, 1, 2, 7)]
+        state.record(6, 2, 2)
+        # One observation per relation of the enumerating expiry: the
+        # rows left after the restriction and the reducer (R1 2, R2 1, R3 1).
+        assert stats.counters == {
+            "ghd.restrict_pruned": 1, "ghd.enumerations": 1,
+            "ghd.bag_rows.count": 3, "ghd.bag_rows.total": 4, "ghd.bag_rows.max": 2,
+            "ghd.yannakakis_passes": 1,
+        }
 
 
 class TestTimefirstDispatch:
