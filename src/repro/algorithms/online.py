@@ -235,7 +235,13 @@ def stream_temporal_join(
 def arrivals_from_database(
     database: Mapping[str, TemporalRelation]
 ) -> List[Tuple[str, Values, Interval]]:
-    """Flatten a stored database into a start-ordered arrival stream."""
+    """Flatten a stored database into a start-ordered arrival stream.
+
+    Each arrival's values are in its relation's *stored* attribute
+    order. A consumer that reads them by position in another order (a
+    query edge, a broker schema) must reorder the relations first, as
+    :meth:`repro.serve.TemporalJoinService.ingest_database` does.
+    """
     out: List[Tuple[str, Values, Interval]] = []
     for name, rel in database.items():
         for values, interval in rel:

@@ -112,6 +112,13 @@ class StreamBroker:
     def evaluations(self) -> List[_Evaluation]:
         return list(self._evaluations.values())
 
+    def schema(self, relation: str) -> Optional[Tuple[str, ...]]:
+        """The attribute order the templates read ``relation`` in (``None``
+        when no registered template reads it): :meth:`append` takes its
+        values in this order."""
+        known = self._schemas.get(relation)
+        return None if known is None else known[0]
+
     # ------------------------------------------------------------------
     # Registration (service-internal)
     # ------------------------------------------------------------------

@@ -174,7 +174,11 @@ class TemporalJoinService:
     # Streaming ingest (delegates to the broker)
     # ------------------------------------------------------------------
     def append(self, relation: str, values: Values, interval: IntervalLike) -> int:
-        """Ingest one tuple now; returns the emissions it finalized."""
+        """Ingest one tuple now; returns the emissions it finalized.
+
+        ``values`` are in the relation's registered attribute order
+        (:meth:`StreamBroker.schema`), the query edge's order.
+        """
         with self.stats.timer("phase.serve.ingest"):
             return self.broker.append(relation, values, interval)
 
@@ -194,18 +198,41 @@ class TemporalJoinService:
     def ingest_database(self, database: Database, *, finish: bool = True) -> int:
         """Stream a stored database through the service in one pass.
 
-        Replays the endpoint-ordered arrival stream through the live
-        broker and, unless ``finish=False`` leaves the stream open,
+        Relations are read by attribute name: each one a registered
+        template reads is laid out in the broker's order for that name
+        (:meth:`TemporalRelation.reordered`), whatever order it is
+        stored in, and :class:`QueryError` names a relation whose
+        attribute set differs. Relations no template reads pass as they
+        are. Replays the endpoint-ordered arrival stream through the
+        live broker and, unless ``finish=False`` leaves the stream open,
         finishes it. Returns the number of emissions delivered. Counts
         one ``serve.ingest_passes`` — N standing queries share the pass.
         """
         if self.broker.closed:
             raise QueryError("ingest_database after finish() on the service")
+        database = {
+            name: self._registered_order(name, relation)
+            for name, relation in database.items()
+        }
         self.stats.incr("serve.ingest_passes")
         started = time.perf_counter()
         delivered = self.ingest_stream(arrivals_from_database(database), finish)
         self.stats.add_time("phase.serve.pass", time.perf_counter() - started)
         return delivered
+
+    def _registered_order(
+        self, name: str, relation: TemporalRelation
+    ) -> TemporalRelation:
+        """``relation`` with its values in the order the templates read it."""
+        attrs = self.broker.schema(name)
+        if attrs is None:
+            return relation
+        if set(attrs) != set(relation.attrs):
+            raise QueryError(
+                f"relation {name!r} is stored with attributes {relation.attrs}, "
+                f"but the registered templates read it as {attrs}"
+            )
+        return relation.reordered(attrs)
 
     def ingest_stream(
         self,

@@ -225,8 +225,8 @@ class TestFilterThenClip:
         assert stats.counters == want
 
 
-# Endpoints as in tests/test_kernel_equivalence.py: a small int range plus
-# +/-inf, so duplicate, touching and zero-length intervals are common.
+# Endpoints from a small int range plus +/-inf, so duplicate, touching
+# and zero-length intervals are common.
 _lo = st.one_of(st.integers(min_value=-4, max_value=6), st.just(-_INF))
 _dur = st.one_of(st.integers(min_value=0, max_value=5), st.just(_INF))
 

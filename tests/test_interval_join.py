@@ -1,13 +1,17 @@
-"""Tests for the forward-scan interval join and self-overlap pairs."""
+"""Tests for the forward-scan interval join, self-overlap pairs and the
+strategy dispatch's errors (strategy equality is a route-matrix row)."""
 
 import random
 
 import pytest
 
 from repro.algorithms.interval_join import (
+    JOIN_STRATEGIES,
     forward_scan_join,
+    interval_join,
     self_overlap_pairs,
 )
+from repro.core.errors import QueryError
 from repro.core.interval import Interval
 
 
@@ -91,3 +95,26 @@ class TestSelfOverlap:
                 if items[i][1].intersects(items[j][1]):
                     brute += 1
         assert len(pairs) == brute
+
+
+class TestDispatch:
+    def test_all_strategies_registered(self):
+        assert set(JOIN_STRATEGIES) == {"forward-scan", "lazy-sweep"}
+
+    def test_unknown_strategy(self):
+        # "index" is a retired strategy name, rejected like any other.
+        for strategy in ("quantum", "index"):
+            with pytest.raises(QueryError) as exc:
+                interval_join([], [], strategy=strategy)
+            # The error must name the valid strategies.
+            assert "lazy-sweep" in str(exc.value)
+
+    def test_unknown_predicate(self):
+        with pytest.raises(QueryError) as exc:
+            interval_join([], [], predicate="sideways")
+        assert "overlaps" in str(exc.value)
+
+    def test_predicate_needs_capable_strategy(self):
+        with pytest.raises(QueryError) as exc:
+            interval_join([], [], strategy="forward-scan", predicate="meets")
+        assert "lazy-sweep" in str(exc.value)

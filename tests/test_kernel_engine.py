@@ -3,9 +3,8 @@
 The kernel substrate's contract is *indistinguishability*: the same
 normalized results, the same ``sweep.*`` / ``hier.*`` counter values and
 the same dispatch ergonomics as the object path, plus the ``kernel.*``
-telemetry that is new. The heavier randomized equality guarantees live
-in ``test_kernel_equivalence.py`` (hypothesis); this file pins the
-mechanics.
+telemetry that is new. The randomized result equality is a row of
+``test_route_matrix.py`` (hypothesis); this file pins the mechanics.
 """
 
 import math

@@ -14,9 +14,11 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import InvariantError
 from repro.core.interval import Interval
+from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.kernels.columns import _sorted_event_codes, build_columns
 
@@ -459,3 +461,84 @@ class TestSemijoinPass:
         ])
         db = random_instance(query, rng, n=10, domain=3, time_span=30, max_duration=6)
         assert_pass_matches_reference(query, db, rng.choice([0, 0, 2, 5]))
+
+
+#: REPORT enumerates insertion-ordered leaf buckets on these shapes, so
+#: the reduced read emits the unreduced read's rows in its order.
+ORDER_STABLE = (
+    JoinQuery.star(2),
+    JoinQuery.star(3),
+    JoinQuery({"R0": ("y",), "R1": ("x1", "y"), "R2": ("x2", "y")}),
+)
+#: A case-3 member set, GHD key sets and the r-hierarchical reduction:
+#: the same rows, in an order that may follow hash-table history.
+ANY_ORDER = (
+    JoinQuery.line(3),
+    JoinQuery.triangle(),
+    JoinQuery({"R1": ("a", "b", "c"), "R2": ("a", "b"), "R3": ("a", "d")}),
+    JoinQuery({"Big": ("a", "b", "c"), "Left": ("a", "b"), "Right": ("b", "c")}),
+)
+
+
+@st.composite
+def _semijoin_instance(draw):
+    """Values and endpoints that compare equal across types."""
+    query = draw(st.sampled_from(ORDER_STABLE + ANY_ORDER))
+    value = st.sampled_from([0, 1, 1.0, True, 2, 2.0])
+    start = st.sampled_from([-2, 0, 1, 1.0, 2, 3, 3.0, 5, -_INF])
+    length = st.sampled_from([0, 0, 1, 2, 2.0, 4, _INF])
+    database = {}
+    for name in query.edge_names:
+        attrs = query.edge(name)
+        rows = {}
+        for values, lo, n in draw(st.lists(
+            st.tuples(st.tuples(*[value] * len(attrs)), start, length), max_size=7
+        )):
+            rows.setdefault(values, Interval(lo, n if lo == -_INF else lo + n))
+        database[name] = TemporalRelation(name, attrs, list(rows.items()))
+    return query, database
+
+
+def _typed(rows):
+    return [(tuple(map(repr, values)), repr(iv.lo), repr(iv.hi)) for values, iv in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_semijoin_instance(), tau=st.sampled_from([0, 0, 1, 3]))
+def test_semijoin_pass_is_exact_and_keeps_rows_and_order(instance, tau):
+    """The pass drops no constituent of a result, and the reduced read
+    emits the unreduced read's rows with its value and endpoint types
+    (in its order where REPORT's enumeration does not follow history)."""
+    from repro import prepare, temporal_join
+    from repro.algorithms.naive import naive_join
+    from repro.algorithms.timefirst import needs_reduction, prepare_run
+    from repro.kernels.columns import build_shrunk_columns
+    from repro.kernels.engine import kernel_columns, sweep_columns
+
+    query, database = instance
+    order = list if query in ORDER_STABLE else sorted
+    want = naive_join(query, database, tau=tau)
+    got = temporal_join(query, database, tau, algorithm="timefirst", engine="kernel")
+    assert got.same_results(want)
+    if needs_reduction(query):
+        run_query, run_db = prepare_run(query, database, tau)
+        unreduced = sweep_columns(run_query, build_columns(run_db), tau)
+    else:
+        unreduced = sweep_columns(query, build_shrunk_columns(database, tau), tau)
+    assert order(_typed(got)) == order(_typed(unreduced))
+    if needs_reduction(query):
+        return
+    _, columns = kernel_columns(query, database, tau)
+    kept = {
+        (name, tuple(columns.domains[a][c] for a, c in zip(query.edge(name), values)))
+        for name, values in zip(columns.row_relation, columns.row_values)
+    }
+    for values, _ in want:
+        row = dict(zip(want.attrs, values))
+        for name in query.edge_names:
+            assert (name, tuple(row[a] for a in query.edge(name))) in kept
+    # Likewise for a prepared read against its unreduced τ-view sweep.
+    artifact = prepare(database)
+    warm = temporal_join(query, database, tau, prepared=artifact, algorithm="timefirst")
+    view = sweep_columns(query, artifact.columns_for(query, tau), tau)
+    assert order(_typed(warm)) == order(_typed(view))

@@ -2,7 +2,9 @@
 
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import repro.serve.broker as broker_module
 from repro.algorithms.registry import temporal_join
@@ -397,6 +399,20 @@ class TestBulkIngest:
         with pytest.raises(QueryError, match="finish"):
             svc.ingest_database({})
 
+    def test_relations_are_read_by_attribute_name(self):
+        svc = TemporalJoinService()
+        svc.register(star2(), name="q")
+        wrong = {
+            "R1": TemporalRelation("R1", ("x1", "z"), [((1, "h"), (0, 5))]),
+            "R2": TemporalRelation("R2", ("x2", "y"), []),
+        }
+        with pytest.raises(QueryError, match="'R1'"):
+            svc.ingest_database(wrong)
+        # A relation no template reads passes whatever its attributes.
+        unread = TemporalRelation("S", ("q",), [((1,), (0, 5))])
+        assert svc.ingest_database({"S": unread}) == 0
+        assert svc.telemetry().get("serve.unmatched_appends") == 1
+
 
 class TestTelemetryAndReports:
     def test_slo_report_lists_every_query(self):
@@ -424,9 +440,11 @@ class TestTelemetryAndReports:
         db = random_database(query, rng, n=10, domain=3)
         svc = TemporalJoinService()
         svc.register(query, name="q")
+        svc.register(query, name="q2")  # shares the pass and the operator
         svc.ingest_database(db)
         stats = svc.telemetry()
         n = sum(len(rel) for rel in db.values())
+        assert stats.get("serve.ingest_passes") == 1
         assert stats.get("serve.appends") == n
         assert stats.get("serve.fanout_inserts") == n
         assert stats.timers.get("phase.serve.ingest", 0) > 0
@@ -529,3 +547,62 @@ class TestChunkedDelivery:
                 for key, value in handle.stats.counters.items()
                 if key.startswith(("serve.results_delivered", "serve.emit_lag"))
             } == reference.counters
+
+
+class TestEmissionLatency:
+    """Each emission leaves at the earliest instant that proves it settled.
+
+    A result with (expanded) right endpoint ``hi`` is provably complete
+    once an arrival the operator actually receives starts strictly past
+    ``hi - τ`` (its shrunk endpoint has then expired). The emission's
+    ``at`` must be exactly the first such arrival start — or, when none
+    exists, the end-of-stream flush stamped at ``hi - τ`` (zero lag).
+    Either way the lag, measured from ``hi - τ``, is never negative.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        n=st.integers(min_value=6, max_value=14),
+        tau=st.sampled_from([0, 3]),
+        family=st.sampled_from(["star3", "line3", "triangle"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_live_broker_emits_at_first_proof(self, seed, n, tau, family):
+        query = {
+            "star3": JoinQuery.star(3),
+            "line3": JoinQuery.line(3),
+            "triangle": JoinQuery.triangle(),
+        }[family]
+        db = random_database(
+            query, random.Random(seed), n, domain=3, time_span=30, max_duration=10
+        )
+        service = TemporalJoinService()
+        handle = service.register(query, tau=tau, name="q", buffer_size=1_000_000)
+        service.ingest_database(db)
+        starts = sorted(
+            iv.lo
+            for name in query.edge_names
+            for _, iv in db[name]
+            if tau == 0 or (iv.hi - iv.lo) >= tau  # shrunk-away tuples never arrive
+        )
+        for emission in handle.drain():
+            threshold = emission.interval.hi - tau
+            later = [lo for lo in starts if lo > threshold]
+            if later:
+                assert emission.at == later[0], (
+                    f"emission {emission.values} {emission.interval} left at "
+                    f"{emission.at}, but was provable at {later[0]}"
+                )
+            else:
+                assert emission.at == emission.interval.hi - tau
+                assert emission.lag == 0
+            assert emission.lag >= 0
+
+    def test_declared_watermark_is_a_proof_too(self):
+        service = TemporalJoinService()
+        handle = service.register(JoinQuery.star(2), name="q")
+        service.append("R1", (1, "h"), (0, 10))
+        service.append("R2", (2, "h"), (2, 5))
+        service.advance_to(6)
+        [emission] = handle.drain()
+        assert emission.at == 6 and emission.lag == 1
