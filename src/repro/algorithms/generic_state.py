@@ -30,7 +30,15 @@ so the per-endpoint cost tracks the *relevant* active subset.
   earlier one).
 * **Cyclic queries** materialize the bags of an fhtw-optimal GHD over
   the restricted rows (GenericJoin) and run Yannakakis over the bag
-  tree.
+  tree. Each bag is one :class:`BagPlan`, built once in ``__init__``;
+  HYBRID (Algorithm 5) materializes its bags through the same plan
+  over the whole input.
+
+Both paths append rows with values as stored and endpoints as
+intersected. A kernel subclass sets ``_decode`` (one table per output
+attribute) and ``_half``, and both paths then append final rows —
+values decoded, endpoints widened by ``_half`` — building each row and
+its one interval once.
 
 The test-suite checks both paths against the naive oracle on random
 instances, so neither refinement can silently change semantics.
@@ -38,22 +46,24 @@ instances, so neither refinement can silently change semantics.
 
 from __future__ import annotations
 
+from operator import getitem as _getitem
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..core.hypergraph import Hypergraph, join_tree_children
-from ..core.interval import Interval
+from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..nontemporal.generic_join import generic_join_with_order
-from ..nontemporal.ghd import GHD, fhtw_ghd, trivial_ghd
+from ..nontemporal.generic_join import choose_attribute_order, generic_join_with_order
+from ..nontemporal.ghd import fhtw_ghd, trivial_ghd
 from ..nontemporal.yannakakis import yannakakis
 from ..obs import NULL_TRACER, Tracer
 from .hierarchical import duplicate_tuple, tuple_getter
 
 Values = Tuple[object, ...]
 Key = Callable[[Values], object]
+Rows = Iterable[Tuple[Values, Interval]]
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -132,6 +142,106 @@ class _TreePlan:
         self.hi_of = itemgetter(1, *[3 + 2 * slot[n] for n in fold])
 
 
+class BagPlan:
+    """One GHD bag over a query's relations, planned once.
+
+    The one bag materializer: Algorithm 4 (lines 2-8) runs it per
+    expiry over the restricted active rows, Algorithm 5 (lines 3-9) once
+    over the whole input (:func:`repro.algorithms.hybrid.materialize_bag`).
+
+    ``edges`` gives each relation's attributes in query-edge order and
+    ``layouts`` (default: ``edges``) the order its rows are stored in, so
+    rows are read by attribute name. Every relation meeting the bag
+    becomes a derived edge over the attributes it shares with the bag,
+    in edge order; ``projections`` keeps, per derived edge, the stored
+    positions of those attributes (``None`` when they are the stored
+    row itself) and whether they are all of the relation's (a *full*
+    edge, whose intervals the bag carries). The
+    GenericJoin attribute order (the bag's row layout) and each full
+    edge's positions in a bag row depend on the derived hypergraph
+    alone, so they are fixed here too.
+    """
+
+    __slots__ = ("name", "hypergraph", "projections", "order", "carried")
+
+    def __init__(
+        self,
+        name: str,
+        bag_attrs: Iterable[str],
+        edges: Mapping[str, Tuple[str, ...]],
+        layouts: Optional[Mapping[str, Tuple[str, ...]]] = None,
+    ) -> None:
+        lam = set(bag_attrs)
+        derived: Dict[str, Tuple[str, ...]] = {}
+        self.projections: Dict[str, Tuple[Optional[Tuple[int, ...]], bool]] = {}
+        for relation, attrs in edges.items():
+            shared = tuple(a for a in attrs if a in lam)
+            if not shared:
+                continue
+            stored = attrs if layouts is None else layouts[relation]
+            derived[relation] = shared
+            pos = tuple(stored.index(a) for a in shared)
+            self.projections[relation] = (
+                None if pos == tuple(range(len(stored))) else pos,
+                len(shared) == len(attrs),
+            )
+        self.name = name
+        self.hypergraph = Hypergraph(derived)
+        self.order = choose_attribute_order(self.hypergraph)
+        slot = {a: i for i, a in enumerate(self.order)}
+        self.carried: List[Tuple[str, Tuple[int, ...]]] = [
+            (relation, tuple(slot[a] for a in derived[relation]))
+            for relation, (_, full) in self.projections.items()
+            if full
+        ]
+
+    def materialize(self, rows: Mapping[str, Rows]) -> TemporalRelation:
+        """The bag over ``rows`` (per relation, ``(values, interval)`` pairs).
+
+        A full edge keeps its rows' intervals, a partial projection gets
+        ``(-inf, +inf)`` (Algorithm 5 lines 6-7); each GenericJoin row
+        carries the intersection of its full edges' intervals, and a row
+        whose intersection is empty is dropped (line 9).
+        """
+        sub_db: Dict[str, TemporalRelation] = {}
+        projected: Dict[str, Dict[Values, Interval]] = {}
+        for relation, (pos, full) in self.projections.items():
+            if pos is None:
+                proj = dict(rows[relation])
+            elif full:
+                proj = {tuple(v[p] for p in pos): ivl for v, ivl in rows[relation]}
+            else:
+                proj = dict.fromkeys(
+                    (tuple(v[p] for p in pos) for v, _ in rows[relation]), _ALWAYS
+                )
+            sub = TemporalRelation(
+                relation, self.hypergraph.edge(relation), check_distinct=False
+            )
+            sub._rows = list(proj.items())
+            sub_db[relation] = sub
+            projected[relation] = proj
+        tuples, order = generic_join_with_order(self.hypergraph, sub_db, self.order)
+        lookups = [(pos, projected[relation]) for relation, pos in self.carried]
+        out = []
+        for t in tuples:
+            # Endpoints in Interval.intersect's tie order; one interval
+            # per surviving bag row.
+            lo, hi = _NEG_INF, _POS_INF
+            for pos, proj in lookups:
+                ivl = proj[tuple(t[p] for p in pos)]
+                if ivl.lo > lo:
+                    lo = ivl.lo
+                if ivl.hi < hi:
+                    hi = ivl.hi
+                if lo > hi:
+                    break
+            else:
+                out.append((t, _fast(lo, hi)))
+        bag = TemporalRelation(self.name, order, check_distinct=False)
+        bag._rows = out
+        return bag
+
+
 class GenericGHDState:
     """Sweep state implementing Theorem 9 / Corollary 10.
 
@@ -146,18 +256,10 @@ class GenericGHDState:
     state collects them in plain fields as it runs.
     """
 
-    def __init__(
-        self,
-        query: JoinQuery,
-        database: Optional[Dict[str, TemporalRelation]] = None,
-        ghd: Optional[GHD] = None,
-        stats: Tracer = NULL_TRACER,
-    ) -> None:
+    def __init__(self, query: JoinQuery, stats: Tracer = NULL_TRACER) -> None:
         self.query = query
         hg = query.hypergraph
-        if ghd is not None:
-            self.ghd = ghd
-        elif hg.is_acyclic():
+        if hg.is_acyclic():
             self.ghd = trivial_ghd(hg)
         else:
             _, self.ghd = fhtw_ghd(hg)
@@ -186,13 +288,21 @@ class GenericGHDState:
                     nbrs.append((other, shared))
             self._neighbors[name] = nbrs
         # Static plans: one join-tree orientation per relation on the
-        # acyclic path, per-bag projections on the cyclic one.
+        # acyclic path, one BagPlan per bag on the cyclic one.
         if self.ghd.is_trivial():
             self._tree_plans: Optional[Dict[str, _TreePlan]] = self._build_tree_plans()
         else:
             self._tree_plans = None
-            self._bag_plans = self._build_bag_plans()
+            self._bag_plans = [
+                BagPlan(bag, lam, self._edge_attrs)
+                for bag, lam in self.ghd.bags.items()
+            ]
             self._bag_hg = self.ghd.bag_hypergraph()
+        # Emission mode: decode each output value through these tables
+        # (one per attribute of ``query.attrs``) and widen endpoints by
+        # ``_half`` (kernel routes that emit final rows).
+        self._decode: Optional[List[List[object]]] = None
+        self._half: Number = 0
         self._stats = stats
         self._pruned = 0
         self._bag_rows = [0, 0, 0]  # count, total, max of the bag sizes
@@ -239,22 +349,6 @@ class GenericGHDState:
             for name in self._edge_attrs
         }
 
-    def _build_bag_plans(self):
-        plans = []
-        for bag, lam in self.ghd.bags.items():
-            lam_set = set(lam)
-            derived: Dict[str, Tuple[str, ...]] = {}
-            projections: Dict[str, Tuple[Tuple[int, ...], bool]] = {}
-            for name, eattrs in self._edge_attrs.items():
-                restricted = tuple(a for a in eattrs if a in lam_set)
-                if not restricted:
-                    continue
-                derived[name] = restricted
-                pos = tuple(eattrs.index(a) for a in restricted)
-                projections[name] = (pos, len(restricted) == len(eattrs))
-            plans.append((bag, lam, Hypergraph(derived), projections))
-        return plans
-
     # ------------------------------------------------------------------
     # SweepState interface
     # ------------------------------------------------------------------
@@ -293,10 +387,11 @@ class GenericGHDState:
         if plans is not None:
             self._walk(plans[relation], restricted, out)
             return
+        rows = {name: active.items() for name, active in restricted.items()}
         bag_db: Dict[str, TemporalRelation] = {}
         bag_rows = self._bag_rows
-        for bag, lam, sub_hg, projections in self._bag_plans:
-            rel = self._materialize_bag(sub_hg, projections, restricted)
+        for plan in self._bag_plans:
+            rel = plan.materialize(rows)
             size = len(rel)
             bag_rows[0] += 1
             bag_rows[1] += size
@@ -304,13 +399,18 @@ class GenericGHDState:
                 bag_rows[2] = size
             if size == 0:
                 return
-            bag_db[bag] = rel
+            bag_db[plan.name] = rel
         results = yannakakis(
             self._bag_hg, bag_db, attr_order=self.query.attrs,
             intersect_intervals=True,
         )
         self._passes += 1
-        out.extend(results.rows)
+        if self._decode is None:
+            out.extend(results.rows)
+        else:
+            self._emit_final(
+                ((values, ivl.lo, ivl.hi) for values, ivl in results.rows), out
+            )
 
     # ------------------------------------------------------------------
     # Acyclic path: seeded join over the oriented join tree
@@ -363,15 +463,46 @@ class GenericGHDState:
                 for v, e in grouped[key(vals)]
             ]
         row_of, lo_of, hi_of = plan.row_of, plan.lo_of, plan.hi_of
-        out.extend([
-            (row_of(vals), _fast(max(lo_of(ends)), min(hi_of(ends))))
-            for vals, ends in partials
-        ])
+        if self._decode is None:
+            out.extend([
+                (row_of(vals), _fast(max(lo_of(ends)), min(hi_of(ends))))
+                for vals, ends in partials
+            ])
+        else:
+            self._emit_final(
+                (
+                    (row_of(vals), max(lo_of(ends)), min(hi_of(ends)))
+                    for vals, ends in partials
+                ),
+                out,
+            )
         self._passes += 1
         bag_rows = self._bag_rows
         bag_rows[0] += len(sizes)
         bag_rows[1] += sum(sizes)
         bag_rows[2] = max(bag_rows[2], *sizes)
+
+    def _emit_final(
+        self, rows: Iterable[Tuple[Values, object, object]], out: JoinResultSet
+    ) -> None:
+        """Append ``(values, lo, hi)`` rows decoded, widened by ``_half``.
+
+        Each row's one interval is built here; the arithmetic is
+        :meth:`JoinResultSet.expand_intervals`': infinite endpoints are
+        fixed points, and widening keeps ``lo <= hi``.
+        """
+        tables = self._decode
+        half = self._half
+        final = []
+        append = final.append
+        for values, lo, hi in rows:
+            if half:
+                if lo > _NEG_INF:
+                    lo = lo - half
+                if hi < _POS_INF:
+                    hi = hi + half
+            append((tuple(map(_getitem, tables, values)), _fast(lo, hi)))
+        out.extend(final)
 
     def record(self, inserts: int, deletes: int, rows: int) -> None:
         """Report the ``ghd.*`` counters since the last call (see the class).
@@ -472,55 +603,3 @@ class GenericGHDState:
             for v, ivl in active.items()
             if tuple(v[p] for p in target_pos) in keys
         }
-
-    # ------------------------------------------------------------------
-    # Bag materialization (Algorithm 4 lines 2-8)
-    # ------------------------------------------------------------------
-    def _materialize_bag(
-        self,
-        sub_hg: Hypergraph,
-        projections: Dict[str, Tuple[Tuple[int, ...], bool]],
-        restricted: Dict[str, Dict[Values, Interval]],
-    ) -> TemporalRelation:
-        sub_db: Dict[str, TemporalRelation] = {}
-        full_lookups: List[Tuple[str, Tuple[int, ...], Dict[Values, Interval]]] = []
-        for name in sub_hg.edge_names:
-            pos, is_full = projections[name]
-            rows = restricted[name]
-            if is_full:
-                proj = {tuple(v[p] for p in pos): ivl for v, ivl in rows.items()}
-            else:
-                proj = {}
-                for v in rows:
-                    proj[tuple(v[p] for p in pos)] = _ALWAYS
-            rel = TemporalRelation(name, sub_hg.edge(name), check_distinct=False)
-            rel._rows = list(proj.items())
-            sub_db[name] = rel
-            if is_full:
-                full_lookups.append((name, None, proj))
-        tuples, order = generic_join_with_order(sub_hg, sub_db)
-        # Attach intervals: intersect the valid intervals of every fully
-        # covered edge's constituent tuple.
-        order_pos = {a: i for i, a in enumerate(order)}
-        lookups: List[Tuple[Tuple[int, ...], Dict[Values, Interval]]] = []
-        for name, _, proj in full_lookups:
-            eattrs = sub_hg.edge(name)
-            lookups.append((tuple(order_pos[a] for a in eattrs), proj))
-        out = TemporalRelation("bag", order, check_distinct=False)
-        rows = []
-        for t in tuples:
-            # Endpoints in Interval.intersect's tie order; one interval
-            # per surviving bag row.
-            lo, hi = _NEG_INF, _POS_INF
-            for pos, proj in lookups:
-                ivl = proj[tuple(t[p] for p in pos)]
-                if ivl.lo > lo:
-                    lo = ivl.lo
-                if ivl.hi < hi:
-                    hi = ivl.hi
-                if lo > hi:
-                    break
-            else:
-                rows.append((t, _fast(lo, hi)))
-        out._rows = rows
-        return out

@@ -18,20 +18,14 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..core.durability import shrink_database
 from ..core.errors import PlanError
 from ..core.hypergraph import Hypergraph
-from ..core.interval import Interval, Number
+from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GHD, fhtw_ghd, hhtw_ghd
 from ..obs import NULL_TRACER, Tracer
-from .timefirst import sweep
-
-Values = Tuple[object, ...]
-
-_NEG_INF = float("-inf")
-_POS_INF = float("inf")
-_fast = Interval._fast
+from .generic_state import BagPlan
+from .timefirst import sweep, sweep_state
 
 
 def materialize_bag(
@@ -45,55 +39,14 @@ def materialize_bag(
     Returns a temporal relation over a permutation of ``bag_attrs`` whose
     rows are the GenericJoin results of the derived edges, carrying the
     intersection of the intervals of all fully contained relations.
+    Relations are read by attribute name, whatever order they store
+    their attributes in. The GHD sweep state materializes its bags
+    through the same :class:`~repro.algorithms.generic_state.BagPlan`.
     """
-    lam_set = set(bag_attrs)
-    always = Interval.always()
-    derived: Dict[str, Tuple[str, ...]] = {}
-    sub_db: Dict[str, TemporalRelation] = {}
-    full_edges: List[str] = []
-    for name, eattrs in query_hg.items():
-        restricted = tuple(a for a in eattrs if a in lam_set)
-        if not restricted:
-            continue
-        derived[name] = restricted
-        rel = database[name]
-        pos = rel.positions(restricted)
-        if len(restricted) == len(eattrs):
-            rows = {tuple(v[p] for p in pos): ivl for v, ivl in rel}
-            full_edges.append(name)
-        else:
-            rows = {}
-            for v, _ in rel:
-                rows[tuple(v[p] for p in pos)] = always
-        sub = TemporalRelation(name, restricted, check_distinct=False)
-        sub._rows = list(rows.items())
-        sub_db[name] = sub
-    sub_hg = Hypergraph(derived)
-    tuples, order = generic_join_with_order(sub_hg, sub_db)
-    order_pos = {a: i for i, a in enumerate(order)}
-    lookups = []
-    for name in full_edges:
-        eattrs = derived[name]
-        index = {v: ivl for v, ivl in sub_db[name]}
-        lookups.append((tuple(order_pos[a] for a in eattrs), index))
-    rows_out = []
-    for t in tuples:
-        # Intersect on endpoints in Interval.intersect's tie order;
-        # build one interval per surviving row.
-        lo, hi = _NEG_INF, _POS_INF
-        for pos, index in lookups:
-            ivl = index[tuple(t[p] for p in pos)]
-            if ivl.lo > lo:
-                lo = ivl.lo
-            if ivl.hi < hi:
-                hi = ivl.hi
-            if lo > hi:
-                break
-        else:
-            rows_out.append((t, _fast(lo, hi)))
-    out = TemporalRelation(bag_name, order, check_distinct=False)
-    out._rows = rows_out
-    return out
+    edges = dict(query_hg.items())
+    layouts = {name: database[name].attrs for name in edges}
+    plan = BagPlan(bag_name, bag_attrs, edges, layouts)
+    return plan.materialize(database)
 
 
 def hybrid_join(
@@ -141,7 +94,7 @@ def hybrid_join(
             bag_db[bag] = rel
     bag_edges = {bag: bag_db[bag].attrs for bag in ghd.bags}
     bag_query = JoinQuery(bag_edges, attr_order=query.attrs)
-    state = _bag_sweep_state(bag_query, bag_db, stats=stats)
+    state = sweep_state(bag_query, stats)
     result = sweep(bag_query, bag_db, state, stats=stats)
     return result.expand_intervals(tau / 2 if tau else 0)
 
@@ -157,16 +110,3 @@ def select_hybrid_ghd(hg: Hypergraph, mode: str = "auto") -> GHD:
     f_width, f_ghd = fhtw_ghd(hg)
     h_width, h_ghd = hhtw_ghd(hg)
     return h_ghd if h_width <= f_width + 1 else f_ghd
-
-
-def _bag_sweep_state(
-    bag_query: JoinQuery,
-    bag_db: Dict[str, TemporalRelation],
-    stats: Tracer,
-):
-    from .generic_state import GenericGHDState
-    from .hierarchical import HierarchicalState
-
-    if bag_query.is_hierarchical:
-        return HierarchicalState(bag_query, stats=stats)
-    return GenericGHDState(bag_query, bag_db, stats=stats)

@@ -14,11 +14,10 @@ producer only needs to respect arrival order by interval start; expiry
 is handled internally, so this is a one-pass, bounded-state operator
 suitable for feeds whose past cannot be revisited.
 
-Internally the operator reuses the sweep states of
-:mod:`repro.algorithms.hierarchical` and
-:mod:`repro.algorithms.generic_state` and keeps a min-heap of pending
-expirations; :meth:`advance_to` drains every expiration up to a
-watermark, and :meth:`finish` flushes the remainder.
+Internally the operator runs the sweep state TIMEFIRST picks
+(:func:`repro.algorithms.timefirst.sweep_state`) and keeps a min-heap
+of pending expirations; :meth:`advance_to` drains every expiration up
+to a watermark, and :meth:`finish` flushes the remainder.
 
 Telemetry follows the offline contract: pass ``stats=`` and the operator
 records the same ``sweep.*`` counters as the offline sweep. The offline
@@ -46,6 +45,7 @@ from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet, ResultRow
 from ..datastructures.heap import AddressableHeap
 from ..obs import NULL_TRACER, Tracer
+from .timefirst import sweep_state
 
 Values = Tuple[object, ...]
 
@@ -83,16 +83,10 @@ class OnlineTemporalJoin:
         stats: Optional[Tracer] = None,
     ) -> None:
         stats = NULL_TRACER if stats is None else stats
-        from .generic_state import GenericGHDState
-        from .hierarchical import HierarchicalState
-
         self.query = query
         self.strict = strict
         self._stats = stats
-        if query.is_hierarchical:
-            self._state = HierarchicalState(query, stats=stats)
-        else:
-            self._state = GenericGHDState(query, stats=stats)
+        self._state = sweep_state(query, stats)
         self._pending: AddressableHeap = AddressableHeap()
         self._watermark: Optional[Number] = None
         self._emitted = JoinResultSet(query.attrs)

@@ -34,6 +34,8 @@ from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..obs import NULL_TRACER, Tracer
 from .events import event_codes
+from .generic_state import GenericGHDState
+from .hierarchical import HierarchicalState
 
 Values = Tuple[object, ...]
 
@@ -159,6 +161,22 @@ def sweep(
     return out
 
 
+def sweep_state(query: JoinQuery, stats: Tracer = NULL_TRACER) -> SweepState:
+    """The dynamic structure Section 3 picks for ``query``.
+
+    :class:`~repro.algorithms.hierarchical.HierarchicalState` (§3.2) for
+    a hierarchical query, else
+    :class:`~repro.algorithms.generic_state.GenericGHDState` (§3.3). The
+    one object-side choice: TIMEFIRST, HYBRID's bag sweep and
+    :class:`~repro.algorithms.online.OnlineTemporalJoin` all call it
+    (:func:`repro.kernels.engine.make_state` is its kernel twin). Both
+    states add their counters to ``stats``.
+    """
+    if query.is_hierarchical:
+        return HierarchicalState(query, stats=stats)
+    return GenericGHDState(query, stats=stats)
+
+
 def needs_reduction(query: JoinQuery) -> bool:
     """True iff TIMEFIRST on ``query`` rewrites the *instance* first.
 
@@ -212,10 +230,10 @@ def timefirst_join(
 ) -> JoinResultSet:
     """τ-durable temporal join via TIMEFIRST with an auto-selected state.
 
-    Selection follows Section 3: hierarchical queries (after linear-time
-    reduction when merely r-hierarchical, :func:`prepare_run`) use the
-    attribute-tree structure; everything else uses the GHD-based generic
-    state.
+    Selection follows Section 3 (:func:`sweep_state`): hierarchical
+    queries (after linear-time reduction when merely r-hierarchical,
+    :func:`prepare_run`) use the attribute-tree structure; everything
+    else uses the GHD-based generic state.
 
     ``state_factory`` overrides the choice: a callable
     ``(query, database) -> SweepState``, called on the run pair of
@@ -225,16 +243,11 @@ def timefirst_join(
     structure-level counters.
     """
     stats = NULL_TRACER if stats is None else stats
-    from .generic_state import GenericGHDState
-    from .hierarchical import HierarchicalState
-
     run_query, run_db = prepare_run(query, database, tau, stats=stats)
     if state_factory is not None:
         state = state_factory(run_query, run_db)  # type: ignore[operator]
-    elif run_query.is_hierarchical:
-        state = HierarchicalState(run_query, stats=stats)
     else:
-        state = GenericGHDState(run_query, run_db, stats=stats)
+        state = sweep_state(run_query, stats)
     result = sweep(run_query, run_db, state, stats=stats)
     if tuple(result.attrs) != tuple(query.attrs):  # pragma: no cover - defensive
         raise InvariantError("sweep returned unexpected attribute layout")

@@ -141,11 +141,10 @@ class TemporalRelation:
         """Projection π_attrs with duplicate elimination.
 
         Duplicate value tuples after projection keep the interval of the
-        first occurrence; callers that care about coalescing multiple
-        intervals should use :func:`project_multi` instead. Projection of a
-        temporal relation is mainly used by the GHD machinery, where the
-        paper resets intervals to ``(-inf, +inf)`` anyway (Algorithm 5,
-        line 7).
+        first occurrence, so the result's intervals are not the union of
+        the merged tuples' validity. Where a projection drops attributes,
+        the GHD machinery (:class:`~repro.algorithms.generic_state.BagPlan`)
+        resets intervals to ``(-inf, +inf)`` anyway (Algorithm 5, line 7).
         """
         pos = self.positions(attrs)
         seen: Dict[Values, Interval] = {}

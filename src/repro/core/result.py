@@ -132,22 +132,6 @@ class JoinResultSet:
             out[tau] = len(durations) - idx
         return out
 
-    def project(self, attrs: Sequence[str]) -> "JoinResultSet":
-        """Project results (with duplicate elimination, intervals coalesced
-        by keeping the widest span per value tuple)."""
-        pos = [self.attrs.index(a) for a in attrs]
-        best: Dict[Tuple[object, ...], Interval] = {}
-        order: List[Tuple[object, ...]] = []
-        for values, interval in self._rows:
-            key = tuple(values[p] for p in pos)
-            if key not in best:
-                best[key] = interval
-                order.append(key)
-            else:
-                cur = best[key]
-                best[key] = Interval(min(cur.lo, interval.lo), max(cur.hi, interval.hi))
-        return JoinResultSet(attrs, ((k, best[k]) for k in order))
-
 
 def merge_result_sets(
     attrs: Sequence[str], parts: Iterable[JoinResultSet]

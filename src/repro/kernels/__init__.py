@@ -12,8 +12,8 @@ Layout:
   temporal semijoin pass, the single per-call event sort, de-interning,
   shard subsetting, timeline bridging.
 * :mod:`~repro.kernels.hierarchy` / :mod:`~repro.kernels.generic` —
-  row-id driven sweep states (Theorem 6 / Theorem 9 structures); the
-  hierarchical one can emit final rows, decoded and widened by τ/2.
+  row-id driven sweep states (Theorem 6 / Theorem 9 structures); both
+  emit final rows, decoded and widened by τ/2, when built with ``half``.
 * :mod:`~repro.kernels.engine` — the one column read every kernel
   route starts from (``kernel_columns``), the one sweep it runs
   (``sweep_columns``), and the
@@ -27,7 +27,6 @@ Layout:
 from .columns import (
     KernelColumns,
     build_columns,
-    deintern_expand,
     deintern_results,
     key_shard_row_ids,
     shard_row_ids,
@@ -53,7 +52,6 @@ __all__ = [
     "KernelHierarchicalState",
     "PreparedDatabase",
     "build_columns",
-    "deintern_expand",
     "deintern_results",
     "kernel_columns",
     "kernel_sweep",

@@ -903,42 +903,6 @@ def deintern_results(domains: Domains, results: JoinResultSet) -> JoinResultSet:
     return out
 
 
-def deintern_expand(
-    domains: Domains, results: JoinResultSet, half: Number
-) -> JoinResultSet:
-    """De-intern ``results`` and undo the τ/2 shrink in one pass.
-
-    Row for row equal to ``deintern_results(domains, results)
-    .expand_intervals(half)`` — values, endpoints and endpoint types —
-    but each output row and its interval are built once, with
-    :meth:`JoinResultSet.expand_intervals`'s arithmetic (``lo - half``,
-    ``hi + half``, infinite endpoints fixed). Any ``half`` outside
-    ``(0, inf)`` is that composition itself: at 0 it reuses the sweep's
-    intervals, and a negative or infinite ``half`` gets the checked
-    per-row expansion.
-    """
-    if not 0 < half < _POS_INF:
-        return deintern_results(domains, results).expand_intervals(half)
-    tables = [domains[a] for a in results.attrs]
-    out = JoinResultSet(results.attrs)
-    append = out.rows.append
-    new = object.__new__
-    put = object.__setattr__
-    for values, interval in results.rows:
-        lo = interval.lo
-        hi = interval.hi
-        if lo > _NEG_INF:
-            lo = lo - half
-        if hi < _POS_INF:
-            hi = hi + half
-        # Interval._fast inlined: expansion keeps lo <= hi.
-        expanded = new(Interval)
-        put(expanded, "lo", lo)
-        put(expanded, "hi", hi)
-        append((tuple(map(_getitem, tables, values)), expanded))
-    return out
-
-
 def shard_row_ids(
     columns: KernelColumns,
     cuts: Sequence[Number],

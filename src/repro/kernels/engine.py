@@ -22,15 +22,19 @@ over a dynamic structure keyed on interned ints.
   sweeps unreduced, as the paper's TIMEFIRST does.
 
 The serial, shard and batch routes read through :func:`kernel_columns`,
-and every kernel route sweeps through :func:`sweep_columns`. On
-hierarchical queries REPORT builds each result once, final: de-interned
-and widened back by τ/2 inside the sweep. The GHD state emits interned rows, which one pass
-(:func:`~repro.kernels.columns.deintern_expand`) turns into final rows.
-:func:`make_state` + :func:`kernel_sweep` still return interned rows
-with shrunk intervals, for callers that time the layers apart.
-Output equality with the object path (normalized row sets, ``sweep.*`` /
-``hier.*`` / ``ghd.*`` counters, ``phase.sweep`` timer) is the
-correctness contract, pinned by the hypothesis equivalence suite.
+and every kernel route sweeps through :func:`sweep_columns`. There is
+one emission contract: the state :func:`make_state` builds with
+``half=τ/2`` appends each result once, final — values de-interned and
+endpoints widened back by τ/2 inside the sweep — whether it is the
+hierarchical state's REPORT, the GHD state's join-tree walk or its
+Yannakakis pass over bags. Without ``half``, :func:`make_state` +
+:func:`kernel_sweep` return interned rows with shrunk intervals, for
+callers that time the layers apart.
+Every route's rows equal ``naive``'s (``tests/test_route_matrix.py``,
+one row per route); row order and endpoint types are pinned by
+``tests/test_emission_exactness.py`` and ``tests/test_fused_emission.py``,
+and the ``sweep.*`` / ``hier.*`` / ``ghd.*`` counters by
+``tests/test_kernel_engine.py``.
 """
 
 from __future__ import annotations
@@ -38,17 +42,13 @@ from __future__ import annotations
 from typing import Mapping, Optional, Tuple
 
 from ..algorithms.timefirst import drive, needs_reduction, prepare_run
+from ..core.errors import QueryError
 from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..obs import NULL_TRACER, Tracer
-from .columns import (
-    KernelColumns,
-    deintern_expand,
-    query_columns,
-    semijoin_columns,
-)
+from .columns import KernelColumns, query_columns, semijoin_columns
 
 _POS_INF = float("inf")
 
@@ -122,19 +122,24 @@ def make_state(
     run_query: JoinQuery,
     columns: KernelColumns,
     stats: Optional[Tracer] = None,
+    half: Optional[Number] = None,
 ):
     """Select the kernel sweep state the way the object path does.
 
-    The state emits interned rows with τ/2-shrunk intervals; the routes
-    themselves sweep through :func:`sweep_columns`.
+    With ``half`` (τ/2, finite) the state emits final rows: values
+    decoded through ``columns.domains`` and finite endpoints widened by
+    ``half``, each row built once inside the sweep. Without it the
+    state emits interned rows with τ/2-shrunk intervals.
     """
     stats = NULL_TRACER if stats is None else stats
     from .generic import KernelGenericState
     from .hierarchy import KernelHierarchicalState
 
+    if half is not None and not 0 <= half < _POS_INF:
+        raise QueryError(f"half must be finite and >= 0, got {half!r}")
     if run_query.is_hierarchical:
-        return KernelHierarchicalState(run_query, columns, stats=stats)
-    return KernelGenericState(run_query, columns, stats=stats)
+        return KernelHierarchicalState(run_query, columns, stats=stats, half=half)
+    return KernelGenericState(run_query, columns, stats=stats, half=half)
 
 
 def kernel_sweep(
@@ -168,17 +173,11 @@ def sweep_columns(
 ) -> JoinResultSet:
     """Sweep τ/2-shrunk ``columns`` into final rows: de-interned and widened.
 
-    Row for row equal to ``deintern_expand(columns.domains,
-    kernel_sweep(...make_state(...)...), τ/2)`` — values, order and
-    endpoint types. A hierarchical query builds each row once, inside
-    the sweep, so ``phase.sweep`` includes decoding and widening there.
+    Row for row equal to ``deintern_results(columns.domains,
+    kernel_sweep(...make_state(...)...)).expand_intervals(τ/2)`` —
+    values, order and endpoint types — but each row is built once,
+    inside the sweep, so ``phase.sweep`` includes decoding and widening.
     """
     half = tau / 2 if tau else 0
-    if run_query.is_hierarchical and 0 <= half < _POS_INF:
-        from .hierarchy import KernelHierarchicalState
-
-        state = KernelHierarchicalState(run_query, columns, stats=stats, half=half)
-        return kernel_sweep(run_query, columns, state, stats=stats)
-    state = make_state(run_query, columns, stats=stats)
-    result = kernel_sweep(run_query, columns, state, stats=stats)
-    return deintern_expand(columns.domains, result, half)
+    state = make_state(run_query, columns, stats=stats, half=half)
+    return kernel_sweep(run_query, columns, state, stats=stats)

@@ -14,21 +14,26 @@ profiling shows dominate general sweeps on interned columns:
   ``tuple(v[p] for p in pos)`` keys per candidate row is pure overhead —
   scalar int keys probe the attribute index directly.
 
-The state emits interned rows with τ/2-shrunk intervals; the route
-decodes and widens them in one pass (``columns.deintern_expand``). Equal
-values share one code, so the walk's value binding cannot change a
-decoded value; its endpoint fold order is what fixes endpoint types.
+With ``half`` given, both enumerators emit final rows, as
+:class:`~repro.kernels.hierarchy.KernelHierarchicalState` does: the walk
+decodes the values its output getter picks and widens the endpoints it
+folds by ``half`` as it builds each row's one interval, and the cyclic
+path does the same as it appends the Yannakakis rows;
+:func:`~repro.kernels.engine.sweep_columns` runs the state this way.
+Equal values share one code, so the walk's value binding cannot change
+a decoded value; its endpoint fold order is what fixes endpoint types.
+Without ``half`` the sweep emits interned rows with shrunk intervals.
 Both additions are pure constant-factor work per Theorem 9 step, so the
 ``O(N^(fhtw+1) + K)`` bound is untouched.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.generic_state import GenericGHDState, Values
 from ..algorithms.hierarchical import duplicate_tuple
-from ..core.interval import Interval
+from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
 from ..obs import NULL_TRACER, Tracer
@@ -43,8 +48,13 @@ class KernelGenericState(GenericGHDState):
         query: JoinQuery,
         columns: KernelColumns,
         stats: Tracer = NULL_TRACER,
+        *,
+        half: Optional[Number] = None,
     ) -> None:
         super().__init__(query, stats=stats)
+        if half is not None:
+            self._decode = [columns.domains[attr] for attr in query.attrs]
+            self._half = half
         self._row_relation = columns.row_relation
         self._row_values = columns.row_values
         self._row_interval = columns.intervals()

@@ -19,11 +19,11 @@ With ``half`` given, the programs emit final rows: they decode the
 expiring row's path values once per emit and each fragment value once
 per fragment (fragments are shared by the product rows built from
 them), widen finite endpoints by ``half`` with
-:func:`~repro.kernels.columns.deintern_expand`'s arithmetic, and build
-one interval per row; :func:`~repro.kernels.engine.sweep_columns` runs
-the state this way. Without ``half`` the sweep emits interned rows with
-shrunk intervals, the pair ``make_state`` + ``kernel_sweep`` has always
-returned.
+:meth:`~repro.core.result.JoinResultSet.expand_intervals`' arithmetic,
+and build one interval per row — the emission contract the GHD kernel
+state (:mod:`repro.kernels.generic`) shares;
+:func:`~repro.kernels.engine.sweep_columns` runs the state this way.
+Without ``half`` the sweep emits interned rows with shrunk intervals.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ class ShardTask:
     leaves ``database`` ``None``, so no object rows cross the process
     boundary. On the kernel path ``query`` is the *run* query (already
     validated / τ-shrunk / r-hierarchically reduced by the parent) and
-    the worker only sweeps, de-interns and expands.
+    the worker only sweeps, emitting de-interned, expanded rows.
     """
 
     shard: int

@@ -3,8 +3,8 @@
 The sweep states intersect plain ``(lo, hi)`` endpoints instead of
 checked :class:`Interval` objects, REPORT is compiled per relation leaf
 into positional programs, the kernel routes de-intern and widen by τ/2
-inside REPORT (hierarchical queries) or in one pass
-(``deintern_expand``, the GHD state), and HYBRID-INTERVAL widens in its
+inside the sweep (REPORT on hierarchical queries, the GHD state's walk
+and Yannakakis pass elsewhere), and HYBRID-INTERVAL widens in its
 clip. None of that may change a row: not a value, not an endpoint,
 not an endpoint's *type*. Rows are compared by ``repr``, so a ``1``
 that turns into ``1.0`` is a failure.
@@ -39,14 +39,7 @@ from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.core.result import JoinResultSet
-from repro.kernels import (
-    build_columns,
-    deintern_expand,
-    deintern_results,
-    kernel_sweep,
-    make_state,
-    prepare_run,
-)
+from repro.kernels import deintern_results
 from repro.nontemporal.yannakakis import yannakakis
 from repro.obs import ExecutionStats
 from repro.serve import TemporalJoinService
@@ -600,20 +593,6 @@ def test_fixed_report_equals_checked_intersect(monkeypatch, name, tau):
         for relation in query.edge_names
     }
     _check_against_reference(monkeypatch, query, database, tau)
-
-
-@HYPOTHESIS
-@given(case=instances([STAR3, LINE3]), tau=taus)
-def test_deintern_expand_equals_two_passes(case, tau):
-    query, database = case
-    run_query, run_db = prepare_run(query, database, tau)
-    columns = build_columns(run_db)
-    out = kernel_sweep(run_query, columns, make_state(run_query, columns))
-    half = tau / 2 if tau else 0
-    one = deintern_expand(columns.domains, out, half)
-    two = deintern_results(columns.domains, out).expand_intervals(half)
-    assert one.attrs == two.attrs
-    assert exact(one) == exact(two)
 
 
 @HYPOTHESIS

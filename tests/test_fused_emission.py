@@ -1,13 +1,15 @@
-"""Kernel REPORT emits final rows: decoded and widened inside the sweep.
+"""Kernel sweep states emit final rows: decoded and widened inside the sweep.
 
-On hierarchical queries every kernel route (cold, prepared, batch and
-both worker shard paths) sweeps through ``sweep_columns``, whose REPORT
-programs decode interned values and widen by τ/2 as they emit. That
+Every kernel route (cold, prepared, batch and both worker shard paths)
+sweeps through ``sweep_columns``, whose state builds each row once, as
+it emits it: the hierarchical state's REPORT programs, the GHD state's
+join-tree walk on acyclic queries and its Yannakakis pass over bags on
+cyclic ones all decode interned values and widen by τ/2 there. That
 must be row for row — values, order and endpoint types — the interned
-pair ``make_state`` + ``kernel_sweep`` followed by ``deintern_expand``,
-which the GHD state still runs. Instances mix ``1``/``1.0``/``True``
-values and endpoints, ±inf, zero-length and touching intervals, and
-empty relations.
+pair ``make_state`` + ``kernel_sweep`` followed by ``deintern_results``
+and ``expand_intervals``. Instances mix ``1``/``1.0``/``True`` values
+and endpoints, ±inf, zero-length and touching intervals, and empty
+relations.
 """
 
 import pytest
@@ -15,12 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.kernels
+import repro.kernels.allen
 import repro.kernels.columns
 import repro.kernels.engine
 from repro import prepare, run_batch, temporal_join
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
-from repro.kernels import deintern_expand, kernel_sweep, make_state, sweep_columns
+from repro.core.result import JoinResultSet
+from repro.kernels import deintern_results, kernel_sweep, make_state, sweep_columns
 from repro.kernels.engine import kernel_columns
 from repro.obs import ExecutionStats
 
@@ -40,7 +44,10 @@ STAR_WITH_CORE = JoinQuery(
 #: and R2's relation leaf.
 NESTED = JoinQuery({"R1": ("a", "b", "c"), "R2": ("a", "b"), "R3": ("a", "d")})
 LINE3 = JoinQuery.line(3)
+TRIANGLE = JoinQuery.triangle()
 HIERARCHICAL = [STAR3, STAR_WITH_CORE, NESTED]
+#: Queries on the GHD state: the acyclic walk and the cyclic bag path.
+GHD = [LINE3, TRIANGLE]
 
 HYPOTHESIS = settings(
     max_examples=40, deadline=None,
@@ -70,10 +77,12 @@ def instances(draw, queries):
 
 
 def two_pass(run_query, columns, tau=0, stats=None):
-    """The interned sweep, then one ``deintern_expand`` pass."""
+    """The interned sweep, then de-intern and widen as two more passes."""
     state = make_state(run_query, columns, stats=stats)
     result = kernel_sweep(run_query, columns, state, stats=stats)
-    return deintern_expand(columns.domains, result, tau / 2 if tau else 0)
+    return deintern_results(columns.domains, result).expand_intervals(
+        tau / 2 if tau else 0
+    )
 
 
 def _swapped(query):
@@ -84,8 +93,11 @@ def _swapped(query):
 
 
 def _batch(query, database, tau, **kwargs):
-    """A batch with a shared result and an attribute-order variant."""
-    results = run_batch([query, _swapped(query), query], prepare(database), tau=tau, **kwargs)
+    """A kernel batch with a shared result and an attribute-order variant."""
+    results = run_batch(
+        [query, _swapped(query), query], prepare(database), tau=tau,
+        algorithm="timefirst", engine="kernel", **kwargs,
+    )
     return [row for result in results for row in result]
 
 
@@ -131,7 +143,7 @@ def _patch_sweep(patch, replacement):
 # The engine function against the interned pair
 # ----------------------------------------------------------------------
 @HYPOTHESIS
-@given(case=instances(HIERARCHICAL + [LINE3]), tau=st.sampled_from(TAUS))
+@given(case=instances(HIERARCHICAL + GHD), tau=st.sampled_from(TAUS))
 def test_sweep_columns_equals_interned_pair(case, tau):
     query, database = case
     run_query, columns = kernel_columns(query, database, tau)
@@ -142,7 +154,7 @@ def test_sweep_columns_equals_interned_pair(case, tau):
 
 
 @HYPOTHESIS
-@given(case=instances(HIERARCHICAL), tau=st.sampled_from(TAUS))
+@given(case=instances(HIERARCHICAL + GHD), tau=st.sampled_from(TAUS))
 def test_cold_and_prepared_routes_equal_interned_pair(case, tau):
     query, database = case
     _, columns = kernel_columns(query, database, tau)
@@ -173,7 +185,7 @@ def _check_route(monkeypatch, route, query, database, tau):
 
 @HYPOTHESIS
 @given(
-    case=instances(HIERARCHICAL),
+    case=instances(HIERARCHICAL + GHD),
     tau=st.sampled_from(TAUS),
     route=st.sampled_from(sorted(ROUTES)),
 )
@@ -198,18 +210,22 @@ def test_counters_equal_interned_pair():
 
 
 # ----------------------------------------------------------------------
-# No hierarchical kernel route de-interns in a second pass
+# No kernel route rebuilds its rows after the sweep
 # ----------------------------------------------------------------------
-def _instance():
-    """A star with six keys of ``y``, none heavy enough to force time cuts."""
-    query = STAR3
+def _instance(query=STAR3):
+    """Twelve rows per relation; on a star, six keys of ``y``, none heavy
+    enough to force time cuts."""
     lows = (0, 1.0, True, -INF, 2, 0)
     highs = (9, INF, 5, 7, 2, 4.5)
     database = {}
     for i, name in enumerate(query.edge_names):
+        if query is STAR3:
+            values = [(10 * i + k, k % 6) for k in range(12)]
+        else:
+            values = [(k % 4, (k // 4 + k) % 4) for k in range(12)]
         rows = [
-            ((10 * i + k, k % 6), (lows[(k + i) % 6], highs[(k + 2 * i) % 6]))
-            for k in range(12)
+            (v, (lows[(k + i) % 6], highs[(k + 2 * i) % 6]))
+            for k, v in enumerate(values)
         ]
         database[name] = TemporalRelation(name, query.edge(name), rows)
     return query, database
@@ -233,15 +249,32 @@ def test_fixed_instance_routes_equal_interned_pair(monkeypatch, route, tau):
 
 @pytest.mark.parametrize("tau", TAUS)
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_hierarchical_routes_never_call_deintern_expand(monkeypatch, route, tau):
-    query, database = _instance()
+@pytest.mark.parametrize("query", [STAR3] + GHD, ids=["star3", "line3", "triangle"])
+def test_kernel_routes_build_rows_once(monkeypatch, query, route, tau):
+    """Every row a route returns is one the sweep built: no second pass.
+
+    ``deintern_results`` and ``expand_intervals`` must not run, and each
+    returned interval is an object a ``kernel_sweep`` call emitted.
+    """
+    query, database = _instance(query)
     want = exact(ROUTES[route](query, database, tau))
     assert want
+    swept = []
+
+    def recording_sweep(*args, **kwargs):
+        out = kernel_sweep(*args, **kwargs)
+        swept.append(out)
+        return out
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("deintern_expand called on a hierarchical kernel route")
+        raise AssertionError("a kernel route rebuilt its rows after the sweep")
 
     with monkeypatch.context() as patch:
-        for module in (repro.kernels, repro.kernels.columns, repro.kernels.engine):
-            patch.setattr(module, "deintern_expand", forbidden)
-        assert exact(ROUTES[route](query, database, tau)) == want
+        patch.setattr(repro.kernels.engine, "kernel_sweep", recording_sweep)
+        for module in (repro.kernels, repro.kernels.columns, repro.kernels.allen):
+            patch.setattr(module, "deintern_results", forbidden)
+        patch.setattr(JoinResultSet, "expand_intervals", forbidden)
+        got = ROUTES[route](query, database, tau)
+    assert exact(got) == want
+    built = {id(iv) for out in swept for _, iv in out}
+    assert all(id(iv) in built for _, iv in got)

@@ -98,17 +98,6 @@ class TestTransformations:
         counts = rs.count_by_thresholds([0, 3, 6, 100])
         assert counts == {0: 3, 3: 2, 6: 1, 100: 0}
 
-    def test_project_dedupes(self):
-        rs = build([((1, 2), (0, 5)), ((1, 3), (2, 9))])
-        proj = rs.project(("a",))
-        assert proj.attrs == ("a",)
-        assert len(proj) == 1
-
-    def test_project_widens_interval(self):
-        rs = build([((1, 2), (0, 5)), ((1, 3), (2, 9))])
-        proj = rs.project(("a",))
-        assert proj[0][1] == Interval(0, 9)
-
 
 class TestMerge:
     def test_merge_ok(self):

@@ -29,7 +29,7 @@ class TestGenericState:
     def test_matches_naive(self, query, rng):
         for _ in range(4):
             db = random_database(query, rng, n=10, domain=3)
-            state = GenericGHDState(query, db)
+            state = GenericGHDState(query)
             got = sweep(query, db, state)
             want = naive_join(query, db)
             assert got.normalized() == want.normalized()
@@ -115,7 +115,7 @@ class TestTimefirstDispatch:
         q = JoinQuery.star(3)
         db = random_database(q, rng, n=8, domain=3)
         got = timefirst_join(
-            q, db, state_factory=lambda query, database: GenericGHDState(query, database)
+            q, db, state_factory=lambda query, database: GenericGHDState(query)
         )
         assert got.normalized() == naive_join(q, db).normalized()
 
