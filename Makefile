@@ -70,7 +70,7 @@ figures: bench
 	@cat benchmarks/results/*.txt
 
 examples:
-	@for f in examples/*.py; do echo "=== $$f"; python $$f; done
+	@for f in examples/*.py; do echo "=== $$f"; PYTHONPATH=src python $$f || exit 1; done
 
 clean:
 	rm -rf benchmarks/results .pytest_cache src/repro.egg-info

@@ -329,6 +329,8 @@ class Route:
     engine: str  # "kernel" or "object"
     reason: Optional[str]  # why an explicit engine="kernel" degraded
     prepared: Optional[object] = None  # the artifact the kernel reads, if any
+    #: Run the temporal semijoin pass before the object algorithm.
+    semijoin: bool = False
 
 
 def resolve_route(
@@ -357,6 +359,13 @@ def resolve_route(
     ``prepared.fallback_queries``. A non-``overlaps`` predicate resolves
     to the binary lazy sweep: two edges, no workers, and algorithm
     ``auto`` or ``baseline`` (both mean "the binary join" there).
+
+    When ``algorithm="auto"`` resolves to HYBRID, the route runs the
+    temporal semijoin pass first (``Route.semijoin``;
+    :func:`~repro.kernels.columns.semijoin_database`): HYBRID joins its
+    bags before it sweeps, so a dangling row costs it join work that no
+    result repays. Named algorithms, other predicates and ``serve``
+    never run it.
     """
     from ..core.planner import plan
     from .allen import parse_predicate
@@ -418,7 +427,8 @@ def resolve_route(
         stats.incr("prepared.fallback_queries")
         if cold is not None:
             stats.note("kernel.fallback_reason", cold)
-    return Route(name, fn, kwargs, choice, used, reason, reads)
+    semijoin = algorithm == "auto" and name == "hybrid"
+    return Route(name, fn, kwargs, choice, used, reason, reads, semijoin)
 
 
 def run_route(
@@ -445,6 +455,10 @@ def run_route(
             query, database, tau, stats=stats, prepared=route.prepared
         )
         return sweep_columns(run_query, columns, tau, stats=stats)
+    if route.semijoin:
+        from ..kernels.columns import semijoin_database
+
+        database = semijoin_database(query, database, tau, stats)
     return route.fn(query, database, tau=tau, stats=stats, **route.kwargs)
 
 

@@ -6,8 +6,8 @@ over the attributes of hyperedge ``e``, each carrying a valid interval
 ``values`` is a plain tuple aligned with the relation's attribute order —
 cheap to hash, project, and group.
 
-The class provides exactly the primitives the algorithms need: projection,
-selection, grouping by a key, semijoins, interval shrinking (for τ-durable
+The class provides exactly the primitives the algorithms need: value
+projection, selection, grouping by a key, semijoins, interval shrinking (for τ-durable
 joins), and schema validation. It deliberately does *not* try to be a full
 relational engine; multi-way joins live in :mod:`repro.algorithms` and
 :mod:`repro.nontemporal`.
@@ -136,27 +136,6 @@ class TemporalRelation:
         """Project one value tuple of this relation onto ``attrs``."""
         pos = self.positions(attrs)
         return tuple(values[p] for p in pos)
-
-    def project(self, attrs: Sequence[str], name: Optional[str] = None) -> "TemporalRelation":
-        """Projection π_attrs with duplicate elimination.
-
-        Duplicate value tuples after projection keep the interval of the
-        first occurrence, so the result's intervals are not the union of
-        the merged tuples' validity. Where a projection drops attributes,
-        the GHD machinery (:class:`~repro.algorithms.generic_state.BagPlan`)
-        resets intervals to ``(-inf, +inf)`` anyway (Algorithm 5, line 7).
-        """
-        pos = self.positions(attrs)
-        seen: Dict[Values, Interval] = {}
-        for values, interval in self._rows:
-            key = tuple(values[p] for p in pos)
-            if key not in seen:
-                seen[key] = interval
-        return TemporalRelation(
-            name or f"π_{'_'.join(attrs)}({self.name})",
-            attrs,
-            seen.items(),
-        )
 
     def select(
         self, predicate: Callable[[Values, Interval], bool], name: Optional[str] = None

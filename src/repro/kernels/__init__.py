@@ -9,8 +9,9 @@ Layout:
 
 * :mod:`~repro.kernels.columns` — the only module that touches object
   rows: interning, rank compression, the τ/2 shrink in rank space, the
-  temporal semijoin pass, the single per-call event sort, de-interning,
-  shard subsetting, timeline bridging.
+  temporal semijoin pass (also the reduced input of the ``auto``
+  route's HYBRID), the single per-call event sort,
+  de-interning, shard subsetting, timeline bridging.
 * :mod:`~repro.kernels.hierarchy` / :mod:`~repro.kernels.generic` —
   row-id driven sweep states (Theorem 6 / Theorem 9 structures); both
   emit final rows, decoded and widened by τ/2, when built with ``half``.

@@ -49,7 +49,9 @@ bundle once per ``temporal_join`` call — or once per *database* via
   repeated until nothing drops). The test runs on int64 codes of the
   shared attributes and on rank arrays; cold reads then encode, re-rank
   and sort the kept rows only. Domain tables still see every row, so
-  codes and representatives are the unreduced read's.
+  codes and representatives are the unreduced read's. The same pass
+  (:func:`_reduce`) gives :func:`semijoin_database` the original rows
+  it keeps, for the HYBRID runs the ``auto`` route picks.
 
 Emission intervals are **not** pickled: :func:`build_columns` seeds the
 per-process cache behind :meth:`KernelColumns.intervals` with the ingest
@@ -67,12 +69,12 @@ import math
 from array import array
 from itertools import compress, groupby
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..algorithms.events import _rank_endpoints, _sorted_event_codes
-from ..core.durability import check_threshold, shrink_database
+from ..core.durability import check_threshold
 from ..core.errors import InvariantError
 from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
@@ -378,9 +380,9 @@ def build_shrunk_columns(
     endpoints have identical images, which holds for a float ``τ/2``
     over ``int``/``float``/``bool`` endpoints (every finite image is the
     same float, infinities are fixed points). Any other input — a
-    ``Fraction`` τ, numpy scalars as endpoints — takes the object shrink
-    (:func:`~repro.core.durability.shrink_database`), which computes
-    each row's own image.
+    ``Fraction`` τ, numpy scalars as endpoints — shrinks each row's own
+    :class:`Interval` (the arithmetic of
+    :func:`~repro.core.durability.shrink_database`).
 
     ``stats`` records what :func:`build_columns` records for the shrunk
     database, ``kernel.shrink_dropped`` (rows the shrink removed, for
@@ -416,95 +418,35 @@ def _read(
     query: Optional[JoinQuery],
     tracer: Tracer,
 ) -> KernelColumns:
-    """The one ingest behind the three builders above."""
-    if tau == 0:
-        with tracer.timer("phase.events"):
-            row_intervals = _row_intervals(database)
-            with tracer.timer("phase.kernel.rank"):
-                ranks = _rank_endpoints(
-                    list(map(_lo_of, row_intervals)), list(map(_hi_of, row_intervals))
-                )
-            relations = [
-                (name, database[name].attrs, database[name].rows) for name in database
-            ]
-            columns, keep = _ingest(relations, *ranks, tracer, query)
-        # The ingest rows' own intervals are the emission intervals: seed
-        # this process's cache with them instead of rebuilding from ranks.
-        columns._interval_cache = (
-            row_intervals if keep is None
-            else list(compress(row_intervals, keep.tolist()))
-        )
-        return columns
-    with tracer.timer("phase.shrink"):
-        check_threshold(tau)
-        half = tau / 2
-        row_intervals = _row_intervals(database)
-        los = list(map(_lo_of, row_intervals))
-        his = list(map(_hi_of, row_intervals))
-        del row_intervals
-        plain = (
-            type(half) is float
-            and _PLAIN_ENDPOINTS.issuperset(map(type, los))
-            and _PLAIN_ENDPOINTS.issuperset(map(type, his))
-        )
-        if plain:
-            keep, *ranks = _shrink_ranks(*_rank_endpoints(los, his), half)
-        else:
-            shrunk_db = shrink_database(database, tau)
-    if plain:
-        with tracer.timer("phase.events"):
-            relations = list(_surviving_rows(database, keep.tolist()))
-            columns, _ = _ingest(relations, *ranks, tracer, query)
-        shrunk = len(ranks[1])
-    else:
-        columns = _read(shrunk_db, 0, query, tracer)
-        shrunk = sum(len(relation.rows) for relation in shrunk_db.values())
-    tracer.incr("kernel.shrink_dropped", len(los) - shrunk)
-    return columns
+    """The one ingest behind the three builders above.
 
-
-def _ingest(
-    relations: List[Tuple[str, Tuple[str, ...], list]],
-    rank_times: List[Number],
-    row_lo: array,
-    row_hi: array,
-    tracer,
-    query: Optional[JoinQuery] = None,
-) -> Tuple[KernelColumns, Optional[np.ndarray]]:
-    """Intern ``(name, attrs, rows)`` relations and sort their event codes.
-
-    With a ``query``, the semijoin pass runs on the shared attributes'
-    codes first, and only the rows it keeps get row tuples, ranks and
-    event codes. Returns the columns and the keep mask over the input
-    rows (``None`` when every row is kept).
+    :func:`_reduce` ranks, shrinks, interns and runs the pass; then only
+    the rows the pass keeps get row tuples, ranks and event codes.
     """
-    shared = frozenset() if query is None else _shared_attributes(query)
-    with tracer.timer("phase.kernel.intern"):
-        domains, tables, blocks, value_columns = _intern_tables(relations, shared)
-    keep = None
-    if query is not None:
-        n_rows = len(row_lo)
-        with tracer.timer("phase.kernel.semijoin"):
-            keep = semijoin_keep(query, blocks, row_lo, row_hi, len(rank_times))
-            if keep is not None:
+    read = _reduce(database, tau, query, tracer)
+    domains, tables, blocks, value_columns = read.interned
+    rank_times, row_lo, row_hi = read.ranks
+    keep = read.keep
+    with tracer.timer("phase.events"):
+        if keep is not None:
+            with tracer.timer("phase.kernel.semijoin"):
                 rank_times, row_lo, row_hi, _ = _compact_ranks(
                     rank_times,
                     np.frombuffer(row_lo, dtype=np.int64)[keep],
                     np.frombuffer(row_hi, dtype=np.int64)[keep],
                 )
-        tracer.incr("kernel.semijoin_dropped", n_rows - len(row_lo))
-    with tracer.timer("phase.kernel.intern"):
-        row_relation, row_values = _encode_rows(
-            relations, blocks, value_columns, tables, keep
-        )
-    with tracer.timer("phase.kernel.rank"):
-        event_codes = _sorted_event_codes(row_lo, row_hi)
+        with tracer.timer("phase.kernel.intern"):
+            row_relation, row_values = _encode_rows(
+                read.relations, blocks, value_columns, tables, keep
+            )
+        with tracer.timer("phase.kernel.rank"):
+            event_codes = _sorted_event_codes(row_lo, row_hi)
     tracer.incr("kernel.rows", len(row_values))
     tracer.incr("kernel.interned_values", sum(map(len, domains.values())))
     tracer.incr("kernel.distinct_endpoints", len(rank_times))
     tracer.incr("kernel.sort_calls")
     columns = KernelColumns(
-        relations=tuple(name for name, _, _ in relations),
+        relations=tuple(name for name, _, _ in read.relations),
         row_relation=row_relation,
         row_values=row_values,
         row_lo=row_lo,
@@ -513,7 +455,101 @@ def _ingest(
         event_codes=event_codes,
         domains=domains,
     )
-    return columns, keep
+    if read.intervals is not None:
+        # The rows' own (shrunk) intervals are the emission intervals:
+        # seed this process's cache with them instead of rebuilding.
+        columns._interval_cache = (
+            read.intervals if keep is None
+            else list(compress(read.intervals, keep.tolist()))
+        )
+    return columns
+
+
+class _Reduced(NamedTuple):
+    """A read up to its encoding: what :func:`_reduce` returns."""
+
+    #: ``(name, attrs, rows)`` per relation: the rows the shrink keeps.
+    relations: List[Tuple[str, Tuple[str, ...], list]]
+    #: ``(rank_times, row_lo, row_hi)`` of those rows, shrunk.
+    ranks: Tuple[List[Number], array, array]
+    #: :func:`_intern_tables`' ``(domains, tables, blocks, value_columns)``.
+    interned: tuple
+    #: Their (shrunk) intervals where the read built them as objects.
+    intervals: Optional[List[Interval]]
+    #: Over the database rows: which ones the shrink keeps (None: all).
+    alive: Optional[np.ndarray]
+    #: Over ``relations``' rows: which ones the pass keeps (None: all).
+    keep: Optional[np.ndarray]
+
+
+def _reduce(
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    query: Optional[JoinQuery],
+    tracer: Tracer,
+) -> _Reduced:
+    """Rank, at τ > 0 shrink, and intern ``database``; with a ``query``,
+    run the semijoin pass (:func:`semijoin_keep`) on the survivors.
+
+    The τ/2 shrink runs in rank space, once per distinct endpoint
+    (:func:`_shrink_ranks`), when the images depend on the value alone;
+    any other input (a ``Fraction`` τ, numpy scalars as endpoints)
+    shrinks each row's own :class:`Interval`. Domain tables see every
+    surviving row, so codes and representatives do not depend on what
+    the pass drops. Records ``kernel.shrink_dropped`` (for τ > 0),
+    ``kernel.semijoin_dropped`` (with a query) and the ``phase.shrink``,
+    ``phase.events``, ``phase.kernel.rank``, ``.intern`` and
+    ``.semijoin`` timers.
+    """
+    alive = intervals = None
+    if tau == 0:
+        with tracer.timer("phase.events"):
+            intervals = _row_intervals(database)
+        relations = [
+            (name, database[name].attrs, database[name].rows) for name in database
+        ]
+    else:
+        with tracer.timer("phase.shrink"):
+            check_threshold(tau)
+            half = tau / 2
+            row_intervals = _row_intervals(database)
+            los = list(map(_lo_of, row_intervals))
+            his = list(map(_hi_of, row_intervals))
+            plain = (
+                type(half) is float
+                and _PLAIN_ENDPOINTS.issuperset(map(type, los))
+                and _PLAIN_ENDPOINTS.issuperset(map(type, his))
+            )
+            if plain:
+                alive, *ranks = _shrink_ranks(*_rank_endpoints(los, his), half)
+            else:
+                shrunk = [interval.shrink(half) for interval in row_intervals]
+                alive = np.array([iv is not None for iv in shrunk], dtype=bool)
+                intervals = list(compress(shrunk, alive.tolist()))
+            del row_intervals, los, his
+            relations = list(_surviving_rows(database, alive.tolist()))
+        tracer.incr("kernel.shrink_dropped", len(alive) - int(alive.sum()))
+    with tracer.timer("phase.events"):
+        if intervals is not None:
+            with tracer.timer("phase.kernel.rank"):
+                ranks = _rank_endpoints(
+                    list(map(_lo_of, intervals)), list(map(_hi_of, intervals))
+                )
+        shared = frozenset() if query is None else _shared_attributes(query)
+        with tracer.timer("phase.kernel.intern"):
+            interned = _intern_tables(relations, shared)
+        keep = None
+        if query is not None:
+            rank_times, row_lo, row_hi = ranks
+            with tracer.timer("phase.kernel.semijoin"):
+                keep = semijoin_keep(query, interned[2], row_lo, row_hi, len(rank_times))
+            tracer.incr("kernel.semijoin_dropped", _dropped(keep))
+    return _Reduced(relations, tuple(ranks), interned, intervals, alive, keep)
+
+
+def _dropped(keep: Optional[np.ndarray]) -> int:
+    """How many rows a keep mask drops."""
+    return 0 if keep is None else len(keep) - int(np.count_nonzero(keep))
 
 
 def _surviving_rows(database: Mapping[str, TemporalRelation], flags: List[bool]):
@@ -801,10 +837,54 @@ def semijoin_columns(
             cached = columns._interval_cache
             if cached is not None:
                 reduced._interval_cache = list(map(cached.__getitem__, ids.tolist()))
-    stats.incr(
-        "kernel.semijoin_dropped", 0 if keep is None else columns.n_rows - reduced.n_rows
-    )
+    stats.incr("kernel.semijoin_dropped", _dropped(keep))
     return columns if keep is None else reduced
+
+
+def semijoin_database(
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    stats: Tracer = NULL_TRACER,
+) -> Mapping[str, TemporalRelation]:
+    """``database`` without the rows that no result of ``query`` can use.
+
+    The input the ``auto`` route gives HYBRID. When the pass drops rows,
+    a row of one of the query's relations stays only if its τ/2-shrunk
+    interval is nonempty and the temporal semijoin pass keeps its shrunk
+    image. The kept rows are the original, unshrunk ones, so the
+    algorithm still shrinks them itself, and its result is the one it
+    returns on ``database``. The pass is the kernel read's: the ranks and
+    shared-attribute codes of :func:`_reduce`. Returns ``database``
+    itself when the pass drops no row. Records
+    ``kernel.semijoin_dropped`` (the rows the pass drops) and the
+    ``phase.kernel.semijoin`` timer.
+    """
+    query.validate(database)
+    with stats.timer("phase.kernel.semijoin"):
+        bound = query.relations_of(database)
+        read = _reduce(bound, tau, query, NULL_TRACER)
+        keep = read.keep
+        reduced = database
+        if keep is not None:
+            mask = keep
+            if read.alive is not None:
+                # ``keep`` covers the rows the shrink kept: widen it to all.
+                mask = np.zeros(len(read.alive), dtype=bool)
+                mask[np.flatnonzero(read.alive)[keep]] = True
+            reduced = dict(database)
+            start = 0
+            for name in bound:
+                stop = start + len(bound[name])
+                relation = database[name]
+                reduced[name] = TemporalRelation(
+                    name, relation.attrs,
+                    compress(relation.rows, mask[start:stop].tolist()),
+                    check_distinct=False,
+                )
+                start = stop
+    stats.incr("kernel.semijoin_dropped", _dropped(keep))
+    return reduced
 
 
 def _shrink_ranks(

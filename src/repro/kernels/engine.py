@@ -19,7 +19,9 @@ over a dynamic structure keyed on interned ints.
   it before the kept rows are encoded and their event codes sorted;
   prepared reads derive the kept rows with ``subset``. The rows a
   Figure-8 instance dangles on never reach the sweep. The object engine
-  sweeps unreduced, as the paper's TIMEFIRST does.
+  sweeps unreduced, as the paper's TIMEFIRST does; only when the
+  ``auto`` route picks HYBRID does it give the algorithm the rows the
+  same pass keeps (:func:`~repro.kernels.columns.semijoin_database`).
 
 The serial, shard and batch routes read through :func:`kernel_columns`,
 and every kernel route sweeps through :func:`sweep_columns`. There is

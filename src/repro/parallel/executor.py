@@ -128,7 +128,12 @@ def run_sharded(
     cuts: Optional[Sequence[Number]] = None,
     stats: Tracer = NULL_TRACER,
 ) -> JoinResultSet:
-    """Shard, fan out and merge one :class:`~repro.algorithms.registry.Route`."""
+    """Shard, fan out and merge one :class:`~repro.algorithms.registry.Route`.
+
+    A ``semijoin`` route (HYBRID picked by ``auto``) is reduced in the parent
+    (:func:`~repro.kernels.columns.semijoin_database`) before its time
+    cuts are placed, so cuts and shards see only the rows the pass keeps.
+    """
     query.validate(database)
     if mode not in MODES:
         raise QueryError(f"unknown parallel mode {mode!r}; expected {MODES}")
@@ -137,6 +142,10 @@ def run_sharded(
             query, database, tau, route, workers, cuts, stats
         )
     else:
+        if route.semijoin:
+            from ..kernels.columns import semijoin_database
+
+            database = semijoin_database(query, database, tau, stats)
         choice = "time: explicit cuts" if cuts is not None else "time: object engine"
         if cuts is not None:
             partition = TimePartition(tuple(cuts))

@@ -79,16 +79,6 @@ class TestRelationalOps:
         rel = small_rel()
         assert rel.project_values((1, "x"), ("b",)) == ("x",)
 
-    def test_project_dedupes(self):
-        rel = small_rel()
-        proj = rel.project(("a",))
-        assert sorted(v for v, _ in proj) == [(1,), (2,)]
-
-    def test_project_keeps_first_interval(self):
-        proj = small_rel().project(("a",))
-        lookup = {v: iv for v, iv in proj}
-        assert lookup[(1,)] == Interval(0, 10)
-
     def test_select(self):
         sel = small_rel().select(lambda v, iv: v[0] == 1)
         assert len(sel) == 2

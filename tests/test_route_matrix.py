@@ -127,6 +127,37 @@ SYNTHETIC = {
     family: (QUERIES[family], generate(QUERIES[family], SyntheticConfig(n_dangling=25, n_results=8)))
     for family in ("line3", "star3", "triangle")
 }
+
+
+def _with_danglers(query, database):
+    """``database`` plus two rows per relation that the semijoin pass
+    drops: one whose values no other relation holds, and one far off in
+    time that shares its first value with the relation's first row."""
+    out = {}
+    for name, relation in database.items():
+        first_values, first = relation.rows[0]
+        out[name] = TemporalRelation(name, relation.attrs, [
+            *relation.rows,
+            (tuple(f"dangling-{name}-{a}" for a in relation.attrs), first),
+            (tuple(f"{v}-late" if i else v for i, v in enumerate(first_values)),
+             Interval(10_000, 10_005)),
+        ])
+    return query, out
+
+
+#: Shapes the auto route sends to HYBRID (triangle, cycle4) and to
+#: HYBRID-INTERVAL (line3), with rows the semijoin pass drops at every τ
+#: used below.
+DANGLING = {
+    "line3": _with_danglers(*SYNTHETIC["line3"]),
+    "triangle": _with_danglers(*SYNTHETIC["triangle"]),
+    "cycle4": _with_danglers(
+        QUERIES["cycle4"],
+        generate(QUERIES["cycle4"], SyntheticConfig(n_dangling=25, n_results=8)),
+    ),
+}
+#: The shapes whose auto route runs the pass: the planner picks HYBRID.
+HYBRID_SHAPES = ("triangle", "cycle4")
 #: R1 stored as (x2, x1): the serve route once read it in edge order.
 REVERSED_LINE2 = (JoinQuery.line(2), {
     "R1": TemporalRelation("R1", ("x2", "x1"), [((7, 1), (0, 5))]),
@@ -225,6 +256,7 @@ ROUTES = {
         for workers in (1, 3)
     },
     "auto": _join,
+    "auto/w3": partial(_join, workers=3),
     "auto/budget-exhausted": _budget_exhausted,
     **{f"timefirst/{e}/cuts": partial(_cuts, algorithm="timefirst", engine=e) for e in ENGINES},
     **{f"{a}/prepared/w1": partial(_prepared, algorithm=a) for a in available_algorithms()},
@@ -282,6 +314,11 @@ def _note(query, database, tau):
 @example(instance=SYNTHETIC["line3"], tau=300)
 @example(instance=SYNTHETIC["star3"], tau=0)
 @example(instance=SYNTHETIC["triangle"], tau=0)
+@example(instance=DANGLING["line3"], tau=0)
+@example(instance=DANGLING["line3"], tau=3)
+@example(instance=DANGLING["cycle4"], tau=0)
+@example(instance=DANGLING["cycle4"], tau=2.5)
+@example(instance=DANGLING["triangle"], tau=2.5)
 def test_every_route_returns_naive_rows(instance, tau):
     query, database = instance
     _note(query, database, tau)
@@ -358,3 +395,101 @@ def test_process_mode_route(family, algorithm):
     assert got.same_results(naive_join(query, database)), f"route {algorithm}/process/w2"
     assert stats.get("parallel.shards") == 2
     assert stats.get("parallel.workers") == 2
+
+
+# ----------------------------------------------------------------------
+# The semijoin pass before the HYBRID runs the auto route picks
+# ----------------------------------------------------------------------
+#: The auto routes that run the pass before HYBRID, each
+#: ``(query, database, tau, stats) -> result``.
+REDUCED_ROUTES = {
+    "auto": lambda q, db, tau, stats: _join(q, db, tau, stats=stats),
+    "auto/w3": lambda q, db, tau, stats: _join(q, db, tau, workers=3, stats=stats),
+    "auto/prepared": lambda q, db, tau, stats: _prepared(q, db, tau, stats=stats),
+    "auto/prepared/w3": lambda q, db, tau, stats: _prepared(
+        q, db, tau, workers=3, stats=stats
+    ),
+    "run_batch": lambda q, db, tau, stats: run_batch(
+        [q], prepare(db), tau=tau, stats=stats
+    )[0],
+    "explain_analyze": lambda q, db, tau, stats: explain_analyze(
+        q, db, tau, stats=stats
+    ).result,
+}
+
+
+@pytest.mark.parametrize("route", sorted(REDUCED_ROUTES))
+@pytest.mark.parametrize("shape", HYBRID_SHAPES)
+@pytest.mark.parametrize("tau", [0, 3])
+def test_auto_hybrid_routes_drop_dangling_rows(shape, tau, route):
+    query, database = DANGLING[shape]
+    stats = ExecutionStats()
+    got = REDUCED_ROUTES[route](query, database, tau, stats)
+    assert got.same_results(naive_join(query, database, tau))
+    assert stats["kernel.semijoin_dropped"] > 0
+    assert "phase.kernel.semijoin" in stats.timers
+
+
+def test_the_pass_runs_only_on_auto_hybrid_routes(monkeypatch):
+    from repro.kernels import columns
+
+    calls = []
+    real = columns.semijoin_database
+    monkeypatch.setattr(
+        columns, "semijoin_database",
+        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
+    )
+    query, database = DANGLING["cycle4"]
+    want = naive_join(query, database)
+    line3, chain = DANGLING["line3"]
+    routes = {
+        "hybrid": (query, database, partial(_join, algorithm="hybrid")),
+        "hybrid/w3": (query, database, partial(_join, algorithm="hybrid", workers=3)),
+        "hybrid/prepared": (query, database, partial(_prepared, algorithm="hybrid")),
+        "timefirst/object": (
+            query, database, partial(_join, algorithm="timefirst", engine="object")
+        ),
+        "naive": (query, database, partial(_join, algorithm="naive")),
+        # The planner sends line3 to HYBRID-INTERVAL, which reads every row.
+        "auto/line3": (line3, chain, _join),
+    }
+    for name, (q, db, route) in routes.items():
+        stats = ExecutionStats()
+        assert route(q, db, 0, stats=stats).same_results(naive_join(q, db)), name
+        assert "kernel.semijoin_dropped" not in stats.counters, name
+    line2, pair = REVERSED_LINE2
+    stats = ExecutionStats()
+    _join(line2, pair, 0, predicate="before", stats=stats)
+    assert "kernel.semijoin_dropped" not in stats.counters
+    assert _serve(query, database, 0, pick=0).same_results(want)
+    assert calls == []
+    _join(query, database, 0)
+    assert len(calls) == 1
+
+
+def test_nothing_dropped_hands_over_the_same_database(monkeypatch):
+    from repro.algorithms import registry
+
+    seen = []
+    real = registry.get_algorithm("hybrid")
+    monkeypatch.setitem(
+        registry._REGISTRY, "hybrid",
+        lambda query, database, **kwargs: seen.append(database) or real(
+            query, database, **kwargs
+        ),
+    )
+    # A Figure-8 cycle without dangling rows: every row is in a result.
+    query = QUERIES["cycle4"]
+    database = generate(query, SyntheticConfig(n_dangling=0, n_results=8))
+    stats = ExecutionStats()
+    temporal_join(query, database, stats=stats)
+    assert stats["kernel.semijoin_dropped"] == 0
+    assert seen[-1] is database
+    # Rows drop: the algorithm reads the kept rows of the original relations.
+    query, database = DANGLING["cycle4"]
+    temporal_join(query, database)
+    reduced = seen[-1]
+    for name, relation in database.items():
+        kept = set(reduced[name].rows)
+        assert len(kept) < len(relation)
+        assert reduced[name].rows == [row for row in relation.rows if row in kept]

@@ -219,13 +219,15 @@ GOLDEN = {
         "results": 11, "sweep.active_peak": 16, "sweep.enumerate_calls": 44,
         "sweep.events": 88, "sweep.inserts": 44,
     }),
+    # The auto route runs the semijoin pass before HYBRID: its bags hold
+    # the 40 rows the pass keeps, not 726.
     "hybrid-QC4": (20, {
-        "hier.deletes": 726, "hier.inserts": 726, "hier.report_fragments": 20,
-        "hier.support_updates": 318, "hybrid.bag_rows.count": 2,
-        "hybrid.bag_rows.max": 363, "hybrid.bag_rows.total": 726, "hybrid.bags": 2,
-        "planner.lb_prunes": 18, "planner.search_nodes": 36, "results": 20,
-        "sweep.active_peak": 357, "sweep.enumerate_calls": 726, "sweep.events": 1452,
-        "sweep.inserts": 726,
+        "hier.deletes": 40, "hier.inserts": 40, "hier.report_fragments": 20,
+        "hier.support_updates": 122, "hybrid.bag_rows.count": 2,
+        "hybrid.bag_rows.max": 20, "hybrid.bag_rows.total": 40, "hybrid.bags": 2,
+        "kernel.semijoin_dropped": 196, "planner.lb_prunes": 18,
+        "planner.search_nodes": 36, "results": 20, "sweep.active_peak": 14,
+        "sweep.enumerate_calls": 40, "sweep.events": 80, "sweep.inserts": 40,
     }),
     "hybrid-interval-QL4": (20, {
         "hi.core_tuples": 363, "hi.interval_joins": 363, "ij.pairs.count": 363,
