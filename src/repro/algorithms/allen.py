@@ -22,6 +22,14 @@ relation predicate* suite:
 * **One shared sort.** Atomic predicates and any ``-or-`` union of them
   are answered from a single endpoint-sorted event sweep; a union never
   re-sorts per member.
+* **No sort for endpoint equality.** ``meets``, ``starts``,
+  ``started-by``, ``finishes``, ``finished-by`` and ``equals`` fix an
+  endpoint of one side to one of the other, so a hash on ``(key,
+  endpoint)`` finds every candidate pair (:func:`endpoint_hash_join`,
+  :data:`HASH_ATOMS`). The registry runs it for a predicate made only
+  of these atoms on the kernel and ``prepared=`` routes; a union with
+  ``overlaps``, ``before``, ``during`` or ``contains`` stays on the
+  sweep, and so does :func:`lazy_sweep_join` for every predicate.
 
 Predicates (``r`` = left item, ``s`` = right item; closed intervals):
 
@@ -51,19 +59,21 @@ query ("at least τ between release and audit") filters on.
 Endpoint equality here compares *stored* endpoints verbatim (never
 values produced by independent shrink/expand arithmetic), the exact
 contract of :func:`repro.core.interval.endpoint_eq`; the sweeps unpack
-endpoints into locals once per item and compare those.
+endpoints into locals once per item and compare those, and the hash
+join hashes them.
 
 Telemetry (``stats=``): ``allen.events``, ``allen.pairs``,
 ``allen.active_peak``, ``allen.expiries``, ``allen.atoms`` — see the
-DESIGN.md counter glossary. The sweeps themselves record nothing: they
-return their peak, and the entry points record once per call
-(:func:`record_sweeps`).
+DESIGN.md counter glossary. The sweeps and the hash join record
+nothing: the sweeps return their peak, and the entry points record
+once per call (:func:`record_sweeps`; the registry for the hash join).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.errors import QueryError
 from ..core.interval import Interval, Number
@@ -342,7 +352,7 @@ def _event_sweep(
     for idx, (_, lo, hi) in enumerate(rs):
         append_event((lo, 0, 1, idx))
         append_event((hi, 1, 1, idx))
-    events.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
+    events.sort()
 
     active_l: List[Tuple[int, object, Number, Number]] = []
     active_r: List[Tuple[int, object, Number, Number]] = []
@@ -476,6 +486,101 @@ def _event_sweep(
                 pos_r[last[0]] = slot
             pos_r[ridx] = -1
     return out, peak
+
+
+# ----------------------------------------------------------------------
+# Endpoint-equality atoms: one hash join, no sort of the inputs
+# ----------------------------------------------------------------------
+#: ``(payload, key, lo, hi)`` — an item with its shared-attribute key.
+Keyed = Tuple[object, object, Number, Number]
+
+#: An item's hash key: its shared-attribute key and one or both endpoints.
+_KEY_LO = itemgetter(1, 2)
+_KEY_HI = itemgetter(1, 3)
+_KEY_LO_HI = itemgetter(1, 2, 3)
+
+#: The atoms that fix an endpoint of ``r`` to one of ``s``: atom ->
+#: ``(the key s is bucketed on, the key of r that probes it, the free
+#: endpoint filter)``. The filter is ``None`` (the whole bucket) or
+#: ``(position, above)``: buckets are sorted on that endpoint of ``s``
+#: (2 = lo, 3 = hi), and the kept items are those whose endpoint lies
+#: strictly above (or below) the same endpoint of ``r`` — one slice.
+HASH_ATOMS: Dict[str, Tuple[Callable, Callable, Optional[Tuple[int, bool]]]] = {
+    "equals": (_KEY_LO_HI, _KEY_LO_HI, None),
+    "meets": (_KEY_LO, _KEY_HI, None),
+    "starts": (_KEY_LO, _KEY_LO, (3, True)),
+    "started-by": (_KEY_LO, _KEY_LO, (3, False)),
+    "finishes": (_KEY_HI, _KEY_HI, (2, False)),
+    "finished-by": (_KEY_HI, _KEY_HI, (2, True)),
+}
+
+
+def fixes_endpoints(atoms: Sequence[str]) -> bool:
+    """Whether :func:`endpoint_hash_join` answers every atom of ``atoms``."""
+    return all(name in HASH_ATOMS for name in atoms)
+
+
+def _buckets(rs: Sequence[Keyed], key: Callable, free: Optional[int]) -> Dict:
+    """``rs`` grouped on ``key``; with ``free`` each bucket is
+    ``(free endpoints, items)``, sorted on that endpoint."""
+    buckets: Dict = {}
+    for bucket_key, item in zip(map(key, rs), rs):
+        bucket = buckets.get(bucket_key)
+        if bucket is None:
+            buckets[bucket_key] = [item]
+        else:
+            bucket.append(item)
+    if free is not None:
+        by_free = itemgetter(free)
+        for bucket_key, bucket in buckets.items():
+            bucket.sort(key=by_free)
+            buckets[bucket_key] = (list(map(by_free, bucket)), bucket)
+    return buckets
+
+
+def endpoint_hash_join(
+    ls: Sequence[Keyed], rs: Sequence[Keyed], atoms: Sequence[str]
+) -> List[Tuple[object, object, Number, Number]]:
+    """Raw pairs ``(lpay, rpay, lo, hi)`` for atoms that each fix an endpoint.
+
+    Items are ``(payload, key, lo, hi)``; a pair must share its key.
+    Each atom buckets ``rs`` on ``(key, endpoint)`` (:data:`HASH_ATOMS`)
+    and probes with every left item, so no input is sorted. Equality is
+    the stored endpoints' ``==`` (:func:`repro.core.interval.endpoint_eq`),
+    and ``hash(1) == hash(1.0) == hash(True)``, so the buckets keep it.
+    ``starts``/``finishes``-type buckets are sorted on the free endpoint
+    and read as one bisected slice, so the join is output-sensitive.
+    Atoms that bucket alike share one set of buckets.
+
+    Pairs carry :func:`pair_interval` (the instant ``[t, t]`` for
+    ``meets``). Union semantics are :func:`_event_sweep`'s: a pair is
+    emitted by the first satisfied atom in ``atoms`` order only.
+    """
+    out: List[Tuple[object, object, Number, Number]] = []
+    emit = out.append
+    built: Dict[Tuple[Callable, Optional[int]], Dict] = {}
+    for idx, name in enumerate(atoms):
+        key, probe, keep = HASH_ATOMS[name]
+        earlier = [ATOMS[prev].holds for prev in atoms[:idx]]
+        shape = (key, None if keep is None else keep[0])
+        if shape not in built:
+            built[shape] = _buckets(rs, *shape)
+        for item, bucket in zip(ls, map(built[shape].get, map(probe, ls))):
+            if bucket is None:
+                continue
+            if keep is not None:
+                free, above = keep
+                frees, bucket = bucket
+                if above:
+                    bucket = bucket[bisect_right(frees, item[free]):]
+                else:
+                    bucket = bucket[:bisect_left(frees, item[free])]
+            lpay, _, llo, lhi = item
+            for rpay, _, slo, shi in bucket:
+                if earlier and any(h(llo, lhi, slo, shi) for h in earlier):
+                    continue
+                emit((lpay, rpay) + pair_interval(llo, lhi, slo, shi))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,11 @@ import inspect
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..core.errors import QueryError
-from ..core.interval import Number
+from ..core.interval import Interval, Number
 from ..core.planner import Plan
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
@@ -331,6 +332,8 @@ class Route:
     prepared: Optional[object] = None  # the artifact the kernel reads, if any
     #: Run the temporal semijoin pass before the object algorithm.
     semijoin: bool = False
+    #: A predicate route's pair strategy: "hash" or "sweep".
+    strategy: Optional[str] = None
 
 
 def resolve_route(
@@ -358,7 +361,12 @@ def resolve_route(
     per-query r-hierarchical reduction, which also notes why) counts one
     ``prepared.fallback_queries``. A non-``overlaps`` predicate resolves
     to the binary lazy sweep: two edges, no workers, and algorithm
-    ``auto`` or ``baseline`` (both mean "the binary join" there).
+    ``auto`` or ``baseline`` (both mean "the binary join" there). Its
+    strategy, noted as ``allen.strategy``, is ``hash`` when the engine
+    is not ``object`` and every atom fixes an endpoint
+    (:func:`~repro.algorithms.allen.fixes_endpoints`), ``sweep``
+    otherwise; the hash join reads the stored relations, not the
+    artifact.
 
     When ``algorithm="auto"`` resolves to HYBRID, the route runs the
     temporal semijoin pass first (``Route.semijoin``;
@@ -368,7 +376,7 @@ def resolve_route(
     never run it.
     """
     from ..core.planner import plan
-    from .allen import parse_predicate
+    from .allen import fixes_endpoints, parse_predicate
 
     _ensure_loaded()
     _check_tau(tau)
@@ -385,7 +393,9 @@ def resolve_route(
             f"cuts= needs workers >= 2 (got workers={workers!r}): it places "
             "the time cuts of a sharded run"
         )
-    if parse_predicate(predicate) != ("overlaps",):
+    strategy = None
+    atoms = parse_predicate(predicate)
+    if atoms != ("overlaps",):
         names = query.edge_names
         if len(names) != 2:
             raise QueryError(
@@ -405,6 +415,8 @@ def resolve_route(
             )
         used = "object" if engine == "object" else "kernel"
         name, fn, kwargs, choice, reason = LAZY_SWEEP, None, {}, None, None
+        strategy = "hash" if used == "kernel" and fixes_endpoints(atoms) else "sweep"
+        stats.note("allen.strategy", strategy)
     else:
         choice = None
         if algorithm == "auto" or explain:
@@ -419,16 +431,16 @@ def resolve_route(
         used, reason = _engine_decision(name, engine, kwargs)
     if reason is not None:
         stats.note("kernel.fallback_reason", reason)
-    cold = None
-    if prepared is not None and used == "kernel":
+    cold = reads = None
+    if prepared is not None and used == "kernel" and strategy != "hash":
         cold = prepared.cold_reason(query)
-    reads = prepared if used == "kernel" and cold is None else None
+        reads = prepared if cold is None else None
     if prepared is not None and reads is None:
         stats.incr("prepared.fallback_queries")
         if cold is not None:
             stats.note("kernel.fallback_reason", cold)
     semijoin = algorithm == "auto" and name == "hybrid"
-    return Route(name, fn, kwargs, choice, used, reason, reads, semijoin)
+    return Route(name, fn, kwargs, choice, used, reason, reads, semijoin, strategy)
 
 
 def run_route(
@@ -470,7 +482,7 @@ def _binary_predicate_join(
     predicate: str,
     stats: Tracer,
 ) -> JoinResultSet:
-    """Run a non-``overlaps`` predicate on the lazy-sweep binary path.
+    """Run a non-``overlaps`` predicate on the binary path.
 
     Allen predicates are defined on a *pair* of intervals, hence the
     route's binary-only walls: the multiway machinery is all built on
@@ -478,10 +490,22 @@ def _binary_predicate_join(
     for ``before`` — by duration, consistent with the shrink/expand
     durability semantics of the overlaps path (where the emitted
     interval is always the intersection).
+
+    ``route.strategy`` picks the pairs: ``hash`` runs
+    :func:`_hash_predicate_join` over the stored relations (kernel and
+    ``prepared=`` reads of an endpoint-equality predicate); ``sweep``
+    runs the lazy endpoint sweep, over object rows for
+    ``engine="object"`` and in rank space otherwise
+    (:func:`~repro.kernels.allen.kernel_predicate_join`). The hash join
+    and the object sweep bind each row's shared values from the left
+    relation, as ``naive`` does; the kernel sweep returns the
+    representative its interning kept.
     """
     names = query.edge_names
     query.validate(database)
-    if route.engine == "object":
+    if route.strategy == "hash":
+        out = _hash_predicate_join(query, database, predicate, stats)
+    elif route.engine == "object":
         from .binary import binary_temporal_join
 
         joined = binary_temporal_join(
@@ -504,6 +528,45 @@ def _binary_predicate_join(
     if tau:
         out = out.filter_durable(tau)
     stats.incr("results", len(out))
+    return out
+
+
+def _hash_predicate_join(
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    predicate: str,
+    stats: Tracer,
+) -> JoinResultSet:
+    """An endpoint-equality predicate by :func:`~repro.algorithms.allen.endpoint_hash_join`.
+
+    Reads both stored relations by attribute name, in whatever order
+    they are stored: no intern, rank or sort. Each row is bound from the
+    left row's values, the right row adding its own attributes.
+    """
+    from .allen import endpoint_hash_join, parse_predicate
+
+    atoms = parse_predicate(predicate)
+    left, right = (database[name] for name in query.edge_names)
+    shared = [a for a in left.attrs if a in right.attrs]
+
+    def keyed(relation: TemporalRelation) -> list:
+        pos = relation.positions(shared)
+        key = itemgetter(*pos) if pos else (lambda values: ())
+        return [(values, key(values), iv.lo, iv.hi) for values, iv in relation.rows]
+
+    raw = endpoint_hash_join(keyed(left), keyed(right), atoms)
+    sources = [
+        (True, left.position(a)) if a in left.attrs else (False, right.position(a))
+        for a in query.attrs
+    ]
+    fast = Interval._fast
+    out = JoinResultSet(query.attrs, [
+        (tuple(lvals[p] if from_left else rvals[p] for from_left, p in sources),
+         fast(lo, hi))
+        for lvals, rvals, lo, hi in raw
+    ])
+    stats.incr("allen.atoms", len(atoms))
+    stats.incr("allen.pairs", len(out))
     return out
 
 
@@ -615,10 +678,14 @@ def temporal_join(
         ``finished-by``, ``during``, ``contains``, ``equals``) or an
         ``-or-`` union of atoms (``"overlaps-or-meets"``). Non-overlaps
         predicates require a **binary** (two-edge) query and run the
-        lazy-sweep engine directly (serial only; ``engine=`` still
-        selects object vs rank-space kernel execution); result intervals
-        are the pair intersection, or the gap for ``before``, and τ
-        filters that interval's duration. See
+        binary engine directly (serial only). A predicate made only of
+        endpoint-fixing atoms (``meets``, ``starts``, ``started-by``,
+        ``finishes``, ``finished-by``, ``equals``) runs a hash join
+        over the stored rows unless ``engine="object"``; any other, and
+        every predicate under ``engine="object"``, runs the lazy sweep
+        (object or rank-space kernel, as ``engine=`` selects). Result
+        intervals are the pair intersection, or the gap for
+        ``before``, and τ filters that interval's duration. See
         :mod:`repro.algorithms.allen`.
     kwargs:
         Forwarded to the selected algorithm (e.g. ``order=`` for
@@ -727,11 +794,15 @@ def explain_analyze(
     name, choice = route.name, route.plan
     if choice is None:
         # Non-overlaps predicates bypass the Figure-7 planner entirely:
-        # the binary lazy-sweep path is the plan.
+        # the binary path and its strategy are the plan.
+        pairs = (
+            "one hash join on (shared attributes, endpoint) per atom, no sort"
+            if route.strategy == "hash"
+            else "one lazy endpoint sweep per shared-attribute key group"
+        )
         explanation = (
-            f"binary Allen-predicate join (predicate={predicate!r}): "
-            "one lazy endpoint sweep per shared-attribute key group; "
-            "no multiway plan applies"
+            f"binary Allen-predicate join (predicate={predicate!r}, "
+            f"strategy {route.strategy}): {pairs}; no multiway plan applies"
         )
     elif name == choice.algorithm:
         explanation = choice.explain()

@@ -12,8 +12,9 @@ suite       arms (reference / subject)          cells (check cells *)  floor
 kernels     object / kernel engine (TIMEFIRST)  line3, star3 ×         1.0
                                                 1k, 3k*, 10k
 prepared    cold fleet / prepare + run_batch    fleet/3k*, fleet/10k   1.0
-allen       forward-scan or naive scan /        overlaps/1k, 3k, 10k*, 1.0
-            lazy sweep                          during/1k*, meets/1k
+allen       forward-scan, naive scan or lazy    overlaps/1k, 3k, 10k*, 1.0
+            sweep / lazy sweep or hash join     during/1k*, meets/1k,
+                                                equals/10k*
 planner     exact search / warm plan cache      table1*                2.0
 parallel    serial / ``workers=2``              line3/timefirst*,      none
                                                 line3/hybrid*
@@ -53,7 +54,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..algorithms.allen import ATOMS, lazy_sweep_join, pair_interval
+from ..algorithms.allen import ATOMS, endpoint_hash_join, lazy_sweep_join, pair_interval
 from ..algorithms.interval_join import forward_scan_join
 from ..algorithms.registry import temporal_join
 from ..core.interval import Interval
@@ -263,7 +264,7 @@ def prepared_cell(cell: str, repeat: int) -> dict:
     })
 
 
-# -- allen: lazy sweep vs the strategies it replaced ------------------------
+# -- allen: lazy sweep vs the strategies it replaced, hash join vs sweep ----
 
 #: Items per side. The time span scales with N (lengths stay uniform(0,
 #: 20)), so pair density per tuple is the same at every size.
@@ -271,12 +272,14 @@ ALLEN_SIZES: Dict[str, int] = {"1k": 1_000, "3k": 3_000, "10k": 10_000}
 
 #: Each predicate's reference arm. Forward-scan is the other plane
 #: sweep, so ``overlaps`` isolates the gapless active set and lazy pair
-#: construction; the other atoms have only the quadratic naive scan,
-#: so their cells stay small.
+#: construction; ``during`` and ``meets`` have only the quadratic naive
+#: scan, so their cells stay small. ``equals`` measures the hash join
+#: the program runs for it against the lazy sweep it replaced.
 ALLEN_REFERENCE: Dict[str, str] = {
     "overlaps": "forward-scan",
     "during": "naive",
     "meets": "naive",
+    "equals": "lazy-sweep",
 }
 
 
@@ -317,23 +320,36 @@ def naive_predicate_join(left, right, predicate: str) -> list:
     return out
 
 
+def hash_predicate_join(left, right, predicate: str) -> list:
+    """:func:`endpoint_hash_join` in ``lazy_sweep_join``'s item and pair
+    shape, every item under one key."""
+    fast = Interval._fast
+    raw = endpoint_hash_join(
+        [(pay, (), ivl.lo, ivl.hi) for pay, ivl in left],
+        [(pay, (), ivl.lo, ivl.hi) for pay, ivl in right],
+        (predicate,),
+    )
+    return [(a, b, fast(lo, hi)) for a, b, lo, hi in raw]
+
+
 def allen_cell(cell: str, repeat: int) -> dict:
     predicate, size = cell.split("/")
     reference = ALLEN_REFERENCE[predicate]
-    left, right = allen_workload(size, grid=reference == "naive")
-    if reference == "forward-scan":
-        arm: Arm = (None, lambda: forward_scan_join(left, right))
-    else:
-        arm = (None, lambda: naive_predicate_join(left, right, predicate))
-    seconds, out = time_arms({
-        reference: arm,
-        "lazy-sweep": (None, lambda: lazy_sweep_join(left, right,
-                                                     predicate=predicate)),
-    }, repeat)
+    left, right = allen_workload(size, grid=reference != "forward-scan")
+    arms: Dict[str, Arm] = {
+        "forward-scan": (None, lambda: forward_scan_join(left, right)),
+        "naive": (None, lambda: naive_predicate_join(left, right, predicate)),
+        "lazy-sweep": (None, lambda: lazy_sweep_join(left, right, predicate=predicate)),
+        "hash": (None, lambda: hash_predicate_join(left, right, predicate)),
+    }
+    subject = "hash" if reference == "lazy-sweep" else "lazy-sweep"
+    seconds, out = time_arms(
+        {reference: arms[reference], subject: arms[subject]}, repeat
+    )
     return _cell("allen", cell, seconds,
-                 sorted(out[reference]) == sorted(out["lazy-sweep"]), {
+                 sorted(out[reference]) == sorted(out[subject]), {
                      "input_tuples": len(left) + len(right),
-                     "pairs": len(out["lazy-sweep"]),
+                     "pairs": len(out[subject]),
                  })
 
 
@@ -474,8 +490,8 @@ SUITES: Dict[str, Suite] = {
     "allen": Suite(
         allen_cell,
         ("overlaps/1k", "overlaps/3k", "overlaps/10k", "during/1k",
-         "meets/1k"),
-        ("overlaps/10k", "during/1k"), floor=1.0,
+         "meets/1k", "equals/10k"),
+        ("overlaps/10k", "during/1k", "equals/10k"), floor=1.0,
     ),
     # The cache exists to answer every query without searching.
     "planner": Suite(

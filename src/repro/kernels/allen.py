@@ -1,13 +1,19 @@
 """Rank-space Allen-predicate binary joins over kernel columns.
 
 The kernel counterpart of :func:`repro.algorithms.binary.binary_temporal_join`
-for extended Allen predicates: both relations' endpoints already live in
-the shared rank space of a :class:`~repro.kernels.columns.KernelColumns`
+for the predicates the program sweeps: those with an ``overlaps``,
+``before``, ``during`` or ``contains`` atom. A predicate made only of
+endpoint-fixing atoms (``meets``, ``starts``, ``finishes``, ``equals``
+and their converses) never reaches this module from the registry: it
+runs :func:`repro.algorithms.allen.endpoint_hash_join` over the stored
+rows instead. Here both relations' endpoints already live in the
+shared rank space of a :class:`~repro.kernels.columns.KernelColumns`
 bundle, and rank compression preserves *both* order and equality — so
-every Allen atom (including the equality-shaped ``meets``/``starts``/
-``finishes``/``equals``) evaluates exactly on the dense int ranks, with
-no float comparisons anywhere in the sweep. Values stay interned until
-one de-intern pass at emission; no object rows are touched (the
+every atom of a swept predicate (its equality-shaped members
+included) evaluates exactly on the dense int ranks, with no float
+comparisons anywhere in the sweep. Values stay interned until one
+de-intern pass at emission, so each row carries the representative
+interning kept; no object rows are touched (the
 ``kernel-no-object-rows`` rule holds here as everywhere in
 :mod:`repro.kernels`).
 

@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.algorithms.allen import (  # noqa: E402
     ATOMS,
+    endpoint_hash_join,
+    fixes_endpoints,
     lazy_sweep_join,
     pair_interval,
     parse_predicate,
@@ -154,6 +156,32 @@ class TestAtomSemantics:
             assert stats["allen.pairs"] == len(with_stats)
             assert stats["allen.events"] > 0
 
+    @pytest.mark.parametrize("predicate", [
+        # Unions whose atoms can hold on one pair: zero-length intervals
+        # meet and start, or meet and finish, at once.
+        p for p in PREDICATES + ["meets-or-finished-by", "equals-or-meets-or-starts"]
+        if fixes_endpoints(parse_predicate(p))
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hash_join_matches_oracle(self, predicate, data):
+        # Keys 1, 1.0 and True are one key; 0 is another.
+        keys = st.sampled_from([0, 1, 1.0, True])
+        left = data.draw(items("l"))
+        right = data.draw(items("r"))
+        lkeys = [data.draw(keys) for _ in left]
+        rkeys = [data.draw(keys) for _ in right]
+        got = endpoint_hash_join(
+            [(p, k, iv.lo, iv.hi) for (p, iv), k in zip(left, lkeys)],
+            [(p, k, iv.lo, iv.hi) for (p, iv), k in zip(right, rkeys)],
+            parse_predicate(predicate),
+        )
+        want = []
+        for (lp, liv), lk in zip(left, lkeys):
+            same = [(rp, riv) for (rp, riv), rk in zip(right, rkeys) if rk == lk]
+            want += oracle([(lp, liv)], same, predicate)
+        assert sorted((a, b, Interval(lo, hi)) for a, b, lo, hi in got) == sorted(want)
+
     def test_active_peak_counter(self):
         left = [("a", Interval(0, 10)), ("b", Interval(1, 9))]
         right = [("c", Interval(2, 8))]
@@ -193,13 +221,19 @@ class TestRegistryDispatch:
         assert stats["results"] == len(result)
 
     def test_explain_analyze_predicate(self):
+        # An endpoint-equality predicate runs the hash join, a predicate
+        # with a non-equality atom the sweep; the report names which.
         query, db = line2_database(random.Random(6))
-        report = explain_analyze(query, db, predicate="meets")
-        assert report.algorithm == "lazy-sweep"
-        assert "predicate" in report.plan_explanation
-        assert report.stats["allen.pairs"] >= 0
-        rendered = report.render()
-        assert "allen.events" in rendered
+        for predicate, strategy in (("meets", "hash"), ("during", "sweep")):
+            report = explain_analyze(query, db, predicate=predicate)
+            assert report.algorithm == "lazy-sweep"
+            assert report.engine == "kernel"
+            assert f"strategy {strategy}" in report.plan_explanation
+            assert report.stats.notes["allen.strategy"] == strategy
+            assert report.stats["allen.pairs"] >= 0
+            rendered = report.render()
+            assert "allen.pairs" in rendered
+            assert ("allen.events" in rendered) == (strategy == "sweep")
 
     def test_non_binary_query_rejected(self):
         query = JoinQuery.line(3)

@@ -113,6 +113,7 @@ def tiny(monkeypatch):
     ("allen", "overlaps/1k", None),
     ("allen", "during/1k", None),
     ("allen", "meets/1k", None),
+    ("allen", "equals/1k", None),
     ("planner", "table1", None),
     ("parallel", "line3/timefirst", "inline"),
     ("parallel", "line3/timefirst", "process"),
@@ -133,7 +134,7 @@ def test_real_cell(tiny, monkeypatch, suite, cell, mode):
         assert counters["sort_calls"] == 1
         assert counters["evaluations"] == 4  # distinct hypergraphs
     elif suite == "allen":
-        assert counters["pairs"] > 0  # meets fires on gridded endpoints
+        assert counters["pairs"] > 0  # meets/equals fire on gridded endpoints
         assert counters["input_tuples"] == 2 * gates.ALLEN_SIZES["1k"]
     elif suite == "planner":
         assert counters["cold_search_nodes"] > 0

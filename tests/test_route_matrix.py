@@ -163,6 +163,21 @@ REVERSED_LINE2 = (JoinQuery.line(2), {
     "R1": TemporalRelation("R1", ("x2", "x1"), [((7, 1), (0, 5))]),
     "R2": TemporalRelation("R2", ("x2", "x3"), [((7, 9), (2, 8))]),
 })
+#: Every endpoint-fixing atom fires: each R1 row has one equal partner
+#: (±inf and zero-length ones included) and each other atom holds on
+#: some pair, some pairs under two atoms (a-s: meets and finished-by).
+#: R1 is stored as (x2, x1) and the key x2 is 1, 1.0 or True, so every
+#: row shares one key written three ways.
+EVERY_ENDPOINT_ATOM = (JoinQuery.line(2), {
+    "R1": TemporalRelation("R1", ("x2", "x1"), [
+        ((1, "a"), (0, 5)), ((1.0, "b"), (0, 3)), ((True, "c"), (3, 5)),
+        ((1, "d"), (-INF, 3)), ((1.0, "e"), (3, INF)), ((True, "f"), (5, 5)),
+    ]),
+    "R2": TemporalRelation("R2", ("x2", "x3"), [
+        ((1.0, "p"), (0, 5)), ((True, "q"), (0, 3)), ((1, "r"), (3, 5)),
+        ((1, "s"), (5, 5)), ((True, "t"), (3, INF)), ((1.0, "u"), (-INF, 3)),
+    ]),
+})
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +349,12 @@ def test_every_route_returns_naive_rows(instance, tau):
 # ----------------------------------------------------------------------
 # Allen predicates on binary queries
 # ----------------------------------------------------------------------
-PREDICATES = sorted(ATOMS) + ["overlaps-or-meets", "before-or-meets", "overlaps-or-before"]
+PREDICATES = sorted(ATOMS) + [
+    "overlaps-or-meets", "before-or-meets", "overlaps-or-before",
+    # Unions of endpoint-fixing atoms (the hash join) and one that mixes
+    # in a sweep atom.
+    "starts-or-started-by-or-equals", "meets-or-finishes", "during-or-equals",
+]
 
 ALLEN_ROUTES = {
     **{e: partial(_join, engine=e) for e in ENGINES},
@@ -367,6 +387,7 @@ def pair_oracle(query, database, predicate, tau):
 @given(instance=instances(("line2", "r-hier", "random"), edges=(2, 2)),
        tau=st.sampled_from(TAUS))
 @example(instance=REVERSED_LINE2, tau=0)
+@example(instance=EVERY_ENDPOINT_ATOM, tau=0)
 def test_every_allen_route_returns_the_pair_oracle(instance, tau):
     query, database = instance
     _note(query, database, tau)
@@ -379,6 +400,47 @@ def test_every_allen_route_returns_the_pair_oracle(instance, tau):
                 f"route {name} disagrees with the pair oracle at tau={tau!r}: "
                 f"{got.normalized()} != {want.normalized()}"
             )
+
+
+def test_endpoint_equality_predicates_take_the_hash_path(monkeypatch):
+    from repro.algorithms import allen
+
+    calls = []
+    for fn in ("endpoint_hash_join", "_event_sweep"):
+        monkeypatch.setattr(allen, fn, lambda *args, _fn=fn, _real=getattr(allen, fn): (
+            calls.append(_fn) or _real(*args)
+        ))
+    query, database = EVERY_ENDPOINT_ATOM
+    routes = {
+        "auto": _join,
+        "kernel": partial(_join, engine="kernel"),
+        "prepared": _prepared,
+        # perfbench's reference for the hash route: it must not run it.
+        "object": partial(_join, engine="object"),
+    }
+    # a-s is finished-by and meets: the union emits it once.
+    for predicate in ("equals", "finished-by-or-meets", "during-or-equals"):
+        want = pair_oracle(query, database, predicate, 0)
+        for name, route in routes.items():
+            label = f"{name}/{predicate}"
+            hashed = name != "object" and predicate != "during-or-equals"
+            calls.clear()
+            stats = ExecutionStats()
+            got = route(query, database, 0, predicate=predicate, stats=stats)
+            assert got.same_results(want), label
+            if hashed or name == "object":
+                # Both bind the left row's literals (1, 1.0 or True), as
+                # the oracle does.
+                assert sorted(map(repr, got)) == sorted(map(repr, want)), label
+            assert stats.notes["allen.strategy"] == ("hash" if hashed else "sweep"), label
+            assert set(calls) == {"endpoint_hash_join" if hashed else "_event_sweep"}, (
+                f"{label} ran {calls}"
+            )
+            if hashed:
+                # The artifact is not read: the hash join reads the relations.
+                assert set(stats.counters) == {"allen.atoms", "allen.pairs", "results"} | (
+                    {"prepared.fallback_queries"} if name == "prepared" else set()
+                ), label
 
 
 # ----------------------------------------------------------------------
