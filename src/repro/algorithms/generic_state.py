@@ -31,8 +31,9 @@ so the per-endpoint cost tracks the *relevant* active subset.
 * **Cyclic queries** materialize the bags of an fhtw-optimal GHD over
   the restricted rows (GenericJoin) and run Yannakakis over the bag
   tree. Each bag is one :class:`BagPlan`, built once in ``__init__``;
-  HYBRID (Algorithm 5) materializes its bags through the same plan
-  over the whole input.
+  HYBRID (Algorithm 5) materializes its bags, and HYBRID-INTERVAL
+  (Algorithm 6) its core join, through the same plan over the whole
+  input, where interval hulls of the partial projections also prune.
 
 Both paths append rows with values as stored and endpoints as
 intersected. A kernel subclass sets ``_decode`` (one table per output
@@ -147,7 +148,8 @@ class BagPlan:
 
     The one bag materializer: Algorithm 4 (lines 2-8) runs it per
     expiry over the restricted active rows, Algorithm 5 (lines 3-9) once
-    over the whole input (:func:`repro.algorithms.hybrid.materialize_bag`).
+    over the whole input (:func:`repro.algorithms.hybrid.materialize_bag`)
+    and Algorithm 6 (line 2) once over the core attributes ``J``.
 
     ``edges`` gives each relation's attributes in query-edge order and
     ``layouts`` (default: ``edges``) the order its rows are stored in, so
@@ -157,12 +159,19 @@ class BagPlan:
     positions of those attributes (``None`` when they are the stored
     row itself) and whether they are all of the relation's (a *full*
     edge, whose intervals the bag carries). The
-    GenericJoin attribute order (the bag's row layout) and each full
-    edge's positions in a bag row depend on the derived hypergraph
+    GenericJoin attribute order (the bag's row layout) and each derived
+    edge's key getter on a bag row depend on the derived hypergraph
     alone, so they are fixed here too.
+
+    After each :meth:`materialize`, ``joined`` is the number of
+    GenericJoin rows and ``dropped`` the number of those the partial
+    hulls dropped.
     """
 
-    __slots__ = ("name", "hypergraph", "projections", "order", "carried")
+    __slots__ = (
+        "name", "hypergraph", "projections", "order", "carried", "partial",
+        "joined", "dropped",
+    )
 
     def __init__(
         self,
@@ -189,31 +198,66 @@ class BagPlan:
         self.hypergraph = Hypergraph(derived)
         self.order = choose_attribute_order(self.hypergraph)
         slot = {a: i for i, a in enumerate(self.order)}
-        self.carried: List[Tuple[str, Tuple[int, ...]]] = [
-            (relation, tuple(slot[a] for a in derived[relation]))
+        keys = {
+            relation: tuple_getter([slot[a] for a in attrs])
+            for relation, attrs in derived.items()
+        }
+        self.carried: List[Tuple[str, Key]] = [
+            (relation, keys[relation])
             for relation, (_, full) in self.projections.items()
             if full
         ]
+        self.partial: List[Tuple[str, Key]] = [
+            (relation, keys[relation])
+            for relation, (_, full) in self.projections.items()
+            if not full
+        ]
+        self.joined = self.dropped = 0
 
-    def materialize(self, rows: Mapping[str, Rows]) -> TemporalRelation:
+    def materialize(self, rows: Mapping[str, Rows], _hulls: bool = True) -> TemporalRelation:
         """The bag over ``rows`` (per relation, ``(values, interval)`` pairs).
 
-        A full edge keeps its rows' intervals, a partial projection gets
-        ``(-inf, +inf)`` (Algorithm 5 lines 6-7); each GenericJoin row
+        A full edge keeps its rows' intervals, a partial projection joins
+        as ``(-inf, +inf)`` (Algorithm 5 lines 6-7); each GenericJoin row
         carries the intersection of its full edges' intervals, and a row
         whose intersection is empty is dropped (line 9).
+
+        Beyond the paper, each partial projection key also gets the hull
+        ``[min lo, max hi]`` of its rows' intervals, and a row is dropped
+        when its carried interval and its partial keys' hulls share no
+        point. Exact: a result's interval lies inside each of its rows,
+        and each row's inside its key's hull. The carried interval is not
+        narrowed by the hulls, so the surviving rows are unchanged.
+        ``_hulls=False`` skips the hulls: the sweep state's per-expiry
+        rows all hold the expiry instant, where no hull can prune.
         """
         sub_db: Dict[str, TemporalRelation] = {}
         projected: Dict[str, Dict[Values, Interval]] = {}
+        hulls: Dict[str, Dict[Values, List[Number]]] = {}
         for relation, (pos, full) in self.projections.items():
             if pos is None:
                 proj = dict(rows[relation])
             elif full:
-                proj = {tuple(v[p] for p in pos): ivl for v, ivl in rows[relation]}
+                key = tuple_getter(pos)
+                proj = {key(v): ivl for v, ivl in rows[relation]}
             else:
-                proj = dict.fromkeys(
-                    (tuple(v[p] for p in pos) for v, _ in rows[relation]), _ALWAYS
-                )
+                key = tuple_getter(pos)
+                if _hulls:
+                    hull: Dict[Values, List[Number]] = {}
+                    for v, ivl in rows[relation]:
+                        k = key(v)
+                        h = hull.get(k)
+                        if h is None:
+                            hull[k] = [ivl.lo, ivl.hi]
+                        else:
+                            if ivl.lo < h[0]:
+                                h[0] = ivl.lo
+                            if ivl.hi > h[1]:
+                                h[1] = ivl.hi
+                    hulls[relation] = hull
+                    proj = dict.fromkeys(hull, _ALWAYS)
+                else:
+                    proj = dict.fromkeys((key(v) for v, _ in rows[relation]), _ALWAYS)
             sub = TemporalRelation(
                 relation, self.hypergraph.edge(relation), check_distinct=False
             )
@@ -221,14 +265,16 @@ class BagPlan:
             sub_db[relation] = sub
             projected[relation] = proj
         tuples, order = generic_join_with_order(self.hypergraph, sub_db, self.order)
-        lookups = [(pos, projected[relation]) for relation, pos in self.carried]
+        lookups = [(key, projected[relation]) for relation, key in self.carried]
+        checks = [(key, hulls[relation]) for relation, key in self.partial if _hulls]
         out = []
+        dropped = 0
         for t in tuples:
             # Endpoints in Interval.intersect's tie order; one interval
             # per surviving bag row.
             lo, hi = _NEG_INF, _POS_INF
-            for pos, proj in lookups:
-                ivl = proj[tuple(t[p] for p in pos)]
+            for key, proj in lookups:
+                ivl = proj[key(t)]
                 if ivl.lo > lo:
                     lo = ivl.lo
                 if ivl.hi < hi:
@@ -236,7 +282,20 @@ class BagPlan:
                 if lo > hi:
                     break
             else:
-                out.append((t, _fast(lo, hi)))
+                clo, chi = lo, hi
+                for key, hull in checks:
+                    hlo, hhi = hull[key(t)]
+                    if hlo > clo:
+                        clo = hlo
+                    if hhi < chi:
+                        chi = hhi
+                    if clo > chi:
+                        dropped += 1
+                        break
+                else:
+                    out.append((t, _fast(lo, hi)))
+        self.joined = len(tuples)
+        self.dropped = dropped
         bag = TemporalRelation(self.name, order, check_distinct=False)
         bag._rows = out
         return bag
@@ -391,7 +450,7 @@ class GenericGHDState:
         bag_db: Dict[str, TemporalRelation] = {}
         bag_rows = self._bag_rows
         for plan in self._bag_plans:
-            rel = plan.materialize(rows)
+            rel = plan.materialize(rows, _hulls=False)
             size = len(rel)
             bag_rows[0] += 1
             bag_rows[1] += size

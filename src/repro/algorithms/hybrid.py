@@ -4,7 +4,11 @@ The join-first half materializes each GHD bag with GenericJoin over the
 *whole* input; valid intervals are carried for relations fully contained
 in the bag (Algorithm 5 line 6) and widened to ``(-inf, +inf)`` for
 partial projections (line 7); bag tuples whose carried intervals already
-fail to intersect are dropped (line 9). The time-first half then runs the
+fail to intersect are dropped (line 9). Beyond the paper, a bag tuple is
+also dropped when its carried interval and the interval hulls of its
+partial projections' keys (``[min lo, max hi]`` of the rows each key
+stands for) share no point: no result can contain it. The carried
+interval itself is still line 7's. The time-first half then runs the
 sweep once over the derived acyclic query of bags — with the §3.2
 hierarchical structure when the bag query is hierarchical (the
 hierarchical-GHD observation behind Theorem 12), or the §3.3 generic
@@ -38,15 +42,27 @@ def materialize_bag(
 
     Returns a temporal relation over a permutation of ``bag_attrs`` whose
     rows are the GenericJoin results of the derived edges, carrying the
-    intersection of the intervals of all fully contained relations.
-    Relations are read by attribute name, whatever order they store
-    their attributes in. The GHD sweep state materializes its bags
-    through the same :class:`~repro.algorithms.generic_state.BagPlan`.
+    intersection of the intervals of all fully contained relations
+    (partial projections join as ``(-inf, +inf)``, line 7). A row is
+    dropped when that intersection is empty (line 9) or shares no point
+    with the interval hulls of its partial projections' keys, so every
+    dropped row meets no result. Relations are read by attribute name,
+    whatever order they store their attributes in. The GHD sweep state
+    materializes its bags through the same
+    :class:`~repro.algorithms.generic_state.BagPlan`.
     """
+    return _bag_plan(query_hg, database, bag_attrs, bag_name).materialize(database)
+
+
+def _bag_plan(
+    query_hg: Hypergraph,
+    database: Mapping[str, TemporalRelation],
+    bag_attrs: Tuple[str, ...],
+    bag_name: str,
+) -> BagPlan:
     edges = dict(query_hg.items())
     layouts = {name: database[name].attrs for name in edges}
-    plan = BagPlan(bag_name, bag_attrs, edges, layouts)
-    return plan.materialize(database)
+    return BagPlan(bag_name, bag_attrs, edges, layouts)
 
 
 def hybrid_join(
@@ -73,7 +89,8 @@ def hybrid_join(
         benches.
     stats:
         Opt-in telemetry (see :mod:`repro.obs`): ``hybrid.bags``,
-        ``hybrid.bag_rows`` (per-bag materialized sizes), the
+        ``hybrid.bag_rows`` (per-bag materialized sizes),
+        ``hybrid.hull_dropped`` (bag rows the partial hulls dropped), the
         ``phase.materialize`` timer, plus the sweep counters of the
         time-first half over the derived bag query.
     """
@@ -86,7 +103,10 @@ def hybrid_join(
     bag_db: Dict[str, TemporalRelation] = {}
     with stats.timer("phase.materialize"):
         for bag, lam in ghd.bags.items():
-            rel = materialize_bag(hg, db, lam, bag_name=bag)
+            plan = _bag_plan(hg, db, lam, bag)
+            rel = plan.materialize(db)
+            if plan.dropped:
+                stats.incr("hybrid.hull_dropped", plan.dropped)
             stats.incr("hybrid.bags")
             stats.observe("hybrid.bag_rows", len(rel))
             if track_intermediates is not None:

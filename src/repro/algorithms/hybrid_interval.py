@@ -19,9 +19,19 @@ This module implements all three residual strategies:
   unary groups);
 * anything else → a recursive TIMEFIRST call on the residual query.
 
+**Hulls first.** The core join is the one bag materializer
+(:class:`~repro.algorithms.generic_state.BagPlan`) over ``J``: the core
+edges are its full edges and carry the core interval ``[clo, chi]``
+(line 4), and the residual relations are its partial edges. Beyond the
+paper, a core tuple dies inside the core join when ``[clo, chi]`` and
+the interval hulls (``[min lo, max hi]``) of the residual rows matching
+it on ``J`` share no point, since every result lies inside the core
+interval and one such row per residual relation. The core interval
+itself is not narrowed by the hulls.
+
 **Filter, then clip.** Residual groups are built once per call as
 ``(values, lo, hi, interval)`` rows sorted by ``(lo, hi)``. Per core tuple
-with core interval ``[clo, chi]``, a row is kept iff it meets the core
+that survived the hulls, a row is kept iff it meets the core
 (``lo <= chi`` and ``hi >= clo``) and goes to the strategy *unclipped*;
 only emitted intervals are clipped to the core. Exact by Helly's theorem
 in 1-D: closed intervals that intersect pairwise share a point, so rows
@@ -39,15 +49,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.durability import shrink_database
 from ..core.errors import PlanError
-from ..core.hypergraph import Hypergraph
 from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
-from ..nontemporal.generic_join import generic_join_with_order
 from ..nontemporal.ghd import GuardedPartition, find_guarded_partition
 from ..obs import NULL_TRACER, Tracer
 from .allen import _BY_LO_HI, Pair, overlap_sweep
+from .generic_state import BagPlan
 from .hierarchical import tuple_getter
 
 Values = Tuple[object, ...]
@@ -85,8 +94,10 @@ def hybrid_interval_join(
     isolates the §4.2 interval-join improvement.
 
     ``stats`` opts into telemetry: ``hi.core_tuples`` (|L| from the core
-    GenericJoin), ``hi.core_pruned`` (core tuples that died on interval
-    or group checks), per-residual-strategy counters
+    GenericJoin, before any interval check), ``hi.core_pruned`` (core
+    tuples that died on interval, hull or group checks),
+    ``hi.hull_pruned`` (those the residual hulls killed in the core
+    join), per-residual-strategy counters
     (``hi.interval_joins`` / ``hi.product_sweeps`` / ``hi.recursions``),
     ``ij.scan`` (interval-join input scan lengths) and ``ij.pairs``
     (overlapping pairs reported), plus ``phase.core_join`` /
@@ -107,34 +118,21 @@ def hybrid_interval_join(
     db = shrink_database(database, tau)
 
     j_set = set(partition.J)
-    always = Interval.always()
     # ------------------------------------------------------------------
-    # Line 2: L <- GenericJoin(Q_J, {π_J R_e | e ∈ E_J})
+    # Line 2: L <- GenericJoin(Q_J, {π_J R_e | e ∈ E_J}), as one bag over
+    # J. Each core tuple carries its core edges' intersection (line 4); a
+    # tuple whose intersection is empty or misses a residual relation's
+    # hull for its J-part dies here, before any residual join.
     # ------------------------------------------------------------------
-    qj_edges: Dict[str, Tuple[str, ...]] = {}
-    qj_db: Dict[str, TemporalRelation] = {}
-    for name in hg.edge_names:
-        eattrs = hg.edge(name)
-        restricted = tuple(a for a in eattrs if a in j_set)
-        if not restricted:
-            continue
-        qj_edges[name] = restricted
-        key = tuple_getter(db[name].positions(restricted))
-        sub = TemporalRelation(name, restricted, check_distinct=False)
-        sub._rows = [(k, always) for k in dict.fromkeys(key(v) for v, _ in db[name])]
-        qj_db[name] = sub
+    edges = dict(hg.items())
+    core_plan = BagPlan("core", partition.J, edges, {n: db[n].attrs for n in edges})
     with stats.timer("phase.core_join"):
-        core_tuples, j_order = generic_join_with_order(Hypergraph(qj_edges), qj_db)
-    stats.incr("hi.core_tuples", len(core_tuples))
+        core = core_plan.materialize(db)
+    stats.incr("hi.core_tuples", core_plan.joined)
+    if core_plan.dropped:
+        stats.incr("hi.hull_pruned", core_plan.dropped)
+    j_order = core.attrs
     j_pos = {a: i for i, a in enumerate(j_order)}
-
-    # Interval lookup for core edges (fully inside J): line 4.
-    core_lookups = []
-    for name in partition.core_edges:
-        eattrs = hg.edge(name)
-        key = tuple_getter(db[name].positions(eattrs))
-        index = {key(v): (ivl.lo, ivl.hi) for v, ivl in db[name]}
-        core_lookups.append((tuple_getter([j_pos[a] for a in eattrs]), index))
 
     # Residual relations grouped by their J-part, sorted: lines 5-6, once.
     plans: List[Plan] = []
@@ -161,30 +159,26 @@ def hybrid_interval_join(
     # ------------------------------------------------------------------
     # Lines 3-8: per core tuple, solve the residual join.
     # ------------------------------------------------------------------
-    pruned = 0
+    pruned = core_plan.joined - len(core)
     with stats.timer("phase.residuals"):
-        for a in core_tuples:
-            clo, chi = _NEG_INF, _POS_INF
-            for key, index in core_lookups:
-                lo, hi = index[key(a)]
-                clo, chi = (lo if lo > clo else clo), (hi if hi < chi else chi)
+        for a, ivl in core:
+            clo, chi = ivl.lo, ivl.hi
             kept_groups: List[List[Row]] = []
-            if clo <= chi:
-                for _, _, probe, groups in plans:
-                    # Keep the rows that meet [clo, chi], unclipped (Helly).
-                    rows, los = groups.get(probe(a), _NO_GROUP)
-                    kept = [row for row in rows[: bisect_right(los, chi)] if row[2] >= clo]
-                    if not kept:
-                        break
-                    kept_groups.append(kept)
-            if clo > chi or len(kept_groups) < len(plans):
-                pruned += 1
+            for _, _, probe, groups in plans:
+                # Keep the rows that meet [clo, chi], unclipped (Helly).
+                rows, los = groups.get(probe(a), _NO_GROUP)
+                kept = [row for row in rows[: bisect_right(los, chi)] if row[2] >= clo]
+                if not kept:
+                    break
+                kept_groups.append(kept)
+            else:
+                emit(a, clo, chi, kept_groups)
                 continue
-            emit(a, clo, chi, kept_groups)
+            pruned += 1
 
     if pruned:
         stats.incr("hi.core_pruned", pruned)
-    record(stats, len(core_tuples) - pruned)
+    record(stats, core_plan.joined - pruned)
     stats.incr("results", len(out))
     return out
 

@@ -250,38 +250,41 @@ GOLDEN = {
     ),
     ("line3", "hybrid-interval", 0): (
         "38dbb8f75b623745", 42, {
-            "hi.core_pruned": 12, "hi.core_tuples": 32, "hi.interval_joins": 20,
-            "ij.pairs.count": 20, "ij.pairs.max": 6, "ij.pairs.total": 42, "ij.scan.count": 20,
-            "ij.scan.max": 5, "ij.scan.total": 61, "results": 42,
+            "hi.core_pruned": 13, "hi.core_tuples": 32, "hi.hull_pruned": 13,
+            "hi.interval_joins": 19, "ij.pairs.count": 19, "ij.pairs.max": 6, "ij.pairs.total": 42,
+            "ij.scan.count": 19, "ij.scan.max": 5, "ij.scan.total": 57, "results": 42,
         },
     ),
     ("line3", "hybrid-interval", 3): (
         "581f0f33ae1797c1", 2, {
-            "hi.core_pruned": 5, "hi.core_tuples": 6, "hi.interval_joins": 1, "ij.pairs.count": 1,
-            "ij.pairs.max": 2, "ij.pairs.total": 2, "ij.scan.count": 1, "ij.scan.max": 3,
-            "ij.scan.total": 3, "results": 2,
+            "hi.core_pruned": 5, "hi.core_tuples": 6, "hi.hull_pruned": 5, "hi.interval_joins": 1,
+            "ij.pairs.count": 1, "ij.pairs.max": 2, "ij.pairs.total": 2, "ij.scan.count": 1,
+            "ij.scan.max": 3, "ij.scan.total": 3, "results": 2,
         },
     ),
     ("line3", "hybrid-interval", 0.3): (
         "cc8752ed3d6439da", 22, {
-            "hi.core_pruned": 17, "hi.core_tuples": 27, "hi.interval_joins": 10,
-            "ij.pairs.count": 10, "ij.pairs.max": 6, "ij.pairs.total": 22, "ij.scan.count": 10,
-            "ij.scan.max": 5, "ij.scan.total": 31, "results": 22,
+            "hi.core_pruned": 17, "hi.core_tuples": 27, "hi.hull_pruned": 17,
+            "hi.interval_joins": 10, "ij.pairs.count": 10, "ij.pairs.max": 6, "ij.pairs.total": 22,
+            "ij.scan.count": 10, "ij.scan.max": 5, "ij.scan.total": 31, "results": 22,
         },
     ),
     ("line3", "hybrid-interval-sweep", 0): (
         "38dbb8f75b623745", 42, {
-            "hi.core_pruned": 12, "hi.core_tuples": 32, "hi.recursions": 20, "results": 42,
+            "hi.core_pruned": 13, "hi.core_tuples": 32, "hi.hull_pruned": 13, "hi.recursions": 19,
+            "results": 42,
         },
     ),
     ("line3", "hybrid-interval-sweep", 3): (
         "581f0f33ae1797c1", 2, {
-            "hi.core_pruned": 5, "hi.core_tuples": 6, "hi.recursions": 1, "results": 2,
+            "hi.core_pruned": 5, "hi.core_tuples": 6, "hi.hull_pruned": 5, "hi.recursions": 1,
+            "results": 2,
         },
     ),
     ("line3", "hybrid-interval-sweep", 0.3): (
         "cc8752ed3d6439da", 22, {
-            "hi.core_pruned": 17, "hi.core_tuples": 27, "hi.recursions": 10, "results": 22,
+            "hi.core_pruned": 17, "hi.core_tuples": 27, "hi.hull_pruned": 17, "hi.recursions": 10,
+            "results": 22,
         },
     ),
     ("line3", "serve", 0): ("dd1e629c8719f05d", 42, {}),
@@ -296,28 +299,36 @@ GOLDEN = {
     ),
     ("star-with-core", "hybrid-interval", 0): (
         "cc8c2cb0331c06aa", 32, {
-            "hi.core_pruned": 4, "hi.core_tuples": 18, "hi.product_sweeps": 14, "results": 32,
+            "hi.core_pruned": 6, "hi.core_tuples": 18, "hi.hull_pruned": 5, "hi.product_sweeps": 12,
+            "results": 32,
         },
     ),
     ("star-with-core", "hybrid-interval", 3): (
-        "4f53cda18c2baa0c", 0, {"hi.core_pruned": 2, "hi.core_tuples": 2, "results": 0},
+        "4f53cda18c2baa0c", 0, {
+            "hi.core_pruned": 2, "hi.core_tuples": 2, "hi.hull_pruned": 2, "results": 0,
+        },
     ),
     ("star-with-core", "hybrid-interval", 0.3): (
         "1f65ff89e5fbcc18", 4, {
-            "hi.core_pruned": 8, "hi.core_tuples": 12, "hi.product_sweeps": 4, "results": 4,
+            "hi.core_pruned": 9, "hi.core_tuples": 12, "hi.hull_pruned": 9, "hi.product_sweeps": 3,
+            "results": 4,
         },
     ),
     ("star-with-core", "hybrid-interval-sweep", 0): (
         "9170e2fda5b4eed7", 32, {
-            "hi.core_pruned": 4, "hi.core_tuples": 18, "hi.recursions": 14, "results": 32,
+            "hi.core_pruned": 6, "hi.core_tuples": 18, "hi.hull_pruned": 5, "hi.recursions": 12,
+            "results": 32,
         },
     ),
     ("star-with-core", "hybrid-interval-sweep", 3): (
-        "4f53cda18c2baa0c", 0, {"hi.core_pruned": 2, "hi.core_tuples": 2, "results": 0},
+        "4f53cda18c2baa0c", 0, {
+            "hi.core_pruned": 2, "hi.core_tuples": 2, "hi.hull_pruned": 2, "results": 0,
+        },
     ),
     ("star-with-core", "hybrid-interval-sweep", 0.3): (
         "1f65ff89e5fbcc18", 4, {
-            "hi.core_pruned": 8, "hi.core_tuples": 12, "hi.recursions": 4, "results": 4,
+            "hi.core_pruned": 9, "hi.core_tuples": 12, "hi.hull_pruned": 9, "hi.recursions": 3,
+            "results": 4,
         },
     ),
     ("triangle", "object", 0): ("35112450706aca75", 12, {"results": 12}),

@@ -76,21 +76,26 @@ class TestCounterExactness:
     def test_hybrid(self, instance):
         stats = run(instance, "hybrid")
         # Sweep runs over the materialized bags; this query's GHD has
-        # bags covering all N rows.
+        # one bag per relation. The b2 rows' partial hulls ([0, 3] in R,
+        # [20, 30] in S) miss the other bag's interval, so both drop.
         assert stats["hybrid.bags"] >= 1
-        assert stats["hybrid.bag_rows.total"] == N
-        assert stats["sweep.events"] == 2 * N
+        assert stats["hybrid.hull_dropped"] == 2
+        assert stats["hybrid.bag_rows.total"] == N - 2
+        assert stats["sweep.events"] == 2 * (N - 2)
 
     def test_hybrid_interval(self, instance):
         stats = run(instance, "hybrid-interval")
         # Core join over J = {b}: b1 and b2 both survive the value join.
         assert stats["hi.core_tuples"] == 2
-        # Every core tuple resolves through the two-group interval join.
-        assert stats["hi.interval_joins"] == 2
-        # b1 scans 2 R-rows + 1 S-row; b2 scans 1 + 1 (clipping keeps
-        # all rows here since each group is checked against the core
-        # interval, which is always() for a coreless J).
-        assert stats["ij.scan.total"] == 5
+        # b2's residual hulls, R's [0, 3] and S's [20, 30], share no
+        # point: it dies in the core join.
+        assert stats["hi.hull_pruned"] == 1
+        assert stats["hi.core_pruned"] == 1
+        # b1 resolves through the two-group interval join.
+        assert stats["hi.interval_joins"] == 1
+        # b1 scans 2 R-rows + 1 S-row (the core interval is always() for
+        # a coreless J, so no row is filtered out).
+        assert stats["ij.scan.total"] == 3
         assert stats["ij.pairs.total"] == K
 
     def test_baseline(self, instance):

@@ -28,16 +28,49 @@ class TestMaterializeBag:
         # Interval = R1 ∩ R2 (both fully inside the bag) = [5, 10].
         assert list(rows.values()) == [Interval(5, 10)]
 
-    def test_partial_edges_widen_to_always(self):
-        q = JoinQuery.line(2)
+    def test_carried_interval_is_the_full_edges_intersection(self):
+        q = JoinQuery.line(3)
         db = {
             "R1": TemporalRelation("R1", ("x1", "x2"), [((1, 2), (0, 10))]),
-            "R2": TemporalRelation("R2", ("x2", "x3"), [((2, 3), (100, 200))]),
+            "R2": TemporalRelation(
+                "R2", ("x2", "x3"), [((2, 3), (4, 6)), ((2, 5), (8, 9))]
+            ),
+            "R3": TemporalRelation("R3", ("x3", "x4"), [((3, 4), (0, 100))]),
         }
         bag = materialize_bag(q.hypergraph, db, ("x1", "x2"))
-        # R2 participates only as the projection π_{x2}; its disjoint
-        # interval must not kill the bag tuple.
-        assert len(bag) == 1
+        # π_{x2}(R2)'s hull [4, 9] meets R1's [0, 10]: the row stays, and
+        # carries [0, 10] (line 7), not the hull-narrowed [4, 9].
+        assert [iv for _, iv in bag] == [Interval(0, 10)]
+
+    def test_row_missing_a_partial_hull_is_dropped(self):
+        q = JoinQuery.line(2)
+        db = {
+            "R1": TemporalRelation(
+                "R1", ("x1", "x2"), [((1, 2), (0, 10)), ((1, 7), (0, 10))]
+            ),
+            "R2": TemporalRelation(
+                "R2", ("x2", "x3"),
+                [((2, 3), (100, 200)), ((2, 4), (150, 300)), ((7, 3), (5, 6))],
+            ),
+        }
+        bag = materialize_bag(q.hypergraph, db, ("x1", "x2"))
+        # x2=2's hull [100, 300] misses R1's [0, 10]: no result can hold
+        # that row. x2=7's hull [5, 6] meets it.
+        assert [dict(zip(bag.attrs, v))["x2"] for v, _ in bag] == [7]
+        assert naive_join(q, db).values_only() == [(1, 7, 3)]
+
+    def test_touching_closed_endpoints_keep_the_row(self):
+        q = JoinQuery.line(2)
+        db = {
+            "R1": TemporalRelation("R1", ("x1", "x2"), [((1, 2), (10, 20))]),
+            "R2": TemporalRelation(
+                "R2", ("x2", "x3"), [((2, 3), (0, 4)), ((2, 4), (3, 10.0))]
+            ),
+        }
+        bag = materialize_bag(q.hypergraph, db, ("x1", "x2"))
+        # The hull's hi == the row's lo: closed intervals share 10.
+        assert [iv for _, iv in bag] == [Interval(10, 20)]
+        assert len(naive_join(q, db)) == 1
 
     def test_semijoin_effect_of_partial_edges(self):
         q = JoinQuery.line(2)

@@ -198,7 +198,7 @@ class TestFilterThenClip:
             (
                 JoinQuery.line(4),
                 {
-                    "hi.core_tuples": 27, "hi.core_pruned": 20,
+                    "hi.core_tuples": 27, "hi.core_pruned": 20, "hi.hull_pruned": 4,
                     "hi.interval_joins": 7, "results": 14,
                     "ij.scan.count": 7, "ij.scan.total": 23, "ij.scan.max": 4,
                     "ij.pairs.count": 7, "ij.pairs.total": 14, "ij.pairs.max": 3,
@@ -207,7 +207,7 @@ class TestFilterThenClip:
             (
                 STAR_WITH_CORE,
                 {
-                    "hi.core_tuples": 3, "hi.core_pruned": 2,
+                    "hi.core_tuples": 3, "hi.core_pruned": 2, "hi.hull_pruned": 2,
                     "hi.product_sweeps": 1, "results": 1,
                 },
             ),
@@ -216,7 +216,9 @@ class TestFilterThenClip:
     )
     def test_counters_pinned(self, query, want):
         # Values recorded with the clip-every-row implementation: the
-        # filtered row sets are exactly the old clipped ones.
+        # filtered row sets are exactly the old clipped ones. The hulls
+        # move no core tuple out of ``hi.core_pruned``; ``hi.hull_pruned``
+        # counts those of them that died in the core join.
         db = random_database(
             query, random.Random(15), n=24, domain=3, time_span=40, max_duration=20
         )

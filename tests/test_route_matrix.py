@@ -145,6 +145,14 @@ def _with_danglers(query, database):
     return query, out
 
 
+#: A small Figure-8 line(4): the core join's residual hulls kill most
+#: core tuples, so every route is checked where HYBRID-INTERVAL's and
+#: HYBRID's hull prune fires.
+FIG8_LINE4 = (
+    JoinQuery.line(4), generate(JoinQuery.line(4), SyntheticConfig(n_dangling=60, n_results=8))
+)
+
+
 #: Shapes the auto route sends to HYBRID (triangle, cycle4) and to
 #: HYBRID-INTERVAL (line3), with rows the semijoin pass drops at every τ
 #: used below.
@@ -334,6 +342,8 @@ def _note(query, database, tau):
 @example(instance=DANGLING["cycle4"], tau=0)
 @example(instance=DANGLING["cycle4"], tau=2.5)
 @example(instance=DANGLING["triangle"], tau=2.5)
+@example(instance=FIG8_LINE4, tau=0)
+@example(instance=FIG8_LINE4, tau=3)
 def test_every_route_returns_naive_rows(instance, tau):
     query, database = instance
     _note(query, database, tau)
