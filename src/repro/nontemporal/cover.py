@@ -6,23 +6,31 @@ LP (3) in the paper:
 
     min Σ_e x_e   s.t.   x_e ≥ 0,  Σ_{e ∋ v} x_e ≥ 1 for every vertex v.
 
-We solve this exactly with :func:`scipy.optimize.linprog` (HiGHS). The AGM
-bound ``Π_e |R_e|^{x_e}`` on the join output size is provided for the
-bench harness and for cost estimates.
+We solve it with :func:`scipy.optimize.linprog` (HiGHS). HiGHS works in
+floating point, so the cover weights carry solver noise; :func:`rho`
+rounds the optimum to 6 places, which is exact for the small rationals
+(1, 1.5, 2, ...) that constant-size queries have. The AGM bound
+``Π_e |R_e|^{x_e}`` on the join output size is provided for the bench
+harness and for cost estimates.
+
+scipy is imported at the first uncached solve, not with this module.
+``import repro`` reaches this module, and loading ``scipy.optimize`` is
+most of a fresh interpreter's import time; most processes (spawn
+workers sweeping kernel shards, reads through a warm plan cache, the
+CLI's ``--help``, the linter) never search a decomposition, so they
+never pay it. Solves are cached per hypergraph, so a process that does
+search pays the import once.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..core.errors import QueryError
 from ..core.hypergraph import Hypergraph
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=4096)
@@ -49,6 +57,8 @@ def _fractional_edge_cover_impl(
     where every attribute belongs to its edge, but guards subhypergraph
     bugs).
     """
+    from scipy.optimize import linprog  # deferred: see the module docstring
+
     names = hg.edge_names
     attrs = hg.attrs
     n_edges = len(names)

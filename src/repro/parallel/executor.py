@@ -27,11 +27,12 @@ Execution modes
 ``spawn`` workers of :mod:`repro.parallel.pool` — safe under every
 interpreter configuration; each shard task is pickled exactly once. The
 workers start on the first process-mode call and are reused by every
-later one, so the interpreter start (about 1 s) is paid once per
-process, not once per call (``parallel.pool_started`` says which call
-paid it). A worker that dies mid-shard raises
-:class:`~repro.core.errors.WorkerError` instead of hanging, and the next
-call starts fresh workers; interpreter exit terminates them.
+later one, so the interpreter start (about 0.4 s for two workers; see
+:mod:`repro.parallel.pool`) is paid once per process, not once per
+call (``parallel.pool_started`` says which call paid it). A worker that
+dies mid-shard raises :class:`~repro.core.errors.WorkerError` instead
+of hanging, and the next call starts fresh workers; interpreter exit
+terminates them.
 ``"inline"`` runs the identical shard tasks sequentially in the calling
 process: same partitioning, same ownership filter, same merge, no
 processes — the debugging and testing mode. ``workers=1`` always runs

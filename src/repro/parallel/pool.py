@@ -1,11 +1,13 @@
 """Resident spawn workers: started once per process, reused by every call.
 
 The first process-mode call with ``workers > 1`` starts ``spawn``
-workers; later calls reuse them, so the interpreter start (about 1 s)
-is paid once per process instead of once per call. Nothing starts at
-import. The set grows to the largest worker count requested so far,
-and a smaller call leases its first ``n`` workers. A
-``threading.Lock`` serializes calls.
+workers; later calls reuse them, so the interpreter start is paid once
+per process instead of once per call. A worker imports ``repro`` but
+not scipy, which loads only at the first decomposition search (see
+:mod:`repro.nontemporal.cover`), so starting two workers takes about
+0.35-0.5 s on a 2-core Xeon. Nothing starts at import. The set grows
+to the largest worker count requested so far, and a smaller call
+leases its first ``n`` workers. A ``threading.Lock`` serializes calls.
 
 Each worker owns one duplex :func:`multiprocessing.Pipe` and runs
 :func:`repro.parallel.worker.serve_pipe`. The parent sends ``(fn,
